@@ -86,16 +86,15 @@ alloc-gate:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' -v ./internal/router/
 
-# Coverage-guided fuzzing of the wire decoders (request + results codecs,
-# RPS2 stream frames). `go test` accepts one -fuzz pattern per invocation,
-# so each target gets its own run. CI runs the same loop as a short smoke;
+# Coverage-guided fuzzing of the decoders, one target per decoder: the
+# wire row codec (RPI1/RQE1/RSE1), the RPO1 results codec, RPS2 stream
+# frames, the artifact-store index. `go test` accepts one -fuzz pattern per
+# invocation, so each target gets its own run. CI runs the same loop as a short smoke;
 # raise the budget locally, e.g. `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
 fuzz:
-	$(GO) test -run xxx -fuzz 'FuzzDecodeWireRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
-	$(GO) test -run xxx -fuzz 'FuzzDecodeWireResults$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run xxx -fuzz 'FuzzParseWireRows$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run xxx -fuzz 'FuzzParseWireResults$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeStreamFrame$$' -fuzztime $(FUZZTIME) ./internal/serve/stream/
-	$(GO) test -run xxx -fuzz 'FuzzDecodeEmbedRequest$$' -fuzztime $(FUZZTIME) ./internal/embed/
-	$(GO) test -run xxx -fuzz 'FuzzDecodeEmbedResults$$' -fuzztime $(FUZZTIME) ./internal/embed/
 	$(GO) test -run xxx -fuzz 'FuzzParseStoreIndex$$' -fuzztime $(FUZZTIME) ./internal/store/

@@ -1,21 +1,15 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"log"
-	"mime"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
+	"repro/internal/serve/httpapi"
 	"repro/internal/vector"
 )
 
@@ -33,18 +27,22 @@ func registerPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
+// metricEmbedRequests counts /embed posts (any outcome past admission).
+const metricEmbedRequests = "repro_embed_requests_total"
+
 // newMux builds the HTTP surface over a model registry. Factored out of
 // main so the handler wiring is testable (the endpoint regression tests
-// drive it through httptest). defaultName is the model the deprecated
-// single-model endpoints (/infer, /stats) bind to. ctrl, when non-nil, is
-// the admission controller shared with the streaming listener — one
-// capacity budget across both protocols; nil admits everything. mx is the
-// process metrics registry served at GET /metrics in Prometheus text
-// exposition format; the serving layers register their series into it, so
-// the scrape and the /stats JSON read the same counters.
+// drive it through httptest). The inference endpoints are the shared front
+// end (internal/serve/httpapi) mounted twice, once per payload format.
+// ctrl, when non-nil, is the admission controller shared with the
+// streaming listener — one capacity budget across both protocols; nil
+// admits everything. mx is the process metrics registry served at GET
+// /metrics in Prometheus text exposition format; the serving layers
+// register their series into it, so the scrape and the /stats JSON read
+// the same counters.
 // vs is the vector tier's collection store; nil creates a fresh one (the
 // endpoints are always mounted — an empty store costs nothing).
-func newMux(reg *serve.Registry, defaultName string, start time.Time, ctrl *admission.Controller, mx *metrics.Registry, vs *vector.Store) *http.ServeMux {
+func newMux(reg *serve.Registry, start time.Time, ctrl *admission.Controller, mx *metrics.Registry, vs *vector.Store) *http.ServeMux {
 	if vs == nil {
 		vs = vector.NewStore()
 	}
@@ -53,203 +51,26 @@ func newMux(reg *serve.Registry, defaultName string, start time.Time, ctrl *admi
 	registerVectorAPI(mux, vs)
 	registerVectorMetrics(mx, vs)
 	embedRequests := mx.Counter(metricEmbedRequests, "POST /embed requests accepted by admission control.")
-	mux.HandleFunc("POST /v1/models/{id}/embed", func(w http.ResponseWriter, r *http.Request) {
-		name, version := model.ParseID(r.PathValue("id"))
-		handleEmbed(w, r, reg, name, version, ctrl, embedRequests)
-	})
+	mux.Handle("POST /v1/models/{id}/embed", httpapi.Handler(reg, httpapi.Embed, ctrl, embedRequests))
+	mux.Handle("POST /v1/models/{id}/infer", httpapi.Handler(reg, httpapi.Infer, ctrl, nil))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"status":   "ok",
 			"models":   reg.Len(),
 			"uptime_s": time.Since(start).Seconds(),
 		})
 	})
 	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"models": reg.Models()})
-	})
-	mux.HandleFunc("POST /v1/models/{id}/infer", func(w http.ResponseWriter, r *http.Request) {
-		name, version := model.ParseID(r.PathValue("id"))
-		handleInfer(w, r, reg, name, version, ctrl)
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"models": reg.Models()})
 	})
 	mux.HandleFunc("GET /v1/models/{id}/stats", func(w http.ResponseWriter, r *http.Request) {
 		name, version := model.ParseID(r.PathValue("id"))
 		st, err := reg.Stats(name, version)
 		if err != nil {
-			writeJSON(w, statusFor(err), errorBody(err))
+			httpapi.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	// Deprecated single-model aliases, routed to defaultName@latest.
-	mux.HandleFunc("POST /infer", func(w http.ResponseWriter, r *http.Request) {
-		handleInfer(w, r, reg, defaultName, "", ctrl)
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		st, err := reg.Stats(defaultName, "")
-		if err != nil {
-			writeJSON(w, statusFor(err), errorBody(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+		httpapi.WriteJSON(w, http.StatusOK, st)
 	})
 	return mux
-}
-
-// inferRequest is the JSON /infer request body: either a single input
-// vector or a list of them.
-type inferRequest struct {
-	Input  []float64   `json:"input,omitempty"`
-	Inputs [][]float64 `json:"inputs,omitempty"`
-}
-
-// Abuse bounds for one /infer call: a request fans out one goroutine per
-// input, so both the count and the decoded body size must be capped or a
-// single client post could exhaust the process. Both caps reuse the wire
-// format's limits, so the two codecs admit the same load per post and a
-// wire request that passes the decoder's size check is never truncated by
-// MaxBytesReader.
-const (
-	maxInputsPerRequest = serve.MaxWireInputs
-	maxBodyBytes        = serve.MaxWireBytes
-)
-
-// handleInfer answers single- and multi-input inference posts in JSON or
-// wire-format v1 (selected by Content-Type). Multiple inputs are submitted
-// concurrently so the batching scheduler can coalesce them into shared
-// forward passes. Malformed payloads and wrong input dimensions are
-// structured 400 responses; unknown models are 404; a request shed by
-// admission control is a 429 with a Retry-After header, before the body
-// is even read.
-func handleInfer(w http.ResponseWriter, r *http.Request, reg *serve.Registry, name, version string, ctrl *admission.Controller) {
-	if ctrl != nil {
-		ticket, err := ctrl.Admit(name)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		defer ticket.Release()
-	}
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	// Compare the media type proper, ignoring parameters, so a client
-	// library that appends ";charset=..." still reaches the wire decoder.
-	mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if mediaType == serve.WireContentType {
-		inputs, err := serve.DecodeWireRequest(body)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
-			return
-		}
-		results, err := inferAll(r.Context(), reg, name, version, inputs)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", serve.WireContentType)
-		if err := serve.EncodeWireResults(w, results); err != nil {
-			log.Printf("encoding wire response: %v", err)
-		}
-		return
-	}
-
-	var req inferRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
-		return
-	}
-	if len(req.Inputs) > maxInputsPerRequest {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("%d inputs in one request, limit %d", len(req.Inputs), maxInputsPerRequest),
-		})
-		return
-	}
-	if req.Input != nil && len(req.Inputs) > 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": `body sets both "input" and "inputs"; use one`})
-		return
-	}
-	switch {
-	case req.Input != nil:
-		res, err := reg.Infer(r.Context(), name, version, req.Input)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	case len(req.Inputs) > 0:
-		results, err := inferAll(r.Context(), reg, name, version, req.Inputs)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": results})
-	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": `need "input" or "inputs"`})
-	}
-}
-
-// inferAll submits every input concurrently and returns the results in
-// input order, or the first error.
-func inferAll(ctx context.Context, reg *serve.Registry, name, version string, inputs [][]float64) ([]serve.Result, error) {
-	results := make([]serve.Result, len(inputs))
-	errs := make([]error, len(inputs))
-	done := make(chan struct{}, len(inputs))
-	for i, in := range inputs {
-		go func(i int, in []float64) {
-			results[i], errs[i] = reg.Infer(ctx, name, version, in)
-			done <- struct{}{}
-		}(i, in)
-	}
-	for range inputs {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// statusFor maps serving errors to HTTP statuses. Everything not
-// recognised — including serve.InputSizeError — is a client-input 400.
-func statusFor(err error) int {
-	var oe *admission.OverloadError
-	switch {
-	case errors.As(err, &oe):
-		return http.StatusTooManyRequests
-	case errors.Is(err, serve.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, serve.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusRequestTimeout
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// writeError writes err as a structured JSON error with its mapped
-// status; an overload carries its Retry-After hint as the standard header
-// so well-behaved clients back off for the advertised interval.
-func writeError(w http.ResponseWriter, err error) {
-	var oe *admission.OverloadError
-	if errors.As(err, &oe) && oe.RetryAfter > 0 {
-		secs := int(oe.RetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1 // Retry-After is whole seconds; never advertise 0
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	writeJSON(w, statusFor(err), errorBody(err))
-}
-
-func errorBody(err error) map[string]string {
-	return map[string]string{"error": err.Error()}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("encoding response: %v", err)
-	}
 }

@@ -11,7 +11,6 @@
 //	serve -demo fc=arch1 -demo conv=arch3 [flags]   # random weights, load testing
 //	serve -demo mnist=arch1 -quantize mnist=12 \
 //	      -weights mnist=v1:0.9,v1-q12:0.1 [flags]  # float vs fixed-point A/B
-//	serve -bundle dir [flags]                       # deprecated single-model form
 //
 // -quantize name[@version]=bits additionally registers an Int16Spectral
 // fixed-point build of an already-loaded model under the derived version
@@ -50,8 +49,9 @@
 // than the target inside the batching queue — deadline-aware scheduling
 // that refuses to burn a forward pass on an answer nobody is waiting for.
 //
-// Endpoints (wire-format v1; see internal/serve/wire.go for the binary
-// request codec selected by Content-Type):
+// Endpoints (the inference posts are one shared front end,
+// internal/serve/httpapi; see internal/serve/wire.go for the binary codec
+// selected by Content-Type):
 //
 //	GET  /metrics                       Prometheus text exposition: per-model
 //	                                    latency/batch histograms, queue and
@@ -61,11 +61,8 @@
 //	GET  /healthz                       liveness: {"status":"ok",...}
 //	GET  /v1/models                     registered models, versions, stats
 //	POST /v1/models/{id}/infer          id = name (routed) or name@version
+//	POST /v1/models/{id}/embed          id = an -embed base model
 //	GET  /v1/models/{id}/stats          per-version serving counters
-//	POST /infer, GET /stats             deprecated single-model aliases,
-//	                                    bound to the first loaded model
-//	                                    (deprecated -arch/-params and
-//	                                    -bundle load before -model/-demo)
 //
 // The server batches concurrent /infer requests into single forward passes
 // across a per-model pool of replicas; see internal/serve for the
@@ -120,9 +117,6 @@ func main() {
 	flag.Var(&demos, "demo", "register a randomly-initialised built-in architecture: name[@version]=arch1|arch2|arch3, or bare arch1|arch2|arch3 (repeatable)")
 	flag.Var(&weights, "weights", "A/B split for a name: name=v1:0.9,v2:0.1 (repeatable)")
 	flag.Var(&quantize, "quantize", "also register an int16 fixed-point build of a loaded model: name[@version]=bits (repeatable)")
-	bundle := flag.String("bundle", "", "deprecated: single bundle directory (same as -model default=dir)")
-	archPath := flag.String("arch", "", "deprecated: architecture file of a single model")
-	paramsPath := flag.String("params", "", "deprecated: parameters file of a single model")
 	workers := flag.Int("workers", 0, "model replicas per registered model (default: GOMAXPROCS)")
 	batch := flag.Int("batch", 16, "max requests coalesced into one forward pass")
 	deadline := flag.Duration("deadline", 2*time.Millisecond, "max time to hold an open batch")
@@ -149,7 +143,7 @@ func main() {
 	packDir := flag.String("pack", "", "pack every loaded model into an artifact-store directory and exit")
 	flag.Parse()
 
-	loaded, err := loadModels(models.specs, demos.specs, *bundle, *archPath, *paramsPath, *storeDir != "")
+	loaded, err := loadModels(models.specs, demos.specs, *storeDir != "")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -250,17 +244,6 @@ func main() {
 		}
 	}
 
-	// The deprecated /infer and /stats endpoints bind to the first
-	// registered model's name, routed through its latest alias. A
-	// store-only invocation binds them to the first artifact instead.
-	var defaultName string
-	if len(loaded) > 0 {
-		defaultName = loaded[0].Name()
-	} else {
-		name, _ := model.ParseID(names[0])
-		defaultName = name
-	}
-
 	// One admission controller guards both protocol front ends, so
 	// -max-inflight is a process capacity, not a per-listener one.
 	ctrl, err := newAdmission(*maxInflight, *fairShare, quotas.specs, *retryAfter)
@@ -271,7 +254,7 @@ func main() {
 		ctrl.RegisterMetrics(mx)
 	}
 
-	mux := newMux(reg, defaultName, time.Now(), ctrl, mx, vector.NewStore())
+	mux := newMux(reg, time.Now(), ctrl, mx, vector.NewStore())
 	if *pprofFlag {
 		registerPprof(mux)
 		log.Print("pprof enabled on /debug/pprof/")
@@ -541,28 +524,10 @@ type loadedModel struct {
 	inShape []int
 }
 
-// loadModels resolves every model flag into an adapter. The deprecated
-// single-model flags register under "default@v1" so pre-registry
-// invocations keep working; as before the redesign, -bundle takes
-// precedence over -arch/-params when both are given.
-func loadModels(modelSpecs, demoSpecs []string, bundle, archPath, paramsPath string, allowEmpty bool) ([]loadedModel, error) {
+// loadModels resolves every model flag into an adapter. allowEmpty admits
+// a -store-only invocation, whose models come from the artifact index.
+func loadModels(modelSpecs, demoSpecs []string, allowEmpty bool) ([]loadedModel, error) {
 	var out []loadedModel
-	if bundle != "" {
-		// Prepended so the deprecated single-model flags keep claiming the
-		// legacy /infer binding (the first loaded model) over -model specs.
-		modelSpecs = append([]string{"default=" + bundle}, modelSpecs...)
-		archPath, paramsPath = "", ""
-	}
-	if archPath != "" || paramsPath != "" {
-		if archPath == "" || paramsPath == "" {
-			return nil, errors.New("-arch and -params must be given together")
-		}
-		m, err := loadBundleModel("default", "v1", archPath, paramsPath)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
 	for _, spec := range modelSpecs {
 		name, version, dir, err := splitSpec(spec)
 		if err != nil {
@@ -586,7 +551,7 @@ func loadModels(modelSpecs, demoSpecs []string, bundle, archPath, paramsPath str
 		out = append(out, m)
 	}
 	if len(out) == 0 && !allowEmpty {
-		return nil, errors.New("need at least one of -model, -demo, -bundle, -store, or -arch/-params")
+		return nil, errors.New("need at least one of -model, -demo or -store")
 	}
 	return out, nil
 }

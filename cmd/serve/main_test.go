@@ -21,6 +21,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
+	"repro/internal/serve/httpapi"
 )
 
 func testNet(seed int64) *nn.Network {
@@ -49,7 +50,7 @@ func newTestServer(t *testing.T, cacheSize int) (*serve.Registry, *httptest.Serv
 	if err := reg.Register(m); err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(newMux(reg, "test", time.Now(), nil, metrics.NewRegistry(), nil))
+	hs := httptest.NewServer(newMux(reg, time.Now(), nil, metrics.NewRegistry(), nil))
 	t.Cleanup(func() { hs.Close(); reg.Close() })
 	return reg, hs
 }
@@ -93,8 +94,7 @@ func getStats(url string) (serve.Stats, error) {
 // /infer traffic exercises the LRU cache, and require every response to be
 // internally consistent (the cache figures are snapshotted under one
 // cache-lock acquisition). CI runs this under -race, which also proves the
-// handlers share no unsynchronised state. It drives the deprecated
-// single-model endpoints, pinning the facade shim.
+// handlers share no unsynchronised state.
 func TestStatsEndpointConsistentUnderInferLoad(t *testing.T) {
 	const clients, iters, distinct = 4, 60, 5
 	_, hs := newTestServer(t, distinct)
@@ -114,7 +114,7 @@ func TestStatsEndpointConsistentUnderInferLoad(t *testing.T) {
 	go func() {
 		defer readerWG.Done()
 		for {
-			st, err := getStats(hs.URL + "/stats")
+			st, err := getStats(hs.URL + "/v1/models/test/stats")
 			if err != nil {
 				t.Error(err)
 				return
@@ -142,7 +142,7 @@ func TestStatsEndpointConsistentUnderInferLoad(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				postInfer(t, hs.URL+"/infer", inputs[(c+i)%distinct])
+				postInfer(t, hs.URL+"/v1/models/test/infer", inputs[(c+i)%distinct])
 			}
 		}(c)
 	}
@@ -150,7 +150,7 @@ func TestStatsEndpointConsistentUnderInferLoad(t *testing.T) {
 	close(done)
 	readerWG.Wait()
 
-	st, err := getStats(hs.URL + "/stats")
+	st, err := getStats(hs.URL + "/v1/models/test/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,23 +269,23 @@ func TestMalformedPayloadsAreStructured400s(t *testing.T) {
 	requireErrorStatus(t, url, "application/json", []byte(`{"input":[1],"inputs":[[1]]}`), http.StatusBadRequest)
 	requireErrorStatus(t, url, "application/json", []byte(`{"input":[1,2,3]}`), http.StatusBadRequest)
 
-	big, _ := json.Marshal(map[string]any{"inputs": make([][]float64, maxInputsPerRequest+1)})
+	big, _ := json.Marshal(map[string]any{"inputs": make([][]float64, httpapi.MaxInputs+1)})
 	requireErrorStatus(t, url, "application/json", big, http.StatusBadRequest)
 
 	// Wire format: bad magic, then a truncated body.
 	requireErrorStatus(t, url, serve.WireContentType, []byte("XXXXXXXXXXXX"), http.StatusBadRequest)
-	var wire bytes.Buffer
-	if err := serve.EncodeWireRequest(&wire, [][]float64{make([]float64, 64)}); err != nil {
+	wire, err := serve.AppendWireRequest(nil, [][]float64{make([]float64, 64)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	requireErrorStatus(t, url, serve.WireContentType, wire.Bytes()[:wire.Len()-8], http.StatusBadRequest)
+	requireErrorStatus(t, url, serve.WireContentType, wire[:len(wire)-8], http.StatusBadRequest)
 	// Wire request with the wrong feature count reaches the model and is
 	// rejected there, still as a structured 400.
-	wire.Reset()
-	if err := serve.EncodeWireRequest(&wire, [][]float64{make([]float64, 63)}); err != nil {
+	wire, err = serve.AppendWireRequest(nil, [][]float64{make([]float64, 63)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	requireErrorStatus(t, url, serve.WireContentType, wire.Bytes(), http.StatusBadRequest)
+	requireErrorStatus(t, url, serve.WireContentType, wire, http.StatusBadRequest)
 }
 
 // TestUnknownModelIs404 checks both infer and stats routes for unknown
@@ -374,13 +374,13 @@ func TestWireFormatOverHTTP(t *testing.T) {
 			inputs[i][j] = rng.NormFloat64()
 		}
 	}
-	var wire bytes.Buffer
-	if err := serve.EncodeWireRequest(&wire, inputs); err != nil {
+	wire, err := serve.AppendWireRequest(nil, inputs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Clients commonly append media-type parameters; the wire decoder
 	// must still be selected.
-	resp, err := http.Post(url, serve.WireContentType+"; charset=binary", &wire)
+	resp, err := http.Post(url, serve.WireContentType+"; charset=binary", bytes.NewReader(wire))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,11 @@ func TestWireFormatOverHTTP(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != serve.WireContentType {
 		t.Errorf("wire response Content-Type %q", ct)
 	}
-	results, err := serve.DecodeWireResults(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := serve.ParseWireResults(raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +448,7 @@ func TestFlagParsing(t *testing.T) {
 	}
 
 	// loadModels: demo specs build registrable models; no specs is an error.
-	ms, err := loadModels(nil, []string{"fc=arch1", "conv@v2=arch3"}, "", "", "", false)
+	ms, err := loadModels(nil, []string{"fc=arch1", "conv@v2=arch3"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,10 +459,10 @@ func TestFlagParsing(t *testing.T) {
 		}
 		t.Errorf("loadModels demo ids = %v", ids)
 	}
-	if _, err := loadModels(nil, nil, "", "", "", false); err == nil {
+	if _, err := loadModels(nil, nil, false); err == nil {
 		t.Error("no model sources accepted")
 	}
-	if _, err := loadModels(nil, []string{"x=arch9"}, "", "", "", false); err == nil ||
+	if _, err := loadModels(nil, []string{"x=arch9"}, false); err == nil ||
 		!strings.Contains(err.Error(), "arch9") {
 		t.Errorf("unknown demo arch error = %v", err)
 	}
@@ -482,10 +486,9 @@ func TestFlagParsing(t *testing.T) {
 	}
 }
 
-// TestBundleFlagPrecedence pins the deprecated-flag contract: -bundle
-// given together with -arch/-params serves the bundle (as before the
-// registry redesign), rather than trying to register default@v1 twice.
-func TestBundleFlagPrecedence(t *testing.T) {
+// TestModelFlagLoadsBundle: -model name[@version]=dir loads a cmd/train
+// bundle directory (arch.txt + params.bin) through the engine.
+func TestModelFlagLoadsBundle(t *testing.T) {
 	dir := t.TempDir()
 	arch := "input 64\ncircfc 32 block=16 act=relu\nfc 10\n"
 	e, err := engine.ParseArchitecture(strings.NewReader(arch), rand.New(rand.NewSource(1)))
@@ -503,12 +506,12 @@ func TestBundleFlagPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms, err := loadModels(nil, nil, dir, filepath.Join(dir, "arch.txt"), filepath.Join(dir, "params.bin"), false)
+	ms, err := loadModels([]string{"mnist@v2=" + dir}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 1 || serve.ModelID(ms[0]) != "default@v1" {
-		t.Fatalf("bundle+arch/params loaded %d models, want one default@v1", len(ms))
+	if len(ms) != 1 || serve.ModelID(ms[0]) != "mnist@v2" {
+		t.Fatalf("-model loaded %d models, want one mnist@v2", len(ms))
 	}
 	if ms[0].InDim() != 64 || ms[0].OutDim() != 10 {
 		t.Errorf("bundle model dims %d/%d, want 64/10", ms[0].InDim(), ms[0].OutDim())
@@ -538,7 +541,7 @@ func TestPprofRegistration(t *testing.T) {
 	if err := reg.Register(m); err != nil {
 		t.Fatal(err)
 	}
-	mux := newMux(reg, "test", time.Now(), nil, metrics.NewRegistry(), nil)
+	mux := newMux(reg, time.Now(), nil, metrics.NewRegistry(), nil)
 	registerPprof(mux)
 	ts2 := httptest.NewServer(mux)
 	defer ts2.Close()
@@ -570,7 +573,7 @@ func TestAdmissionHTTP429(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl := admission.New(admission.Config{MaxInflight: 1, RetryAfter: 2 * time.Second})
-	hs := httptest.NewServer(newMux(reg, "test", time.Now(), ctrl, metrics.NewRegistry(), nil))
+	hs := httptest.NewServer(newMux(reg, time.Now(), ctrl, metrics.NewRegistry(), nil))
 	defer hs.Close()
 	url := hs.URL + "/v1/models/test/infer"
 	body, _ := json.Marshal(map[string]any{"input": make([]float64, 64)})

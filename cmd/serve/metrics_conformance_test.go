@@ -125,7 +125,7 @@ func TestMetricsConformance(t *testing.T) {
 	}
 	ss := stream.NewServer(reg, stream.Options{Admission: ctrl, Metrics: mx})
 	defer ss.Close()
-	hs := httptest.NewServer(newMux(reg, "test", time.Now(), ctrl, mx, nil))
+	hs := httptest.NewServer(newMux(reg, time.Now(), ctrl, mx, nil))
 	defer func() { hs.Close(); reg.Close() }()
 
 	// Real traffic so counters and histogram buckets move: distinct
@@ -140,7 +140,7 @@ func TestMetricsConformance(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for _, in := range inputs {
-			postInfer(t, hs.URL+"/infer", in)
+			postInfer(t, hs.URL+"/v1/models/test/infer", in)
 		}
 	}
 	// Embed and vector-tier traffic so their counters move too.
@@ -247,7 +247,7 @@ func TestStatsMetricsParity(t *testing.T) {
 		if err := reg.Register(m); err != nil {
 			t.Fatal(err)
 		}
-		hs := httptest.NewServer(newMux(reg, "test", time.Now(), nil, mx, nil))
+		hs := httptest.NewServer(newMux(reg, time.Now(), nil, mx, nil))
 		defer func() { hs.Close(); reg.Close() }()
 
 		rng := rand.New(rand.NewSource(3))
@@ -260,11 +260,11 @@ func TestStatsMetricsParity(t *testing.T) {
 		}
 		for round := 0; round < 4; round++ {
 			for _, in := range inputs {
-				postInfer(t, hs.URL+"/infer", in)
+				postInfer(t, hs.URL+"/v1/models/test/infer", in)
 			}
 		}
 
-		st, err := getStats(hs.URL + "/stats")
+		st, err := getStats(hs.URL + "/v1/models/test/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,13 +300,13 @@ func TestStatsMetricsParity(t *testing.T) {
 		if err := reg.Register(m); err != nil {
 			t.Fatal(err)
 		}
-		hs := httptest.NewServer(newMux(reg, "test", time.Now(), nil, mx, nil))
+		hs := httptest.NewServer(newMux(reg, time.Now(), nil, mx, nil))
 		defer func() { hs.Close(); reg.Close() }()
 
 		in := make([]float64, 64)
 		body, _ := jsonBody(in)
 		for i := 0; i < 8; i++ {
-			resp, err := http.Post(hs.URL+"/infer", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(hs.URL+"/v1/models/test/infer", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,7 +314,7 @@ func TestStatsMetricsParity(t *testing.T) {
 			resp.Body.Close()
 		}
 
-		st, err := getStats(hs.URL + "/stats")
+		st, err := getStats(hs.URL + "/v1/models/test/stats")
 		if err != nil {
 			t.Fatal(err)
 		}

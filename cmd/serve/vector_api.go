@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
+	"repro/internal/serve/httpapi"
 	"repro/internal/vector"
 )
 
@@ -86,77 +87,77 @@ func registerVectorAPI(mux *http.ServeMux, vs *vector.Store) {
 			}
 			infos = append(infos, info)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"collections": infos})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"collections": infos})
 	})
 
 	mux.HandleFunc("PUT /v1/vectors/{collection}", func(w http.ResponseWriter, r *http.Request) {
 		var req upsertRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes)).Decode(&req); err != nil {
+			httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 			return
 		}
 		if len(req.Vectors) == 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "no vectors"})
+			httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "no vectors"})
 			return
 		}
 		c, err := vs.Ensure(r.PathValue("collection"), len(req.Vectors[0]))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
+			httpapi.WriteError(w, err)
 			return
 		}
 		added, updated, err := c.Upsert(req.IDs, req.Vectors)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
+			httpapi.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"added": added, "updated": updated, "count": c.Len()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"added": added, "updated": updated, "count": c.Len()})
 	})
 
 	mux.HandleFunc("POST /v1/vectors/{collection}/search", func(w http.ResponseWriter, r *http.Request) {
 		c, ok := vs.Get(r.PathValue("collection"))
 		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such collection"})
+			httpapi.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "no such collection"})
 			return
 		}
 		var req searchRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes)).Decode(&req); err != nil {
+			httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 			return
 		}
 		opt := vector.SearchOptions{Quantized: req.Quantized, NProbe: req.NProbe}
 		if req.Metric != "" {
 			m, err := vector.ParseMetric(req.Metric)
 			if err != nil {
-				writeJSON(w, http.StatusBadRequest, errorBody(err))
+				httpapi.WriteError(w, err)
 				return
 			}
 			opt.Metric = m
 		}
 		results, err := c.Search(req.Vector, req.K, opt)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
+			httpapi.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": results})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"results": results})
 	})
 
 	mux.HandleFunc("POST /v1/vectors/{collection}/train", func(w http.ResponseWriter, r *http.Request) {
 		c, ok := vs.Get(r.PathValue("collection"))
 		if !ok {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such collection"})
+			httpapi.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "no such collection"})
 			return
 		}
 		var req trainRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes)).Decode(&req); err != nil {
+			httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 			return
 		}
 		if err := c.TrainANN(req.K, req.Seed); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
+			httpapi.WriteError(w, err)
 			return
 		}
 		k, n, _ := c.Trained()
-		writeJSON(w, http.StatusOK, map[string]any{"trained_k": k, "count": n})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"trained_k": k, "count": n})
 	})
 }
 

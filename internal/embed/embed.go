@@ -15,10 +15,10 @@
 // to each of those layers an embedding model is just a model whose
 // "scores" happen to be a 128-wide activation vector.
 //
-// The package also defines wire format e1 (wire.go): a compact binary
-// request/response codec for the /v1/models/{id}/embed endpoint, shaped
-// after serve's wire format v1 but returning float32 vectors — the dtype
-// the vector tier stores and searches.
+// The package also names wire format e1 (wire.go), the binary codec of the
+// /v1/models/{id}/embed endpoint: two magics and a content type over
+// serve's one row codec, returning float32 vectors — the dtype the vector
+// tier stores and searches.
 package embed
 
 import (

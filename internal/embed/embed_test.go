@@ -2,11 +2,14 @@ package embed
 
 import (
 	"bytes"
+	"context"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/serve"
 	"repro/internal/tensor"
 )
 
@@ -69,109 +72,107 @@ func TestNewModelMatchesTrunk(t *testing.T) {
 	}
 }
 
-func TestWireRequestRoundTrip(t *testing.T) {
-	inputs := [][]float64{{1, 2.5, -3}, {0, math.Pi, 1e-9}}
-	var buf bytes.Buffer
-	if err := EncodeWireRequest(&buf, inputs); err != nil {
-		t.Fatal(err)
-	}
-	if want := 12 + 8*2*3; buf.Len() != want {
-		t.Fatalf("encoded %d bytes, want %d", buf.Len(), want)
-	}
-	enc := append([]byte(nil), buf.Bytes()...)
-	dec, err := DecodeWireRequest(&buf)
+// TestWireGoldenBytes pins e1 wire compatibility with pre-unification
+// clients: frames produced by the original RQE1/RSE1 encoders, hard-coded
+// here, must decode (through this package's magics and serve's row codec)
+// to the values they were built from and re-encode to the same bytes.
+func TestWireGoldenBytes(t *testing.T) {
+	const (
+		rqe1 = "525145310200000002000000" + // "RQE1", count 2, dim 2
+			"000000000000f03f" + "00000000000004c0" + // 1, -2.5
+			"9a9999999999b93f" + "000000b08ef01b42" // 0.1, 3e10
+		rse1 = "525345310200000002000000" + // "RSE1", count 2, dim 2
+			"0000803f" + "000020c0" + "cdcccc3d" + "7684df50" // the same values as float32
+	)
+	want := [][]float64{{1, -2.5}, {0.1, 3e10}}
+
+	req, err := hex.DecodeString(rqe1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s WireRequestScratch
-	parsed, err := ParseWireRequest(enc, &s)
+	inputs, err := ParseWireRequest(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range inputs {
-		for j := range inputs[i] {
-			if dec[i][j] != inputs[i][j] || parsed[i][j] != inputs[i][j] {
-				t.Fatalf("value [%d][%d] did not round-trip", i, j)
+	resp, err := hex.DecodeString(rse1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs, err := ParseWireResults(resp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inputs) != 2 || len(vecs) != 2 {
+		t.Fatalf("decoded %d inputs and %d vectors, want 2 and 2", len(inputs), len(vecs))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if inputs[i][j] != want[i][j] {
+				t.Errorf("RQE1 [%d][%d] = %g, want %g", i, j, inputs[i][j], want[i][j])
+			}
+			if vecs[i][j] != float32(want[i][j]) {
+				t.Errorf("RSE1 [%d][%d] = %g, want %g", i, j, vecs[i][j], float32(want[i][j]))
 			}
 		}
 	}
-	// Warm parses through a scratch must be allocation-free.
-	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ParseWireRequest(enc, &s); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 0 {
-		t.Errorf("warm ParseWireRequest allocates %.0f/op; want 0", allocs)
+	if reenc, err := AppendWireRequest(nil, inputs); err != nil || !bytes.Equal(reenc, req) {
+		t.Errorf("RQE1 re-encoded to %x (err %v), want %x", reenc, err, req)
+	}
+	if reenc, err := AppendWireResults(nil, want); err != nil || !bytes.Equal(reenc, resp) {
+		t.Errorf("RSE1 re-encoded to %x (err %v), want %x", reenc, err, resp)
+	}
+	// The two directions are distinct formats.
+	if _, err := ParseWireRequest(resp, nil); err == nil {
+		t.Error("RSE1 frame accepted as a request")
+	}
+	if _, err := ParseWireResults(req, nil); err == nil {
+		t.Error("RQE1 frame accepted as a response")
 	}
 }
 
-func TestWireResultsRoundTrip(t *testing.T) {
-	vecs := [][]float64{{0.5, -1.25}, {3, 4}}
-	var buf bytes.Buffer
-	if err := EncodeWireResults(&buf, vecs); err != nil {
-		t.Fatal(err)
+// TestEmbedRoutedZeroAlloc extends the serving-path allocation gate to the
+// embedding workload: the penultimate-activation model registered under
+// "<name>.embed" rides the same InferInto path, so a warm registry-routed
+// embed must also allocate nothing (the PR 10 acceptance criterion;
+// BenchmarkEmbed pins the same property in the ALLOC_GATE tier).
+func TestEmbedRoutedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs without -race")
 	}
-	if want := 12 + 4*2*2; buf.Len() != want {
-		t.Fatalf("encoded %d bytes, want %d", buf.Len(), want)
-	}
-	enc := append([]byte(nil), buf.Bytes()...)
-	dec, err := DecodeWireResults(&buf)
+	rng := rand.New(rand.NewSource(73))
+	net := nn.Arch1(rng)
+	em, err := NewModel("arch1", "v1", net, []int{256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s WireResultsScratch
-	parsed, err := ParseWireResults(enc, &s)
-	if err != nil {
+	reg := serve.NewRegistry(serve.Options{Workers: 1, MaxBatch: 16})
+	defer reg.Close()
+	if err := reg.Register(em); err != nil {
 		t.Fatal(err)
 	}
-	for i := range vecs {
-		for j := range vecs[i] {
-			want := float32(vecs[i][j])
-			if dec[i][j] != want || parsed[i][j] != want {
-				t.Fatalf("value [%d][%d] did not round-trip", i, j)
-			}
-		}
+	route := ModelName("arch1")
+	input := make([]float64, 256)
+	for i := range input {
+		input[i] = rng.NormFloat64()
 	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ParseWireResults(enc, &s); err != nil {
+	ctx := context.Background()
+	var vec []float64
+	for k := 0; k < 40; k++ {
+		res, err := reg.InferInto(ctx, route, "", input, vec)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 0 {
-		t.Errorf("warm ParseWireResults allocates %.0f/op; want 0", allocs)
+		vec = res.Scores
 	}
-}
 
-func TestWireMalformed(t *testing.T) {
-	good, err := AppendWireRequest(nil, [][]float64{{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"empty":            {},
-		"short header":     good[:8],
-		"truncated body":   good[:len(good)-3],
-		"trailing garbage": append(append([]byte(nil), good...), 0xAA),
-	}
-	for name, data := range cases {
-		if _, err := ParseWireRequest(data, nil); err == nil {
-			t.Errorf("%s: ParseWireRequest accepted", name)
+	allocs := testing.AllocsPerRun(50, func() {
+		res, err := reg.InferInto(ctx, route, "", input, vec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	bad := append([]byte(nil), good...)
-	bad[0] ^= 0xFF
-	if _, err := ParseWireRequest(bad, nil); err == nil {
-		t.Error("wrong magic accepted")
-	}
-	// Hostile count: header claims 2^32-1 vectors.
-	hostile := append([]byte(nil), good...)
-	hostile[4], hostile[5], hostile[6], hostile[7] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := ParseWireRequest(hostile, nil); err == nil {
-		t.Error("hostile count accepted")
-	}
-	if _, err := AppendWireRequest(nil, [][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged inputs accepted")
-	}
-	if _, err := AppendWireResults(nil, nil); err == nil {
-		t.Error("empty response accepted")
+		vec = res.Scores
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state registry-routed embed allocates %.0f/op; want 0", allocs)
 	}
 }

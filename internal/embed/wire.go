@@ -1,36 +1,15 @@
 package embed
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-	"sync"
-)
+import "repro/internal/serve"
 
-// Wire format e1 — the compact binary request/response codec for the
-// /v1/models/{id}/embed endpoint, selected by Content-Type exactly like
-// serve's wire format v1 on the infer endpoint. All integers are
-// little-endian.
+// Wire format e1 — the binary codec of the /v1/models/{id}/embed endpoint,
+// selected by Content-Type exactly like wire format v1 on the infer
+// endpoint. Both frames are plain row frames of serve's one tensor codec
+// (layout and decode bounds documented in internal/serve/wire.go); this
+// package owns only what names them:
 //
-// Request ("RQE1") — float64 inputs, the model's native input dtype:
-//
-//	magic  uint32  0x31455152 ("RQE1")
-//	count  uint32  number of input vectors (≥ 1)
-//	dim    uint32  features per vector
-//	data   count × dim × float64
-//
-// Response ("RSE1") — float32 embeddings, the vector tier's dtype:
-//
-//	magic  uint32  0x31455352 ("RSE1")
-//	count  uint32  number of vectors
-//	dim    uint32  embedding width
-//	data   count × dim × float32
-//
-// The response deliberately narrows to float32: embeddings feed cosine
-// top-k search, where float32 keeps full ranking fidelity at half the
-// bytes, and it is the dtype internal/vector stores — a client can PUT a
-// decoded response straight into a collection.
+//	"RQE1" request   count × dim × float64 — the model's native input dtype
+//	"RSE1" response  count × dim × float32 — the vector tier's dtype
 
 // WireContentType identifies wire-format e1 request bodies (and is echoed
 // on e1 responses).
@@ -41,285 +20,38 @@ const (
 	wireRespMagic = 0x31455352 // "RSE1"
 )
 
-// Decode bounds, mirroring serve's wire v1 limits: one post may not
-// demand more decode allocation than the server would accept over JSON.
-const (
-	// MaxWireInputs is the largest number of vectors one e1 frame carries.
-	MaxWireInputs = 256
-	// MaxWireDim bounds the per-vector width accepted on decode.
-	MaxWireDim = 1 << 20
-	// MaxWireBytes bounds the total decoded frame size (checked in 64-bit
-	// arithmetic so hostile count×dim products cannot overflow int).
-	MaxWireBytes = 64 << 20
-)
-
-var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func getWireBuf(n int) (*[]byte, []byte) {
-	p := wireBufPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	return p, (*p)[:n]
-}
-
-func putWireBuf(p *[]byte) { wireBufPool.Put(p) }
-
-// validateWireHeader applies the bounds shared by both directions; width
-// is the per-element byte size (8 for the float64 request, 4 for the
-// float32 response).
-//
-//repro:noalloc
-func validateWireHeader(side string, count, dim, width int) error {
-	if count < 1 || count > MaxWireInputs {
-		return fmt.Errorf("embed: wire %s count %d outside [1, %d]", side, count, MaxWireInputs)
-	}
-	if dim < 1 || dim > MaxWireDim {
-		return fmt.Errorf("embed: wire %s dim %d outside [1, %d]", side, dim, MaxWireDim)
-	}
-	if need := 12 + int64(width)*int64(count)*int64(dim); need > MaxWireBytes {
-		return fmt.Errorf("embed: wire %s of %d bytes exceeds the %d-byte limit", side, need, MaxWireBytes)
-	}
-	return nil
-}
-
 // AppendWireRequest appends one encoded e1 request to dst and returns the
-// extended slice. All inputs must share one non-zero length; decode-side
-// bounds are enforced here so an encodable request is always decodable.
+// extended slice.
 //
 //repro:noalloc
 func AppendWireRequest(dst []byte, inputs [][]float64) ([]byte, error) {
-	if len(inputs) == 0 {
-		return dst, fmt.Errorf("embed: wire request needs at least one input")
-	}
-	dim := len(inputs[0])
-	if err := validateWireHeader("request", len(inputs), dim, 8); err != nil {
-		return dst, err
-	}
-	for i, in := range inputs {
-		if len(in) != dim {
-			return dst, fmt.Errorf("embed: wire input %d has %d features, input 0 has %d", i, len(in), dim)
-		}
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, wireReqMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(inputs)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
-	for _, in := range inputs {
-		for _, v := range in {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-	}
-	return dst, nil
+	return serve.AppendWireRows(dst, wireReqMagic, 8, inputs)
 }
 
-// EncodeWireRequest writes inputs as one e1 request.
-func EncodeWireRequest(w io.Writer, inputs [][]float64) error {
-	p, buf := getWireBuf(0)
-	defer putWireBuf(p)
-	buf, err := AppendWireRequest(buf[:0], inputs)
-	if err != nil {
-		return err
-	}
-	*p = buf
-	_, err = w.Write(buf)
-	return err
-}
-
-// WireRequestScratch is reusable decode storage for ParseWireRequest; the
-// zero value is ready to use.
-type WireRequestScratch struct {
-	flat []float64
-	vecs [][]float64
-}
-
-// ParseWireRequest decodes one e1 request held entirely in data. The
-// returned vectors are views into the scratch, valid until its next
-// Parse; a nil scratch allocates fresh storage. Trailing bytes are
-// rejected.
+// ParseWireRequest decodes one e1 request held entirely in data; see
+// serve.ParseWireRows for the scratch contract.
 //
 //repro:noalloc
-func ParseWireRequest(data []byte, s *WireRequestScratch) ([][]float64, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("embed: wire request header truncated: %d bytes", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data[0:]); m != wireReqMagic {
-		return nil, fmt.Errorf("embed: bad wire request magic %#x (want \"RQE1\")", m)
-	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	dim := int(binary.LittleEndian.Uint32(data[8:]))
-	if err := validateWireHeader("request", count, dim, 8); err != nil {
-		return nil, err
-	}
-	if want := 12 + 8*count*dim; len(data) != want {
-		return nil, fmt.Errorf("embed: wire request of %d bytes, header describes %d", len(data), want)
-	}
-	if s == nil {
-		s = &WireRequestScratch{}
-	}
-	if cap(s.flat) < count*dim {
-		s.flat = make([]float64, count*dim)
-	}
-	flat := s.flat[:count*dim]
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[12+8*i:]))
-	}
-	if cap(s.vecs) < count {
-		s.vecs = make([][]float64, count)
-	}
-	inputs := s.vecs[:count]
-	for i := range inputs {
-		inputs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return inputs, nil
+func ParseWireRequest(data []byte, s *serve.WireRowsScratch) ([][]float64, error) {
+	inputs, _, err := serve.ParseWireRows(data, wireReqMagic, 8, s)
+	return inputs, err
 }
 
-// DecodeWireRequest reads one e1 request from r.
-func DecodeWireRequest(r io.Reader) ([][]float64, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("embed: reading wire request header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != wireReqMagic {
-		return nil, fmt.Errorf("embed: bad wire request magic %#x (want \"RQE1\")", m)
-	}
-	count := int(binary.LittleEndian.Uint32(hdr[4:]))
-	dim := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if err := validateWireHeader("request", count, dim, 8); err != nil {
-		return nil, err
-	}
-	p, data := getWireBuf(8 * count * dim)
-	defer putWireBuf(p)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, fmt.Errorf("embed: wire request body truncated: %w", err)
-	}
-	flat := make([]float64, count*dim)
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	inputs := make([][]float64, count)
-	for i := range inputs {
-		inputs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return inputs, nil
-}
-
-// AppendWireResults appends one encoded e1 response to dst and returns
-// the extended slice. vecs holds the embedding rows as the serving stack
+// AppendWireResults appends one encoded e1 response to dst and returns the
+// extended slice. vecs holds the embedding rows as the serving stack
 // produces them (float64 result scores); the codec narrows each value to
-// float32. All rows must share one non-zero width.
+// float32.
 //
 //repro:noalloc
 func AppendWireResults(dst []byte, vecs [][]float64) ([]byte, error) {
-	if len(vecs) == 0 {
-		return dst, fmt.Errorf("embed: wire response needs at least one vector")
-	}
-	dim := len(vecs[0])
-	if err := validateWireHeader("response", len(vecs), dim, 4); err != nil {
-		return dst, err
-	}
-	for i, v := range vecs {
-		if len(v) != dim {
-			return dst, fmt.Errorf("embed: wire vector %d has width %d, vector 0 has %d", i, len(v), dim)
-		}
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, wireRespMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vecs)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
-	for _, v := range vecs {
-		for _, x := range v {
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(x)))
-		}
-	}
-	return dst, nil
+	return serve.AppendWireRows(dst, wireRespMagic, 4, vecs)
 }
 
-// EncodeWireResults writes vecs as one e1 response.
-func EncodeWireResults(w io.Writer, vecs [][]float64) error {
-	p, buf := getWireBuf(0)
-	defer putWireBuf(p)
-	buf, err := AppendWireResults(buf[:0], vecs)
-	if err != nil {
-		return err
-	}
-	*p = buf
-	_, err = w.Write(buf)
-	return err
-}
-
-// WireResultsScratch is reusable decode storage for ParseWireResults; the
-// zero value is ready to use.
-type WireResultsScratch struct {
-	flat []float32
-	vecs [][]float32
-}
-
-// ParseWireResults decodes one e1 response held entirely in data. The
-// returned float32 rows are views into the scratch, valid until its next
-// Parse; a nil scratch allocates fresh storage. Trailing bytes are
-// rejected.
+// ParseWireResults decodes one e1 response held entirely in data into
+// float32 rows; see serve.ParseWireRows for the scratch contract.
 //
 //repro:noalloc
-func ParseWireResults(data []byte, s *WireResultsScratch) ([][]float32, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("embed: wire response header truncated: %d bytes", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data[0:]); m != wireRespMagic {
-		return nil, fmt.Errorf("embed: bad wire response magic %#x (want \"RSE1\")", m)
-	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	dim := int(binary.LittleEndian.Uint32(data[8:]))
-	if err := validateWireHeader("response", count, dim, 4); err != nil {
-		return nil, err
-	}
-	if want := 12 + 4*count*dim; len(data) != want {
-		return nil, fmt.Errorf("embed: wire response of %d bytes, header describes %d", len(data), want)
-	}
-	if s == nil {
-		s = &WireResultsScratch{}
-	}
-	if cap(s.flat) < count*dim {
-		s.flat = make([]float32, count*dim)
-	}
-	flat := s.flat[:count*dim]
-	for i := range flat {
-		flat[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[12+4*i:]))
-	}
-	if cap(s.vecs) < count {
-		s.vecs = make([][]float32, count)
-	}
-	vecs := s.vecs[:count]
-	for i := range vecs {
-		vecs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return vecs, nil
-}
-
-// DecodeWireResults reads one e1 response from r.
-func DecodeWireResults(r io.Reader) ([][]float32, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("embed: reading wire response header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != wireRespMagic {
-		return nil, fmt.Errorf("embed: bad wire response magic %#x (want \"RSE1\")", m)
-	}
-	count := int(binary.LittleEndian.Uint32(hdr[4:]))
-	dim := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if err := validateWireHeader("response", count, dim, 4); err != nil {
-		return nil, err
-	}
-	p, data := getWireBuf(4 * count * dim)
-	defer putWireBuf(p)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, fmt.Errorf("embed: wire response body truncated: %w", err)
-	}
-	flat := make([]float32, count*dim)
-	for i := range flat {
-		flat[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
-	}
-	vecs := make([][]float32, count)
-	for i := range vecs {
-		vecs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return vecs, nil
+func ParseWireResults(data []byte, s *serve.WireRowsScratch) ([][]float32, error) {
+	_, vecs, err := serve.ParseWireRows(data, wireRespMagic, 4, s)
+	return vecs, err
 }

@@ -5,32 +5,11 @@ import (
 	"math/cmplx"
 )
 
-// DFT computes the discrete Fourier transform of x by the defining O(n²)
-// summation. It exists as the correctness oracle for the fast transforms and
-// as the "direct" baseline in complexity benchmarks; production code should
-// use FFT.
-//
-// Deprecated: DFT allocates its output on every call. Repeated callers
-// (complexity sweeps, property tests) should reuse a buffer with DFTInto.
-func DFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	DFTInto(out, x)
-	return out
-}
-
-// IDFT computes the inverse discrete Fourier transform (with 1/n
-// normalisation) by direct summation. Reference implementation only.
-//
-// Deprecated: IDFT allocates its output on every call; use IDFTInto with a
-// reused buffer.
-func IDFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	IDFTInto(out, x)
-	return out
-}
-
-// DFTInto computes the O(n²) reference DFT of x into dst, which must have
-// the same length and must not alias x.
+// DFTInto computes the discrete Fourier transform of x into dst by the
+// defining O(n²) summation. It exists as the correctness oracle for the
+// fast transforms and as the "direct" baseline in complexity benchmarks;
+// production code should use FFT. dst must have the same length as x and
+// must not alias it.
 func DFTInto(dst, x []complex128) { dftInto(dst, x, false) }
 
 // IDFTInto computes the O(n²) reference inverse DFT (with 1/n

@@ -5,39 +5,16 @@ import (
 	"math/cmplx"
 )
 
-// Stockham computes the DFT of a power-of-two-length sequence with the
+// StockhamInto computes the DFT of a power-of-two-length sequence with the
 // Stockham autosort algorithm: instead of a bit-reversal permutation pass it
-// ping-pongs between two buffers, keeping every butterfly stage's reads and
-// writes unit-stride. That access pattern is why Stockham is the structure
-// of choice for hardware and SIMD FFT pipelines; it is provided here as the
-// ablation counterpart to the bit-reversal Cooley–Tukey Plan (Fig. 1) —
-// same O(n log n) arithmetic, different memory behaviour.
+// ping-pongs between two buffers (dst and scratch), keeping every butterfly
+// stage's reads and writes unit-stride. That access pattern is why Stockham
+// is the structure of choice for hardware and SIMD FFT pipelines; it is
+// provided here as the ablation counterpart to the bit-reversal Cooley–Tukey
+// Plan (Fig. 1) — same O(n log n) arithmetic, different memory behaviour.
 //
-// The input is not modified.
-//
-// Deprecated: Stockham allocates both ping-pong buffers on every call. Hot
-// callers should hold scratch and use StockhamInto.
-func Stockham(x []complex128) []complex128 {
-	dst := make([]complex128, len(x))
-	StockhamInto(dst, x, make([]complex128, len(x)))
-	return dst
-}
-
-// StockhamInverse computes the inverse DFT (with 1/n normalisation) via the
-// autosort structure.
-//
-// Deprecated: StockhamInverse allocates both ping-pong buffers on every
-// call. Hot callers should hold scratch and use StockhamInverseInto.
-func StockhamInverse(x []complex128) []complex128 {
-	dst := make([]complex128, len(x))
-	StockhamInverseInto(dst, x, make([]complex128, len(x)))
-	return dst
-}
-
-// StockhamInto computes the DFT of x into dst using scratch as the second
-// ping-pong buffer: the workspace-backed form of Stockham. dst, x and
-// scratch must all have the same power-of-two length; dst and scratch must
-// not alias x or each other. x is not modified.
+// dst, x and scratch must all have the same power-of-two length; dst and
+// scratch must not alias x or each other. x is not modified.
 func StockhamInto(dst, x, scratch []complex128) { stockhamInto(dst, x, scratch, false) }
 
 // StockhamInverseInto computes the inverse DFT (with 1/n normalisation) of

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/serve/httpapi"
 )
 
 // Rendezvous (highest-random-weight) hashing gives the router cache
@@ -100,18 +102,15 @@ func (rt *Router) proxyOrder(key string) []*backend {
 // proxyHTTP forwards the request body to the same path on the
 // highest-ranked backend for key, falling to the next rank on transport
 // failure (a backend that *answered* — any status — ends the walk: its
-// verdict is the verdict). Returns false if no backend answered.
-func (rt *Router) proxyHTTP(w http.ResponseWriter, r *http.Request, key string) bool {
-	order := rt.proxyOrder(key)
-	if len(order) == 0 {
-		return false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// verdict is the verdict). If no backend answers, the router does:
+// ErrNoBackend, a 503.
+func (rt *Router) proxyHTTP(w http.ResponseWriter, r *http.Request, key string) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody(err))
-		return true
+		httpapi.WriteError(w, err)
+		return
 	}
-	for _, b := range order {
+	for _, b := range rt.proxyOrder(key) {
 		req, err := http.NewRequestWithContext(r.Context(), r.Method,
 			strings.TrimRight(b.cfg.HTTPURL, "/")+r.URL.Path, bytes.NewReader(body))
 		if err != nil {
@@ -127,9 +126,9 @@ func (rt *Router) proxyHTTP(w http.ResponseWriter, r *http.Request, key string) 
 		}
 		rt.proxied.Add(1)
 		copyResponse(w, resp)
-		return true
+		return
 	}
-	return false
+	httpapi.WriteError(w, ErrNoBackend)
 }
 
 // copyResponse relays a backend's answer: status, Content-Type and any

@@ -1,20 +1,10 @@
 package router
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"log"
-	"mime"
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/model"
-	"repro/internal/serve"
-	"repro/internal/serve/admission"
+	"repro/internal/serve/httpapi"
 )
 
 // Mux builds the router's HTTP front end — the same /v1 surface a single
@@ -49,19 +39,18 @@ func (rt *Router) Mux(mx *metrics.Registry) *http.ServeMux {
 		if healthy == 0 {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, map[string]any{
+		httpapi.WriteJSON(w, status, map[string]any{
 			"status":   map[bool]string{true: "ok", false: "no-backends"}[healthy > 0],
 			"backends": len(rt.backends),
 			"healthy":  healthy,
 		})
 	})
 	mux.HandleFunc("GET /v1/models", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"models": rt.Models()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"models": rt.Models()})
 	})
-	mux.HandleFunc("POST /v1/models/{id}/infer", func(w http.ResponseWriter, r *http.Request) {
-		name, version := model.ParseID(r.PathValue("id"))
-		rt.handleInfer(w, r, name, version)
-	})
+	// The single-process front end itself, answered by the fleet: a client
+	// cannot tell a router from a backend by its responses.
+	mux.Handle("POST /v1/models/{id}/infer", httpapi.Handler(rt, httpapi.Infer, nil, nil))
 	// HTTP-proxied endpoints: embeddings and the vector tier are stateful
 	// on the backend (embed models, collections), so the router forwards
 	// them whole to the rendezvous-ranked owner rather than re-implement
@@ -69,174 +58,31 @@ func (rt *Router) Mux(mx *metrics.Registry) *http.ServeMux {
 	// /v1/vectors, so one collection's upserts and searches meet on the
 	// same backend.
 	mux.HandleFunc("POST /v1/models/{id}/embed", func(w http.ResponseWriter, r *http.Request) {
-		if !rt.proxyHTTP(w, r, r.PathValue("id")) {
-			writeError(w, ErrNoBackend)
-		}
+		rt.proxyHTTP(w, r, r.PathValue("id"))
 	})
 	proxyByCollection := func(w http.ResponseWriter, r *http.Request) {
-		if !rt.proxyHTTP(w, r, r.PathValue("collection")) {
-			writeError(w, ErrNoBackend)
-		}
+		rt.proxyHTTP(w, r, r.PathValue("collection"))
 	}
 	mux.HandleFunc("PUT /v1/vectors/{collection}", proxyByCollection)
 	mux.HandleFunc("POST /v1/vectors/{collection}/search", proxyByCollection)
 	mux.HandleFunc("POST /v1/vectors/{collection}/train", proxyByCollection)
 	mux.HandleFunc("GET /v1/backends", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"backends": rt.Backends()})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"backends": rt.Backends()})
 	})
 	drain := func(draining bool) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			addr := r.PathValue("addr")
 			if !rt.SetDraining(addr, draining) {
-				writeJSON(w, http.StatusNotFound, map[string]string{"error": "no backend " + addr})
+				httpapi.WriteJSON(w, http.StatusNotFound, map[string]string{"error": "no backend " + addr})
 				return
 			}
-			writeJSON(w, http.StatusOK, map[string]any{"addr": addr, "draining": draining})
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"addr": addr, "draining": draining})
 		}
 	}
 	mux.HandleFunc("POST /v1/backends/{addr}/drain", drain(true))
 	mux.HandleFunc("POST /v1/backends/{addr}/undrain", drain(false))
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, rt.Stats())
+		httpapi.WriteJSON(w, http.StatusOK, rt.Stats())
 	})
 	return mux
-}
-
-// inferRequest mirrors the cmd/serve JSON body: one input or a list.
-type inferRequest struct {
-	Input  []float64   `json:"input,omitempty"`
-	Inputs [][]float64 `json:"inputs,omitempty"`
-}
-
-// Abuse bounds, same contract as the single-process front end: the wire
-// format's limits bound both codecs.
-const (
-	maxInputsPerRequest = serve.MaxWireInputs
-	maxBodyBytes        = serve.MaxWireBytes
-)
-
-// handleInfer answers routed inference posts in JSON or wire-format v1,
-// exactly the single-process surface — a client cannot tell a router
-// from a backend by its responses.
-func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request, name, version string) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if mediaType == serve.WireContentType {
-		inputs, err := serve.DecodeWireRequest(body)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
-			return
-		}
-		results, err := rt.inferAll(r.Context(), name, version, inputs)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", serve.WireContentType)
-		if err := serve.EncodeWireResults(w, results); err != nil {
-			log.Printf("router: encoding wire response: %v", err)
-		}
-		return
-	}
-
-	var req inferRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
-		return
-	}
-	if len(req.Inputs) > maxInputsPerRequest {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("%d inputs in one request, limit %d", len(req.Inputs), maxInputsPerRequest),
-		})
-		return
-	}
-	if req.Input != nil && len(req.Inputs) > 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": `body sets both "input" and "inputs"; use one`})
-		return
-	}
-	switch {
-	case req.Input != nil:
-		res, err := rt.Infer(r.Context(), name, version, req.Input)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	case len(req.Inputs) > 0:
-		results, err := rt.inferAll(r.Context(), name, version, req.Inputs)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": results})
-	default:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": `need "input" or "inputs"`})
-	}
-}
-
-// inferAll routes every input concurrently — each may land on a
-// different backend — and returns results in input order, or the first
-// error.
-func (rt *Router) inferAll(ctx context.Context, name, version string, inputs [][]float64) ([]serve.Result, error) {
-	results := make([]serve.Result, len(inputs))
-	errs := make([]error, len(inputs))
-	done := make(chan struct{}, len(inputs))
-	for i, in := range inputs {
-		go func(i int, in []float64) {
-			results[i], errs[i] = rt.Infer(ctx, name, version, in)
-			done <- struct{}{}
-		}(i, in)
-	}
-	for range inputs {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// statusFor maps routed errors to HTTP statuses: the stream client's
-// typed errors carry serve sentinel identities across the wire, so the
-// mapping matches the single-process front end's exactly.
-func statusFor(err error) int {
-	var oe *admission.OverloadError
-	switch {
-	case errors.As(err, &oe):
-		return http.StatusTooManyRequests
-	case errors.Is(err, serve.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, serve.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusRequestTimeout
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	var oe *admission.OverloadError
-	if errors.As(err, &oe) && oe.RetryAfter > 0 {
-		secs := int(oe.RetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	writeJSON(w, statusFor(err), errorBody(err))
-}
-
-func errorBody(err error) map[string]string {
-	return map[string]string{"error": err.Error()}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("router: encoding response: %v", err)
-	}
 }

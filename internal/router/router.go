@@ -323,9 +323,13 @@ func (rt *Router) InferInto(ctx context.Context, name, version string, input, sc
 	if err == nil {
 		return res, nil
 	}
-	// A typed overload is a backend's deliberate "no" — pass it through
-	// untouched, never retry it.
-	if isOverload(err) || !retryable(err) {
+	// Only a backend failure may try a different backend: transport-shaped
+	// — connection loss, 503/closed, GOAWAY — so the request provably never
+	// reached model execution, or reached a backend that refused it
+	// wholesale. Infer is idempotent, so the single retry is safe; the
+	// budget makes it bounded. A typed overload is a backend's deliberate
+	// "no" (not a failure): passed through untouched, never retried.
+	if !isBackendFailure(err) {
 		return res, err
 	}
 	if !rt.budget.take() {
@@ -382,17 +386,6 @@ func isBackendFailure(err error) bool {
 		return false
 	}
 	return errors.Is(err, serve.ErrClosed)
-}
-
-// retryable reports whether the request may try a different backend: the
-// failure must be transport-shaped — connection loss, 503/closed,
-// GOAWAY — so the request provably never reached model execution, or
-// reached a backend that refused it wholesale. Infer is idempotent, so
-// the single retry is safe; the budget makes it bounded.
-//
-//repro:noalloc
-func retryable(err error) bool {
-	return isBackendFailure(err)
 }
 
 // Backends snapshots every backend's status row.

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -397,7 +399,7 @@ func TestRouterBreakerOpensAndRecovers(t *testing.T) {
 
 // TestRouterHalfOpenProbeSlotReleased pins the probe-slot release: a
 // routed request admitted as the half-open probe that then fails for a
-// non-backend reason (here: the caller's own cancelled context) must
+// non-backend reason (here: the caller's own expired deadline) must
 // free the slot. Before the fix the breaker stayed half-open with the
 // probe claimed forever — the health loop's TryProbe kept refusing and
 // the backend was excluded from routing until restart.
@@ -418,15 +420,17 @@ func TestRouterHalfOpenProbeSlotReleased(t *testing.T) {
 	}
 
 	// Trip the circuit, wait past the jittered backoff ceiling (1.5 *
-	// OpenMax = 30ms), then route with an already-cancelled context:
+	// OpenMax = 30ms), then route with an already-expired deadline:
 	// pick() admits it as the half-open probe and it fails without
-	// indicting the backend.
+	// indicting the backend. (An expired deadline, not a cancelled
+	// context: the client refuses it before sending, where a cancel merely
+	// races the response.)
 	rt.backends[0].br.Trip(time.Now())
 	time.Sleep(50 * time.Millisecond)
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
+	cctx, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
 	if _, err := rt.Infer(cctx, "mnist", "v1", in); err == nil {
-		t.Fatal("infer with cancelled context succeeded")
+		t.Fatal("infer past its deadline succeeded")
 	}
 
 	// The slot must be free again: a later request claims it, succeeds,
@@ -650,5 +654,103 @@ func TestRouterDrainExcludesBackend(t *testing.T) {
 
 	if rt.SetDraining("203.0.113.1:1", true) {
 		t.Fatal("SetDraining accepted an unknown address")
+	}
+}
+
+// TestRouterBackendLossIs503 is the regression test for the error→status
+// policy's transport-loss arm: when the one backend dies with requests in
+// flight and no retry is possible, the loss must reach HTTP clients as 503
+// and RPS2 clients as an error with serve.ErrClosed identity (what
+// isBackendFailure assumes of every hop) — not as a 400 that blames the
+// client's input. The "backend" is a bare listener that accepts the
+// router's connection, swallows request frames and is then cut, so both
+// requests are provably in flight when the transport dies.
+func TestRouterBackendLossIs503(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		nc, err := ln.Accept()
+		ln.Close() // one connection only: once cut, the backend stays dead
+		if err == nil {
+			accepted <- nc
+		}
+	}()
+	view := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/models" {
+			http.NotFound(w, r)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(map[string]any{"models": []serve.ModelInfo{
+			{Name: "mnist", Version: "v1", Latest: true, InDim: 121, OutDim: 10},
+		}})
+	}))
+	defer view.Close()
+	rt := newTestRouter(t, Options{
+		Backends:        []BackendConfig{{Addr: ln.Addr().String(), HTTPURL: view.URL}},
+		RefreshInterval: time.Hour,
+		ProbeInterval:   time.Hour,
+		RetryBudget:     -1,
+		Seed:            1,
+	})
+	backendConn := <-accepted
+
+	httpFront := httptest.NewServer(rt.Mux(nil))
+	defer httpFront.Close()
+	front := stream.NewServer(rt, stream.Options{})
+	fln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontDone := make(chan error, 1)
+	go func() { frontDone <- front.Serve(fln) }()
+	cl, err := stream.Dial(fln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = cl.Close(cctx)
+		_ = front.Close()
+		<-frontDone
+	}()
+
+	in := testInput(3)
+	httpStatus := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(map[string]any{"input": in})
+		resp, err := http.Post(httpFront.URL+"/v1/models/mnist/infer", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			httpStatus <- 0
+			return
+		}
+		resp.Body.Close()
+		httpStatus <- resp.StatusCode
+	}()
+	streamErr := make(chan error, 1)
+	go func() {
+		_, err := cl.Do(context.Background(), "mnist", [][]float64{in})
+		streamErr <- err
+	}()
+
+	// Both requests are on the wire to the backend; now it dies.
+	br := bufio.NewReader(backendConn)
+	var f stream.Frame
+	for i := 0; i < 2; i++ {
+		if err := stream.DecodeFrame(br, &f); err != nil {
+			t.Fatalf("reading routed frame %d at the backend: %v", i, err)
+		}
+	}
+	backendConn.Close()
+
+	if got := <-httpStatus; got != http.StatusServiceUnavailable {
+		t.Errorf("HTTP front answered %d for a lost backend, want 503", got)
+	}
+	if err := <-streamErr; !errors.Is(err, serve.ErrClosed) {
+		t.Errorf("RPS2 front error = %v, want serve.ErrClosed identity", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/embed"
 	"repro/internal/model"
 	"repro/internal/nn"
 )
@@ -77,53 +76,6 @@ func TestRegistryRoutedInferZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state registry-routed InferInto allocates %.0f/op; want 0", allocs)
-	}
-}
-
-// TestEmbedRoutedZeroAlloc extends the gate to the embedding workload:
-// the penultimate-activation model registered under "<name>.embed" rides
-// the same InferInto path, so a warm registry-routed embed must also
-// allocate nothing (the PR 10 acceptance criterion; BenchmarkEmbed pins
-// the same property in the ALLOC_GATE tier).
-func TestEmbedRoutedZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; the alloc gate runs without -race")
-	}
-	rng := rand.New(rand.NewSource(73))
-	net := nn.Arch1(rng)
-	em, err := embed.NewModel("arch1", "v1", net, []int{256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry(Options{Workers: 1, MaxBatch: 16})
-	defer reg.Close()
-	if err := reg.Register(em); err != nil {
-		t.Fatal(err)
-	}
-	route := embed.ModelName("arch1")
-	input := make([]float64, 256)
-	for i := range input {
-		input[i] = rng.NormFloat64()
-	}
-	ctx := context.Background()
-	var vec []float64
-	for k := 0; k < 40; k++ {
-		res, err := reg.InferInto(ctx, route, "", input, vec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vec = res.Scores
-	}
-
-	allocs := testing.AllocsPerRun(50, func() {
-		res, err := reg.InferInto(ctx, route, "", input, vec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vec = res.Scores
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state registry-routed embed allocates %.0f/op; want 0", allocs)
 	}
 }
 

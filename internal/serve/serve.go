@@ -16,9 +16,9 @@
 //     "name@version" identifiers with a "latest" alias, weighted A/B
 //     routing between versions, and atomic hot-swap while serving.
 //
-// The cmd/serve binary wraps a Registry in an HTTP interface speaking JSON
-// and the compact binary wire format v1 (wire.go); see the package
-// examples for direct library use.
+// The cmd/serve binary wraps a Registry in the HTTP front end
+// (internal/serve/httpapi) speaking JSON and the compact binary wire
+// format v1 (wire.go); see the package examples for direct library use.
 package serve
 
 import (
@@ -116,27 +116,6 @@ func (opts Options) withDefaults() Options {
 	return opts
 }
 
-// Config parameterises the deprecated single-model constructor New. Model
-// and InShape are required.
-//
-// Deprecated: wrap the network with model.FromNetwork and use NewModel, or
-// serve several models behind a Registry. Config survives as a shim so
-// pre-registry callers keep compiling.
-type Config struct {
-	// Model is the trained network to serve. The server deep-copies it
-	// once per worker, so the caller keeps ownership of the original.
-	Model *nn.Network
-	// InShape is the per-sample input shape the model expects, e.g.
-	// [256] for Arch-1 or [32 32 3] for Arch-3.
-	InShape []int
-	// The remaining fields mirror Options; see there for defaults.
-	Workers    int
-	MaxBatch   int
-	MaxDelay   time.Duration
-	QueueDepth int
-	CacheSize  int
-}
-
 // Result is one answered inference request.
 type Result struct {
 	// Class is the argmax class index.
@@ -187,8 +166,7 @@ var requestPool = sync.Pool{
 }
 
 // Server is a batched concurrent inference server for one model. Create
-// one with NewModel (or the deprecated New); it is safe for use by any
-// number of goroutines.
+// one with NewModel; it is safe for use by any number of goroutines.
 type Server struct {
 	opts     Options
 	m        model.Model
@@ -219,31 +197,6 @@ type Server struct {
 	mu     sync.RWMutex // guards closed against concurrent Infer sends
 	closed bool
 	wg     sync.WaitGroup
-}
-
-// New starts a server for a bare network under the fixed identity
-// "default@v1".
-//
-// Deprecated: use NewModel with a model.FromNetwork adapter (or a Registry
-// for more than one model). New remains as a thin shim over that path.
-func New(cfg Config) (*Server, error) {
-	if cfg.Model == nil {
-		return nil, errors.New("serve: Config.Model is required")
-	}
-	if len(cfg.InShape) == 0 {
-		return nil, errors.New("serve: Config.InShape is required")
-	}
-	m, err := model.FromNetwork("default", "v1", cfg.Model, cfg.InShape)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return NewModel(m, Options{
-		Workers:    cfg.Workers,
-		MaxBatch:   cfg.MaxBatch,
-		MaxDelay:   cfg.MaxDelay,
-		QueueDepth: cfg.QueueDepth,
-		CacheSize:  cfg.CacheSize,
-	})
 }
 
 // NewModel validates the model, replicates it once per worker, and starts

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -22,6 +23,16 @@ func testModel(seed int64) *nn.Network {
 		nn.NewReLU(),
 		nn.NewDense(32, 10, rng),
 	)
+}
+
+// newNetServer serves a bare network under "default@v1": the scheduler
+// tests address one Server directly, without a Registry in front.
+func newNetServer(net *nn.Network, inShape []int, opts Options) (*Server, error) {
+	m, err := model.FromNetwork("default", "v1", net, inShape)
+	if err != nil {
+		return nil, err
+	}
+	return NewModel(m, opts)
 }
 
 // testInputs returns n distinct deterministic input vectors plus the
@@ -52,9 +63,7 @@ func TestConcurrentLoad(t *testing.T) {
 		perG       = 40
 		maxBatch   = 4
 	)
-	srv, err := New(Config{
-		Model:    net,
-		InShape:  []int{64},
+	srv, err := newNetServer(net, []int{64}, Options{
 		Workers:  4,
 		MaxBatch: maxBatch,
 		MaxDelay: time.Millisecond,
@@ -114,9 +123,7 @@ func TestConcurrentLoad(t *testing.T) {
 // TestBatchDeadline checks that a lone request is not held hostage by a
 // large MaxBatch: the deadline must flush it.
 func TestBatchDeadline(t *testing.T) {
-	srv, err := New(Config{
-		Model:    testModel(2),
-		InShape:  []int{64},
+	srv, err := newNetServer(testModel(2), []int{64}, Options{
 		Workers:  1,
 		MaxBatch: 1024,
 		MaxDelay: 10 * time.Millisecond,
@@ -144,9 +151,7 @@ func TestBatchDeadline(t *testing.T) {
 // capacity is enforced.
 func TestResultCache(t *testing.T) {
 	net := testModel(3)
-	srv, err := New(Config{
-		Model:     net,
-		InShape:   []int{64},
+	srv, err := newNetServer(net, []int{64}, Options{
 		Workers:   1,
 		MaxBatch:  4,
 		MaxDelay:  time.Millisecond,
@@ -210,9 +215,7 @@ func TestResultCache(t *testing.T) {
 func TestStatsConsistentUnderLoad(t *testing.T) {
 	const clients, iters, distinct = 4, 150, 6
 	net := testModel(11)
-	srv, err := New(Config{
-		Model:     net,
-		InShape:   []int{64},
+	srv, err := newNetServer(net, []int{64}, Options{
 		Workers:   2,
 		MaxBatch:  4,
 		MaxDelay:  100 * time.Microsecond,
@@ -296,9 +299,7 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 // copy, or the next batch's input would rewrite scores the previous
 // requester still holds.
 func TestPassthroughModelScoresNotClobbered(t *testing.T) {
-	srv, err := New(Config{
-		Model:    nn.NewNetwork(nn.NewFlatten()),
-		InShape:  []int{8},
+	srv, err := newNetServer(nn.NewNetwork(nn.NewFlatten()), []int{8}, Options{
 		Workers:  1,
 		MaxBatch: 2,
 		MaxDelay: 100 * time.Microsecond,
@@ -327,7 +328,7 @@ func TestPassthroughModelScoresNotClobbered(t *testing.T) {
 // TestCloseSemantics checks Close idempotence and post-Close rejection —
 // including for inputs the result cache could still answer.
 func TestCloseSemantics(t *testing.T) {
-	srv, err := New(Config{Model: testModel(4), InShape: []int{64}, Workers: 2, CacheSize: 8})
+	srv, err := newNetServer(testModel(4), []int{64}, Options{Workers: 2, CacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestCloseSemantics(t *testing.T) {
 // TestInputValidation checks shape errors and config errors are reported,
 // not paniced.
 func TestInputValidation(t *testing.T) {
-	srv, err := New(Config{Model: testModel(5), InShape: []int{64}})
+	srv, err := newNetServer(testModel(5), []int{64}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,21 +355,21 @@ func TestInputValidation(t *testing.T) {
 		t.Error("short input accepted")
 	}
 
-	if _, err := New(Config{InShape: []int{64}}); err == nil {
+	if _, err := NewModel(nil, Options{}); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := New(Config{Model: testModel(6)}); err == nil {
+	if _, err := newNetServer(testModel(6), nil, Options{}); err == nil {
 		t.Error("missing input shape accepted")
 	}
 	// A shape the model rejects must surface as an error from the probe.
-	if _, err := New(Config{Model: testModel(7), InShape: []int{63}}); err == nil {
+	if _, err := newNetServer(testModel(7), []int{63}, Options{}); err == nil {
 		t.Error("mismatched input shape accepted")
 	}
 }
 
 // TestContextCancellation checks that a cancelled context unblocks Infer.
 func TestContextCancellation(t *testing.T) {
-	srv, err := New(Config{Model: testModel(8), InShape: []int{64}})
+	srv, err := newNetServer(testModel(8), []int{64}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,9 +391,7 @@ func TestContextCancellation(t *testing.T) {
 // workspace reuse must not change the numerics.
 func TestServedMatchesReference(t *testing.T) {
 	net := testModel(9)
-	srv, err := New(Config{
-		Model:    net,
-		InShape:  []int{64},
+	srv, err := newNetServer(net, []int{64}, Options{
 		Workers:  3,
 		MaxBatch: 5,
 		MaxDelay: time.Millisecond,

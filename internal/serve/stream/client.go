@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -44,33 +43,6 @@ func (e *connLostError) Error() string {
 }
 func (e *connLostError) Is(target error) bool { return target == ErrConnLost }
 func (e *connLostError) Unwrap() error        { return e.cause }
-
-// StatusError is a non-overload status frame surfaced as an error. Its
-// Is method maps protocol codes back onto the serving sentinels, so
-// errors.Is(err, serve.ErrNotFound) works across the wire exactly as it
-// does in-process.
-type StatusError struct {
-	Code       int
-	RetryAfter time.Duration
-	Msg        string
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("stream: status %d: %s", e.Code, e.Msg)
-}
-
-// Is maps status codes onto the in-process error identities.
-func (e *StatusError) Is(target error) bool {
-	switch e.Code {
-	case 404:
-		return target == serve.ErrNotFound
-	case 503:
-		return target == serve.ErrClosed
-	case 408:
-		return target == context.DeadlineExceeded
-	}
-	return false
-}
 
 // ClientOptions parameterises Dial behaviour beyond the defaults.
 type ClientOptions struct {

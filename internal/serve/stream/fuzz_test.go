@@ -85,7 +85,7 @@ func FuzzDecodeStreamFrame(f *testing.F) {
 			if 2+len(route)+4+len(wire) != len(fr.Payload) {
 				t.Fatalf("request payload split loses bytes: %d+%d of %d", len(route), len(wire), len(fr.Payload))
 			}
-			var scratch serve.WireRequestScratch
+			var scratch serve.WireRowsScratch
 			inputs, err := serve.ParseWireRequest(wire, &scratch)
 			if err != nil {
 				return

@@ -335,17 +335,10 @@ func (c *sconn) run() {
 	c.read()
 	close(c.pending)
 	hwg.Wait()
-	// All accepted frames are answered; acknowledge the drain so a
-	// GOAWAY-initiated client can distinguish "drained clean" from a cut
-	// connection, then tear down.
-	c.wmu.Lock()
-	if !c.goaway {
-		c.goaway = true
-		c.srv.goaways.Add(1)
-		c.sbuf, _ = AppendFrame(c.sbuf[:0], FrameGoAway, 0, nil)
-		_, _ = c.nc.Write(c.sbuf) // best-effort: the connection is being torn down
-	}
-	c.wmu.Unlock()
+	// All accepted frames are answered; acknowledge the drain (unless
+	// Shutdown already announced it) so a GOAWAY-initiated client can
+	// distinguish "drained clean" from a cut connection, then tear down.
+	c.sendGoAway()
 	c.cancel()
 	_ = c.nc.Close()
 	s := c.srv
@@ -355,7 +348,9 @@ func (c *sconn) run() {
 	s.connWG.Done()
 }
 
-// sendGoAway announces the drain to the client (idempotent).
+// sendGoAway announces the drain to the client (idempotent: one GOAWAY
+// per connection, whichever of Shutdown and the connection's own teardown
+// gets there first).
 func (c *sconn) sendGoAway() {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -365,7 +360,7 @@ func (c *sconn) sendGoAway() {
 	c.goaway = true
 	c.srv.goaways.Add(1)
 	c.sbuf, _ = AppendFrame(c.sbuf[:0], FrameGoAway, 0, nil)
-	_, _ = c.nc.Write(c.sbuf) // best-effort: a failed GOAWAY surfaces in the read loop
+	_, _ = c.nc.Write(c.sbuf) // best-effort: a failed GOAWAY surfaces in the read loop or the teardown
 }
 
 // writeFrame writes one pre-encoded frame under the write lock.
@@ -484,7 +479,7 @@ func (c *sconn) putFree(q *sreq) {
 // → encode → write without a single allocation.
 func (c *sconn) handle() {
 	var (
-		scratch serve.WireRequestScratch
+		scratch serve.WireRowsScratch
 		results []serve.Result
 		out     []byte
 	)
@@ -497,7 +492,7 @@ func (c *sconn) handle() {
 
 // handleOne answers a single request frame, returning the (possibly
 // grown) scratch slices for reuse.
-func (c *sconn) handleOne(q *sreq, scratch *serve.WireRequestScratch, results []serve.Result, out []byte) ([]serve.Result, []byte) {
+func (c *sconn) handleOne(q *sreq, scratch *serve.WireRowsScratch, results []serve.Result, out []byte) ([]serve.Result, []byte) {
 	inputs, err := serve.ParseWireRequest(q.wire, scratch)
 	if err != nil {
 		c.writeStatus(q.id, 400, 0, err.Error())
@@ -539,21 +534,16 @@ func (c *sconn) handleOne(q *sreq, scratch *serve.WireRequestScratch, results []
 	return results, out
 }
 
-// writeStatusErr maps a serving error onto a status frame, mirroring the
-// HTTP layer's statusFor mapping.
+// writeStatusErr answers id with err's status frame (StatusFor is the
+// policy). An overload's message is its bare reason — the client rebuilds
+// the typed admission.OverloadError from it.
 func (c *sconn) writeStatusErr(id uint64, err error) {
+	code, retryAfter := StatusFor(err)
+	msg := err.Error()
 	var oe *admission.OverloadError
-	switch {
-	case errors.As(err, &oe):
+	if errors.As(err, &oe) {
 		c.srv.shed.Add(1)
-		c.writeStatus(id, 429, oe.RetryAfter, oe.Reason)
-	case errors.Is(err, serve.ErrNotFound):
-		c.writeStatus(id, 404, 0, err.Error())
-	case errors.Is(err, serve.ErrClosed):
-		c.writeStatus(id, 503, 0, err.Error())
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		c.writeStatus(id, 408, 0, err.Error())
-	default:
-		c.writeStatus(id, 400, 0, err.Error())
+		msg = oe.Reason
 	}
+	c.writeStatus(id, code, retryAfter, msg)
 }

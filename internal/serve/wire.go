@@ -3,83 +3,71 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"sync"
 )
 
-// wireBufPool recycles codec scratch between calls: a high-QPS client or
-// server encodes thousands of frames per second, and the frame buffer is
-// the only per-call allocation the fixed-layout codec needs. Pooled as
-// *[]byte so the pool round trip itself does not allocate a header.
-var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// getWireBuf returns a pooled byte buffer of length n (grown as needed)
-// and the pool token to return via putWireBuf once the buffer's bytes have
-// been written out.
-func getWireBuf(n int) (*[]byte, []byte) {
-	p := wireBufPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	buf := (*p)[:n]
-	return p, buf
-}
-
-func putWireBuf(p *[]byte) { wireBufPool.Put(p) }
-
 // Wire format v1 — the compact binary request/response codec for high-QPS
-// clients, carried over the same /v1/models/{name}/infer endpoint as JSON
-// and selected by Content-Type (requests) / echoed back (responses). All
-// integers are little-endian; floats are IEEE-754 float64 bits.
+// clients, carried over the same /v1/models/{id}/infer and …/embed
+// endpoints as JSON and selected by Content-Type (requests) / echoed back
+// (responses). Every frame is one 12-byte header followed by count
+// fixed-size rows; all integers are little-endian, floats are IEEE-754
+// bits:
 //
-// Request ("RPI1"):
+//	magic   uint32  names the frame (below)
+//	count   uint32  number of rows (≥ 1)
+//	dim     uint32  float elements per row
+//	rows    count × row
 //
-//	magic   uint32  0x31495052 ("RPI1")
-//	count   uint32  number of input vectors (≥ 1)
-//	dim     uint32  features per vector
-//	data    count × dim × float64
+//	"RPI1" 0x31495052  infer request    row = dim × float64
+//	"RPO1" 0x314F5052  infer response   row = class uint32 (argmax index)
+//	                                        | batch_size uint32 (0 = cache hit)
+//	                                        | cached uint8 (0 or 1)
+//	                                        | dim × float64 scores
+//	"RQE1" 0x31455152  embed request    row = dim × float64
+//	"RSE1" 0x31455352  embed response   row = dim × float32
 //
-// Response ("RPO1"):
+// The three plain row frames share one encoder and one decoder
+// (AppendWireRows, ParseWireRows) parameterised by magic and element
+// width; RPO1 layers its per-result record on the same header and bounds
+// check. internal/embed owns the two embed magics and wraps the row codec.
 //
-//	magic   uint32  0x314F5052 ("RPO1")
-//	count   uint32  number of results
-//	classes uint32  scores per result
-//	per result:
-//	  class      uint32  argmax class index
-//	  batch_size uint32  dispatched batch size (0 = cache hit)
-//	  cached     uint8   1 when answered from the result cache
-//	  scores     classes × float64
-//
-// The fixed per-vector layout makes one encoded request exactly
-// 12 + 8·count·dim bytes — for a 256-feature input that is 2060 bytes
-// against ~4.9 KB of JSON, and decoding is a bounds check plus a
-// byte-order pass instead of a float parser per value.
+// The fixed layout makes one encoded request exactly 12 + 8·count·dim
+// bytes — for a 256-feature input that is 2060 bytes against ~4.9 KB of
+// JSON, and decoding is a bounds check plus a byte-order pass instead of a
+// float parser per value. The embed response deliberately narrows to
+// float32: embeddings feed cosine top-k search, where float32 keeps full
+// ranking fidelity at half the bytes, and it is the dtype internal/vector
+// stores — a client can PUT a decoded response straight into a collection.
 
-// WireContentType is the Content-Type identifying wire-format v1 bodies.
+// WireContentType is the Content-Type identifying wire-format v1 infer
+// bodies (RPI1 requests, RPO1 responses).
 const WireContentType = "application/x-repro-infer-v1"
 
 const (
 	wireReqMagic  = 0x31495052 // "RPI1"
 	wireRespMagic = 0x314F5052 // "RPO1"
+
+	wireHeaderLen = 12
+	// wireResultFixed is the integer prefix of one RPO1 row: class,
+	// batch_size, cached.
+	wireResultFixed = 9
 )
 
 // Wire-format decode bounds, mirroring the JSON limits: a single post may
 // not fan out more batch slots or decode more bytes than the server is
 // willing to hold for one client.
 const (
-	// MaxWireInputs is the largest number of input vectors one wire
-	// request may carry.
+	// MaxWireInputs is the largest number of rows one wire frame may carry.
 	MaxWireInputs = 256
-	// MaxWireDim is the largest per-vector feature count accepted on
-	// decode (far above any architecture in the repo; it exists to bound
-	// the allocation a hostile header can demand).
+	// MaxWireDim is the largest per-row element count accepted on decode
+	// (far above any architecture in the repo; it exists to bound the
+	// allocation a hostile header can demand).
 	MaxWireDim = 1 << 20
-	// MaxWireBytes bounds the total decoded request size: a 12-byte
-	// header whose count and dim each pass their range checks may still
-	// multiply to gigabytes, so the product is bounded too (in 64-bit
-	// arithmetic, which also keeps 8·count·dim from overflowing int on
-	// 32-bit platforms). Matches the HTTP layer's body cap.
+	// MaxWireBytes bounds the total decoded frame size: a 12-byte header
+	// whose count and dim each pass their range checks may still multiply
+	// to gigabytes, so the product is bounded too (in 64-bit arithmetic,
+	// which also keeps count·dim·width from overflowing int on 32-bit
+	// platforms). Matches the HTTP layer's body cap.
 	MaxWireBytes = 64 << 20
 	// maxWireIntField bounds the uint32 per-result integer fields (class,
 	// batch_size) on decode: any larger value would wrap negative when
@@ -90,215 +78,198 @@ const (
 	maxWireIntField = 1<<31 - 1
 )
 
-// validateWireRequestHeader applies the request header bounds shared by
-// the reader and in-memory decoders.
-//
-//repro:noalloc
-func validateWireRequestHeader(count, dim int) error {
-	if count < 1 || count > MaxWireInputs {
-		return fmt.Errorf("serve: wire request count %d outside [1, %d]", count, MaxWireInputs)
-	}
-	if dim < 1 || dim > MaxWireDim {
-		return fmt.Errorf("serve: wire request dim %d outside [1, %d]", dim, MaxWireDim)
-	}
-	if need := 12 + 8*int64(count)*int64(dim); need > MaxWireBytes {
-		return fmt.Errorf("serve: wire request of %d bytes exceeds the %d-byte limit", need, MaxWireBytes)
-	}
-	return nil
+// wireName renders a magic as its four ASCII characters for error text.
+func wireName(magic uint32) string {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], magic)
+	return string(b[:])
 }
 
-// AppendWireRequest appends one encoded wire-format v1 request to dst and
-// returns the extended slice — the in-memory form the streaming layer
-// embeds in RPS2 frames (the io.Writer form below wraps it). All vectors
-// must have the same non-zero length; the decode-side bounds are enforced
-// here too, so a request that encodes is one every decoder accepts rather
-// than a remote 400.
+// wireFrameLen applies the header bounds every frame shares, on encode
+// and decode alike, and returns the frame's exact byte length. A row is
+// fixed + width·dim bytes, elements float64 (width 8) or float32 (4).
 //
 //repro:noalloc
-func AppendWireRequest(dst []byte, inputs [][]float64) ([]byte, error) {
-	if len(inputs) == 0 {
-		return dst, fmt.Errorf("serve: wire request needs at least one input")
+func wireFrameLen(magic uint32, count, dim, fixed, width int) (int, error) {
+	if width != 8 && width != 4 {
+		return 0, fmt.Errorf("serve: wire element width %d (want 8 or 4)", width)
 	}
-	if len(inputs) > MaxWireInputs {
-		return dst, fmt.Errorf("serve: wire request count %d exceeds %d", len(inputs), MaxWireInputs)
+	if count < 1 || count > MaxWireInputs {
+		return 0, fmt.Errorf("serve: wire %s count %d outside [1, %d]", wireName(magic), count, MaxWireInputs)
 	}
-	dim := len(inputs[0])
-	if err := validateWireRequestHeader(len(inputs), dim); err != nil {
+	if dim < 1 || dim > MaxWireDim {
+		return 0, fmt.Errorf("serve: wire %s dim %d outside [1, %d]", wireName(magic), dim, MaxWireDim)
+	}
+	need := wireHeaderLen + int64(count)*(int64(fixed)+int64(width)*int64(dim))
+	if need > MaxWireBytes {
+		return 0, fmt.Errorf("serve: wire %s frame of %d bytes exceeds the %d-byte limit", wireName(magic), need, MaxWireBytes)
+	}
+	return int(need), nil
+}
+
+// appendWireHeader appends an already-validated frame header.
+//
+//repro:noalloc
+func appendWireHeader(dst []byte, magic uint32, count, dim int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, magic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
+	return binary.LittleEndian.AppendUint32(dst, uint32(dim))
+}
+
+// parseWireHeader checks a frame held entirely in data — magic, header
+// bounds, and a length that matches the header exactly — and returns its
+// count and dim. Truncated frames and trailing bytes are both rejected: in
+// a length-delimited carrier (a stream frame, a capped HTTP body) extra
+// bytes can only be garbage.
+//
+//repro:noalloc
+func parseWireHeader(data []byte, magic uint32, fixed, width int) (count, dim int, err error) {
+	if len(data) < wireHeaderLen {
+		return 0, 0, fmt.Errorf("serve: wire %s header truncated: %d bytes", wireName(magic), len(data))
+	}
+	if m := binary.LittleEndian.Uint32(data); m != magic {
+		return 0, 0, fmt.Errorf("serve: bad wire magic %#x (want %q)", m, wireName(magic))
+	}
+	count = int(binary.LittleEndian.Uint32(data[4:]))
+	dim = int(binary.LittleEndian.Uint32(data[8:]))
+	want, err := wireFrameLen(magic, count, dim, fixed, width)
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(data) != want {
+		return 0, 0, fmt.Errorf("serve: wire %s frame of %d bytes, header describes %d", wireName(magic), len(data), want)
+	}
+	return count, dim, nil
+}
+
+// AppendWireRows appends one plain row frame — header plus count × dim
+// elements — to dst and returns the extended slice. width is the element
+// size on the wire: 8 writes each value's float64 bits, 4 narrows it to
+// float32. All rows must share one non-zero length; the decode-side bounds
+// are enforced here too, so a frame that encodes is one every decoder
+// accepts rather than a remote 400.
+//
+//repro:noalloc
+func AppendWireRows(dst []byte, magic uint32, width int, rows [][]float64) ([]byte, error) {
+	if len(rows) == 0 {
+		return dst, fmt.Errorf("serve: wire %s frame needs at least one row", wireName(magic))
+	}
+	dim := len(rows[0])
+	if _, err := wireFrameLen(magic, len(rows), dim, 0, width); err != nil {
 		return dst, err
 	}
-	for i, in := range inputs {
-		if len(in) != dim {
-			return dst, fmt.Errorf("serve: wire input %d has %d features, input 0 has %d", i, len(in), dim)
+	for i, row := range rows {
+		if len(row) != dim {
+			return dst, fmt.Errorf("serve: wire %s row %d has %d elements, row 0 has %d", wireName(magic), i, len(row), dim)
 		}
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, wireReqMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(inputs)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
-	for _, in := range inputs {
-		for _, v := range in {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	dst = appendWireHeader(dst, magic, len(rows), dim)
+	for _, row := range rows {
+		if width == 8 {
+			for _, v := range row {
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			}
+		} else {
+			for _, v := range row {
+				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
+			}
 		}
 	}
 	return dst, nil
 }
 
-// EncodeWireRequest writes inputs as one wire-format v1 request.
-func EncodeWireRequest(w io.Writer, inputs [][]float64) error {
-	p, buf := getWireBuf(0)
-	defer putWireBuf(p)
-	buf, err := AppendWireRequest(buf[:0], inputs)
-	if err != nil {
-		return err
-	}
-	*p = buf // keep the grown buffer for the pool
-	_, err = w.Write(buf)
-	return err
-}
-
-// WireRequestScratch is reusable decode storage for ParseWireRequest: one
-// scratch per decoding goroutine makes the steady-state request decode
+// WireRowsScratch is reusable decode storage for ParseWireRows: one
+// scratch per decoding goroutine makes the steady-state decode
 // allocation-free. The zero value is ready to use.
-type WireRequestScratch struct {
-	flat []float64
-	vecs [][]float64
+type WireRowsScratch struct {
+	flat64 []float64
+	rows64 [][]float64
+	flat32 []float32
+	rows32 [][]float32
 }
 
-// ParseWireRequest decodes one wire-format v1 request held entirely in
-// data (a stream frame payload). The returned vectors are views into the
-// scratch, valid until its next Parse; a nil scratch allocates fresh
-// storage. Trailing bytes after the encoded request are rejected — in a
-// length-prefixed frame they can only be garbage.
+// ParseWireRows decodes one plain row frame held entirely in data. width
+// selects the element type and with it which result is set: 8 decodes
+// float64 rows, 4 decodes float32 rows; the other result is nil. The rows
+// are views into the scratch, valid until its next Parse; a nil scratch
+// allocates fresh storage.
 //
 //repro:noalloc
-func ParseWireRequest(data []byte, s *WireRequestScratch) ([][]float64, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("serve: wire request header truncated: %d bytes", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data[0:]); m != wireReqMagic {
-		return nil, fmt.Errorf("serve: bad wire request magic %#x (want \"RPI1\")", m)
-	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	dim := int(binary.LittleEndian.Uint32(data[8:]))
-	if err := validateWireRequestHeader(count, dim); err != nil {
-		return nil, err
-	}
-	if want := 12 + 8*count*dim; len(data) != want {
-		return nil, fmt.Errorf("serve: wire request of %d bytes, header describes %d", len(data), want)
+func ParseWireRows(data []byte, magic uint32, width int, s *WireRowsScratch) ([][]float64, [][]float32, error) {
+	count, dim, err := parseWireHeader(data, magic, 0, width)
+	if err != nil {
+		return nil, nil, err
 	}
 	if s == nil {
-		s = &WireRequestScratch{}
+		s = &WireRowsScratch{}
 	}
-	if cap(s.flat) < count*dim {
-		s.flat = make([]float64, count*dim)
+	body := data[wireHeaderLen:]
+	if width == 4 {
+		if cap(s.flat32) < count*dim {
+			s.flat32 = make([]float32, count*dim)
+		}
+		flat := s.flat32[:count*dim]
+		for i := range flat {
+			flat[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
+		}
+		if cap(s.rows32) < count {
+			s.rows32 = make([][]float32, count)
+		}
+		rows := s.rows32[:count]
+		for i := range rows {
+			rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+		}
+		return nil, rows, nil
 	}
-	flat := s.flat[:count*dim]
+	if cap(s.flat64) < count*dim {
+		s.flat64 = make([]float64, count*dim)
+	}
+	flat := s.flat64[:count*dim]
 	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[12+8*i:]))
+		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}
-	if cap(s.vecs) < count {
-		s.vecs = make([][]float64, count)
+	if cap(s.rows64) < count {
+		s.rows64 = make([][]float64, count)
 	}
-	inputs := s.vecs[:count]
-	for i := range inputs {
-		inputs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	rows := s.rows64[:count]
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	return inputs, nil
+	return rows, nil, nil
 }
 
-// DecodeWireRequest reads one wire-format v1 request and returns its input
-// vectors. Malformed headers, oversize counts and truncated bodies are
-// reported as errors suitable for a 400 response.
-func DecodeWireRequest(r io.Reader) ([][]float64, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("serve: reading wire request header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != wireReqMagic {
-		return nil, fmt.Errorf("serve: bad wire request magic %#x (want \"RPI1\")", m)
-	}
-	count := int(binary.LittleEndian.Uint32(hdr[4:]))
-	dim := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if err := validateWireRequestHeader(count, dim); err != nil {
-		return nil, err
-	}
-	p, data := getWireBuf(8 * count * dim)
-	defer putWireBuf(p)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, fmt.Errorf("serve: wire request body truncated: %w", err)
-	}
-	flat := make([]float64, count*dim)
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	inputs := make([][]float64, count)
-	for i := range inputs {
-		inputs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return inputs, nil
-}
-
-// validateWireResultsHeader applies the response header bounds shared by
-// the reader and in-memory decoders.
+// AppendWireRequest appends one encoded RPI1 request to dst and returns
+// the extended slice — the form the streaming layer embeds in RPS2 frames
+// and an HTTP client posts as a body.
 //
 //repro:noalloc
-func validateWireResultsHeader(count, classes int) error {
-	if count < 1 || count > MaxWireInputs {
-		return fmt.Errorf("serve: wire response count %d outside [1, %d]", count, MaxWireInputs)
-	}
-	if classes < 1 || classes > MaxWireDim {
-		return fmt.Errorf("serve: wire response classes %d outside [1, %d]", classes, MaxWireDim)
-	}
-	if need := 12 + int64(count)*(9+8*int64(classes)); need > MaxWireBytes {
-		return fmt.Errorf("serve: wire response of %d bytes exceeds the %d-byte limit", need, MaxWireBytes)
-	}
-	return nil
+func AppendWireRequest(dst []byte, inputs [][]float64) ([]byte, error) {
+	return AppendWireRows(dst, wireReqMagic, 8, inputs)
 }
 
-// decodeWireResultRecord fills one Result from its fixed-layout record,
-// applying the per-record hardening checks: class and batch_size must fit
-// a 32-bit int (a larger uint32 would wrap negative on 32-bit platforms),
-// and the cached flag must be exactly 0 or 1 (any other byte is a
-// malformed frame, not a creative truthy value).
+// ParseWireRequest decodes one RPI1 request held entirely in data (a
+// stream frame payload or an HTTP body); see ParseWireRows for the scratch
+// contract.
 //
 //repro:noalloc
-func decodeWireResultRecord(rec []byte, scores []float64, res *Result) error {
-	class := binary.LittleEndian.Uint32(rec[0:])
-	batch := binary.LittleEndian.Uint32(rec[4:])
-	if class > maxWireIntField {
-		return fmt.Errorf("serve: wire result class %d exceeds %d", class, uint32(maxWireIntField))
-	}
-	if batch > maxWireIntField {
-		return fmt.Errorf("serve: wire result batch_size %d exceeds %d", batch, uint32(maxWireIntField))
-	}
-	if rec[8] > 1 {
-		return fmt.Errorf("serve: wire result cached flag %d (want 0 or 1)", rec[8])
-	}
-	res.Class = int(class)
-	res.BatchSize = int(batch)
-	res.Cached = rec[8] == 1
-	for j := range scores {
-		scores[j] = math.Float64frombits(binary.LittleEndian.Uint64(rec[9+8*j:]))
-	}
-	res.Scores = scores
-	return nil
+func ParseWireRequest(data []byte, s *WireRowsScratch) ([][]float64, error) {
+	inputs, _, err := ParseWireRows(data, wireReqMagic, 8, s)
+	return inputs, err
 }
 
-// AppendWireResults appends one encoded wire-format v1 response to dst and
-// returns the extended slice. All results must have the same non-zero
-// score width, and every integer field must survive the decoders'
-// hardening checks — the decode-side bounds are enforced here so an
-// encoded response is always decodable.
+// AppendWireResults appends one encoded RPO1 response to dst and returns
+// the extended slice. All results must have the same non-zero score width,
+// and every integer field must survive the decoder's hardening checks —
+// the decode-side bounds are enforced here so an encoded response is
+// always decodable.
 //
 //repro:noalloc
 func AppendWireResults(dst []byte, results []Result) ([]byte, error) {
 	if len(results) == 0 {
 		return dst, fmt.Errorf("serve: wire response needs at least one result")
 	}
-	if len(results) > MaxWireInputs {
-		return dst, fmt.Errorf("serve: wire response count %d exceeds %d", len(results), MaxWireInputs)
-	}
 	classes := len(results[0].Scores)
-	if err := validateWireResultsHeader(len(results), classes); err != nil {
+	if _, err := wireFrameLen(wireRespMagic, len(results), classes, wireResultFixed, 8); err != nil {
 		return dst, err
 	}
 	for i, res := range results {
@@ -312,9 +283,7 @@ func AppendWireResults(dst []byte, results []Result) ([]byte, error) {
 			return dst, fmt.Errorf("serve: wire result %d batch_size %d outside [0, %d]", i, res.BatchSize, maxWireIntField)
 		}
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, wireRespMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(results)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(classes))
+	dst = appendWireHeader(dst, wireRespMagic, len(results), classes)
 	for _, res := range results {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(res.Class))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(res.BatchSize))
@@ -330,19 +299,6 @@ func AppendWireResults(dst []byte, results []Result) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeWireResults writes results as one wire-format v1 response.
-func EncodeWireResults(w io.Writer, results []Result) error {
-	p, buf := getWireBuf(0)
-	defer putWireBuf(p)
-	buf, err := AppendWireResults(buf[:0], results)
-	if err != nil {
-		return err
-	}
-	*p = buf // keep the grown buffer for the pool
-	_, err = w.Write(buf)
-	return err
-}
-
 // WireResultsScratch is reusable decode storage for ParseWireResults: the
 // result headers and per-result score rows are retained across calls, so
 // a long-lived client connection decodes responses without allocating.
@@ -352,27 +308,19 @@ type WireResultsScratch struct {
 	scores  []float64
 }
 
-// ParseWireResults decodes one wire-format v1 response held entirely in
-// data. The returned results (and their score slices) are views into the
-// scratch, valid until its next Parse; a nil scratch allocates fresh
-// storage. Trailing bytes are rejected.
+// ParseWireResults decodes one RPO1 response held entirely in data. The
+// returned results (and their score slices) are views into the scratch,
+// valid until its next Parse; a nil scratch allocates fresh storage. Each
+// record is hardened: class and batch_size must fit a 32-bit int (a larger
+// uint32 would wrap negative on 32-bit platforms), and the cached flag
+// must be exactly 0 or 1 (any other byte is a malformed frame, not a
+// creative truthy value).
 //
 //repro:noalloc
 func ParseWireResults(data []byte, s *WireResultsScratch) ([]Result, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("serve: wire response header truncated: %d bytes", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data[0:]); m != wireRespMagic {
-		return nil, fmt.Errorf("serve: bad wire response magic %#x (want \"RPO1\")", m)
-	}
-	count := int(binary.LittleEndian.Uint32(data[4:]))
-	classes := int(binary.LittleEndian.Uint32(data[8:]))
-	if err := validateWireResultsHeader(count, classes); err != nil {
+	count, classes, err := parseWireHeader(data, wireRespMagic, wireResultFixed, 8)
+	if err != nil {
 		return nil, err
-	}
-	rec := 9 + 8*classes
-	if want := 12 + count*rec; len(data) != want {
-		return nil, fmt.Errorf("serve: wire response of %d bytes, header describes %d", len(data), want)
 	}
 	if s == nil {
 		s = &WireResultsScratch{}
@@ -384,38 +332,25 @@ func ParseWireResults(data []byte, s *WireResultsScratch) ([]Result, error) {
 		s.scores = make([]float64, count*classes)
 	}
 	results := s.results[:count]
+	rec := data[wireHeaderLen:]
 	for i := range results {
+		class := binary.LittleEndian.Uint32(rec[0:])
+		batch := binary.LittleEndian.Uint32(rec[4:])
+		if class > maxWireIntField {
+			return nil, fmt.Errorf("serve: wire result class %d exceeds %d", class, uint32(maxWireIntField))
+		}
+		if batch > maxWireIntField {
+			return nil, fmt.Errorf("serve: wire result batch_size %d exceeds %d", batch, uint32(maxWireIntField))
+		}
+		if rec[8] > 1 {
+			return nil, fmt.Errorf("serve: wire result cached flag %d (want 0 or 1)", rec[8])
+		}
 		scores := s.scores[i*classes : (i+1)*classes : (i+1)*classes]
-		if err := decodeWireResultRecord(data[12+i*rec:12+(i+1)*rec], scores, &results[i]); err != nil {
-			return nil, err
+		for j := range scores {
+			scores[j] = math.Float64frombits(binary.LittleEndian.Uint64(rec[wireResultFixed+8*j:]))
 		}
-	}
-	return results, nil
-}
-
-// DecodeWireResults reads one wire-format v1 response.
-func DecodeWireResults(r io.Reader) ([]Result, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("serve: reading wire response header: %w", err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != wireRespMagic {
-		return nil, fmt.Errorf("serve: bad wire response magic %#x (want \"RPO1\")", m)
-	}
-	count := int(binary.LittleEndian.Uint32(hdr[4:]))
-	classes := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if err := validateWireResultsHeader(count, classes); err != nil {
-		return nil, err
-	}
-	results := make([]Result, count)
-	rec := make([]byte, 9+8*classes)
-	for i := range results {
-		if _, err := io.ReadFull(r, rec); err != nil {
-			return nil, fmt.Errorf("serve: wire response body truncated: %w", err)
-		}
-		if err := decodeWireResultRecord(rec, make([]float64, classes), &results[i]); err != nil {
-			return nil, err
-		}
+		results[i] = Result{Class: int(class), BatchSize: int(batch), Cached: rec[8] == 1, Scores: scores}
+		rec = rec[wireResultFixed+8*classes:]
 	}
 	return results, nil
 }

@@ -3,11 +3,70 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
+
+// TestWireGoldenBytes pins wire compatibility with pre-unification
+// clients: frames produced by the original RPI1/RPO1 encoders, hard-coded
+// here, must decode to the values they were built from and re-encode to
+// the same bytes. (The RQE1/RSE1 twins are pinned in internal/embed, whose
+// magics they exercise.)
+func TestWireGoldenBytes(t *testing.T) {
+	const (
+		rpi1 = "525049310200000002000000" + // "RPI1", count 2, dim 2
+			"000000000000f03f" + "00000000000004c0" + // 1, -2.5
+			"9a9999999999b93f" + "000000b08ef01b42" // 0.1, 3e10
+		rpo1 = "52504f310200000002000000" + // "RPO1", count 2, classes 2
+			"01000000" + "04000000" + "00" + "000000000000d03f" + "000000000000e83f" + // class 1, batch 4, uncached, 0.25 0.75
+			"00000000" + "00000000" + "01" + "000000000000f0bf" + "000000000000e03f" // class 0, batch 0, cached, -1 0.5
+	)
+	req, err := hex.DecodeString(rpi1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, err := ParseWireRequest(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]float64{{1, -2.5}, {0.1, 3e10}}
+	if len(inputs) != 2 || inputs[0][0] != want[0][0] || inputs[0][1] != want[0][1] ||
+		inputs[1][0] != want[1][0] || inputs[1][1] != want[1][1] {
+		t.Errorf("RPI1 decoded %v, want %v", inputs, want)
+	}
+	if reenc, err := AppendWireRequest(nil, inputs); err != nil || !bytes.Equal(reenc, req) {
+		t.Errorf("RPI1 re-encoded to %x (err %v), want %x", reenc, err, req)
+	}
+
+	resp, err := hex.DecodeString(rpo1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := ParseWireResults(resp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRes := []Result{
+		{Class: 1, Scores: []float64{0.25, 0.75}, BatchSize: 4},
+		{Class: 0, Scores: []float64{-1, 0.5}, Cached: true},
+	}
+	if len(results) != 2 {
+		t.Fatalf("RPO1 decoded %d results, want 2", len(results))
+	}
+	for i, w := range wantRes {
+		g := results[i]
+		if g.Class != w.Class || g.BatchSize != w.BatchSize || g.Cached != w.Cached ||
+			len(g.Scores) != 2 || g.Scores[0] != w.Scores[0] || g.Scores[1] != w.Scores[1] {
+			t.Errorf("RPO1 result %d decoded %+v, want %+v", i, g, w)
+		}
+	}
+	if reenc, err := AppendWireResults(nil, results); err != nil || !bytes.Equal(reenc, resp) {
+		t.Errorf("RPO1 re-encoded to %x (err %v), want %x", reenc, err, resp)
+	}
+}
 
 func TestWireRequestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -21,17 +80,18 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	// Exact bit patterns must survive, including the edge values float
 	// text formats mangle.
 	inputs[0][0] = math.Inf(1)
-	inputs[0][1] = -0.0
+	inputs[0][1] = math.Copysign(0, -1)
 	inputs[0][2] = math.SmallestNonzeroFloat64
 
-	var buf bytes.Buffer
-	if err := EncodeWireRequest(&buf, inputs); err != nil {
+	enc, err := AppendWireRequest(nil, inputs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 12 + 8*7*33; buf.Len() != want {
-		t.Errorf("encoded size %d, want %d", buf.Len(), want)
+	if want := 12 + 8*7*33; len(enc) != want {
+		t.Errorf("encoded size %d, want %d", len(enc), want)
 	}
-	got, err := DecodeWireRequest(bytes.NewReader(buf.Bytes()))
+	var s WireRowsScratch
+	got, err := ParseWireRequest(enc, &s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +106,60 @@ func TestWireRequestRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// Warm parses through a scratch must be allocation-free.
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ParseWireRequest(enc, &s); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("warm ParseWireRequest allocates %.0f/op; want 0", allocs)
+	}
+}
+
+// TestWireRowsFloat32RoundTrip covers the narrowing element width (the
+// embed response's): values come back as the float32 they were narrowed
+// to, at 4 bytes each, and warm parses allocate nothing.
+func TestWireRowsFloat32RoundTrip(t *testing.T) {
+	vecs := [][]float64{{0.5, -1.25}, {3, 4}}
+	enc, err := AppendWireRows(nil, embedRespMagic, 4, vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 12 + 4*2*2; len(enc) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(enc), want)
+	}
+	var s WireRowsScratch
+	rows64, parsed, err := ParseWireRows(enc, embedRespMagic, 4, &s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows64 != nil {
+		t.Error("width-4 parse also returned float64 rows")
+	}
+	for i := range vecs {
+		for j := range vecs[i] {
+			if parsed[i][j] != float32(vecs[i][j]) {
+				t.Fatalf("value [%d][%d] did not round-trip", i, j)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := ParseWireRows(enc, embedRespMagic, 4, &s); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 {
+		t.Errorf("warm width-4 ParseWireRows allocates %.0f/op; want 0", allocs)
+	}
+	// A frame is only its own format's: same bytes, other magic or width.
+	if _, _, err := ParseWireRows(enc, embedReqMagic, 8, nil); err == nil {
+		t.Error("RSE1 frame parsed as RQE1")
+	}
+	if _, _, err := ParseWireRows(enc, embedRespMagic, 8, nil); err == nil {
+		t.Error("RSE1 frame parsed at width 8")
+	}
+	if _, _, err := ParseWireRows(enc, embedRespMagic, 2, nil); err == nil {
+		t.Error("element width 2 accepted")
+	}
 }
 
 func TestWireResultsRoundTrip(t *testing.T) {
@@ -53,11 +167,11 @@ func TestWireResultsRoundTrip(t *testing.T) {
 		{Class: 3, Scores: []float64{0.1, -2, 3.5}, BatchSize: 16},
 		{Class: 0, Scores: []float64{9, 8, 7}, BatchSize: 0, Cached: true},
 	}
-	var buf bytes.Buffer
-	if err := EncodeWireResults(&buf, results); err != nil {
+	enc, err := AppendWireResults(nil, results)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeWireResults(bytes.NewReader(buf.Bytes()))
+	got, err := ParseWireResults(enc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,39 +191,41 @@ func TestWireResultsRoundTrip(t *testing.T) {
 }
 
 func TestWireEncodeValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeWireRequest(&buf, nil); err == nil {
+	if _, err := AppendWireRequest(nil, nil); err == nil {
 		t.Error("empty request encoded")
 	}
-	if err := EncodeWireRequest(&buf, [][]float64{{1, 2}, {1}}); err == nil {
+	if _, err := AppendWireRequest(nil, [][]float64{{1, 2}, {1}}); err == nil {
 		t.Error("ragged request encoded")
 	}
 	// Encode enforces the decode-side bounds, so a request that encodes
 	// never bounces off a decoder.
-	if err := EncodeWireRequest(&buf, [][]float64{{}}); err == nil {
+	if _, err := AppendWireRequest(nil, [][]float64{{}}); err == nil {
 		t.Error("zero-dim request encoded")
 	}
-	if err := EncodeWireRequest(&buf, make([][]float64, MaxWireInputs+1)); err == nil {
+	if _, err := AppendWireRequest(nil, make([][]float64, MaxWireInputs+1)); err == nil {
 		t.Error("oversize-count request encoded")
 	}
-	if err := EncodeWireResults(&buf, nil); err == nil {
+	if _, err := AppendWireRows(nil, wireReqMagic, 2, [][]float64{{1}}); err == nil {
+		t.Error("element width 2 encoded")
+	}
+	if _, err := AppendWireResults(nil, nil); err == nil {
 		t.Error("empty response encoded")
 	}
-	if err := EncodeWireResults(&buf, []Result{{Scores: []float64{1}}, {Scores: []float64{1, 2}}}); err == nil {
+	if _, err := AppendWireResults(nil, []Result{{Scores: []float64{1}}, {Scores: []float64{1, 2}}}); err == nil {
 		t.Error("ragged response encoded")
 	}
 }
 
-// TestWireDecodeRejectsMalformed drives the decoder through the abuse
-// cases the HTTP layer forwards to it: bad magic, hostile counts and dims,
-// and truncation at every boundary.
+// TestWireDecodeRejectsMalformed drives the row decoder through the abuse
+// cases the HTTP and stream layers forward to it: bad magic, hostile
+// counts and dims, truncation at every boundary, trailing bytes.
 func TestWireDecodeRejectsMalformed(t *testing.T) {
 	valid := func() []byte {
-		var buf bytes.Buffer
-		if err := EncodeWireRequest(&buf, [][]float64{{1, 2}, {3, 4}}); err != nil {
+		b, err := AppendWireRequest(nil, [][]float64{{1, 2}, {3, 4}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return b
 	}
 
 	cases := map[string][]byte{
@@ -117,6 +233,7 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 		"short header":    valid()[:8],
 		"truncated body":  valid()[:len(valid())-1],
 		"header only":     valid()[:12],
+		"trailing bytes":  append(valid(), 0xAA),
 		"bad magic":       append([]byte("XXXX"), valid()[4:]...),
 		"response as req": func() []byte { b := valid(); binary.LittleEndian.PutUint32(b, wireRespMagic); return b }(),
 	}
@@ -137,20 +254,12 @@ func TestWireDecodeRejectsMalformed(t *testing.T) {
 	cases["zero count"] = zero
 
 	for name, body := range cases {
-		if _, err := DecodeWireRequest(bytes.NewReader(body)); err == nil {
-			t.Errorf("%s: decoded without error", name)
+		var scratch WireRowsScratch
+		if _, err := ParseWireRequest(body, &scratch); err == nil {
+			t.Errorf("%s: parsed without error", name)
 		} else if !strings.HasPrefix(err.Error(), "serve:") {
 			t.Errorf("%s: error %q not from serve", name, err)
 		}
-		// The in-memory parser (stream-frame path) applies at least the
-		// reader's checks, plus a trailing-bytes rejection of its own.
-		var scratch WireRequestScratch
-		if _, err := ParseWireRequest(body, &scratch); err == nil {
-			t.Errorf("%s: parsed without error", name)
-		}
-	}
-	if _, err := ParseWireRequest(append(valid(), 0xAA), nil); err == nil {
-		t.Error("trailing bytes: parsed without error")
 	}
 }
 
@@ -182,6 +291,7 @@ func TestWireResultsDecodeRejectsMalformed(t *testing.T) {
 		"short header":   valid()[:8],
 		"header only":    valid()[:12],
 		"truncated body": valid()[:len(valid())-1],
+		"trailing bytes": append(valid(), 0x00),
 		"bad magic":      mut(func(b []byte) { copy(b, "XXXX") }),
 		"request as resp": mut(func(b []byte) {
 			binary.LittleEndian.PutUint32(b, wireReqMagic)
@@ -207,22 +317,16 @@ func TestWireResultsDecodeRejectsMalformed(t *testing.T) {
 	}
 
 	for name, body := range cases {
-		if _, err := DecodeWireResults(bytes.NewReader(body)); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		} else if !strings.HasPrefix(err.Error(), "serve:") {
-			t.Errorf("%s: error %q not from serve", name, err)
-		}
 		var scratch WireResultsScratch
 		if _, err := ParseWireResults(body, &scratch); err == nil {
 			t.Errorf("%s: parsed without error", name)
+		} else if !strings.HasPrefix(err.Error(), "serve:") {
+			t.Errorf("%s: error %q not from serve", name, err)
 		}
-	}
-	if _, err := ParseWireResults(append(valid(), 0x00), nil); err == nil {
-		t.Error("trailing bytes: parsed without error")
 	}
 	// cached flag 1 (not just 0) must still decode — the hardening rejects
 	// >1, not truthiness.
-	if res, err := DecodeWireResults(bytes.NewReader(valid())); err != nil || !res[1].Cached {
+	if res, err := ParseWireResults(valid(), nil); err != nil || !res[1].Cached {
 		t.Errorf("valid response with cached=1: res=%v err=%v", res, err)
 	}
 }

@@ -178,10 +178,6 @@ type (
 	ServeOptions = serve.Options
 	// Server is the batched concurrent inference server for one model.
 	Server = serve.Server
-	// ServeConfig parameterises the deprecated single-model NewServer.
-	//
-	// Deprecated: use ServeOptions with NewRegistry (or serve.NewModel).
-	ServeConfig = serve.Config
 	// ServeStats is a snapshot of one served model's counters.
 	ServeStats = serve.Stats
 	// InferResult is one answered inference request.
@@ -221,13 +217,6 @@ func ModelDenseBaseline(name, version string, net *Network, inShape []int) (Mode
 
 // NewModelServer starts a batched inference server for one Model.
 func NewModelServer(m Model, opts ServeOptions) (*Server, error) { return serve.NewModel(m, opts) }
-
-// NewServer starts a batched inference server for a bare trained network
-// under the fixed identity "default@v1".
-//
-// Deprecated: wrap the network with ModelFromNetwork and use
-// NewModelServer, or serve several models behind NewRegistry.
-func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 
 // NewWorkspace returns reusable forward-pass scratch for a long-lived
 // inference loop.
