@@ -47,7 +47,7 @@ bench:
 # Compare two benchmark artifacts with the CI gates: >15% median ns/op
 # regression on hot-path benchmarks fails, and ANY allocs/op increase on
 # the steady-state serving/spectral benchmarks fails:
-#   make bench-compare BASE=BENCH_20260701.json HEAD=BENCH_20260728.json
+#   make bench-compare BASE=BENCH_base.json HEAD=BENCH_head.json
 GATE ?= BenchmarkBatchedSpectralForward|BenchmarkFig2_CirculantMatvec|BenchmarkAblationSpectralCache|BenchmarkAblationAccumulateSpectral|BenchmarkCompiledForward|BenchmarkVectorSearch
 # Serving acceptance benchmarks, gated at a wide catastrophic-only
 # threshold (2.5x) because closed-loop per-op medians are scheduler-shaped.

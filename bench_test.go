@@ -587,7 +587,7 @@ func BenchmarkServingThroughput(b *testing.B) {
 	})
 
 	served := func(b *testing.B, maxBatch int) {
-		m, err := model.FromNetwork("arch1", "v1", net, []int{features})
+		m, err := model.New("arch1", "v1", net, program.CompileOptions{InShape: []int{features}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -671,7 +671,7 @@ func BenchmarkRegistryRoutedInfer(b *testing.B) {
 	}
 
 	b.Run("direct", func(b *testing.B) {
-		m, err := model.FromNetwork("arch1", "v1", net, []int{features})
+		m, err := model.New("arch1", "v1", net, program.CompileOptions{InShape: []int{features}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -685,7 +685,7 @@ func BenchmarkRegistryRoutedInfer(b *testing.B) {
 	b.Run("routed", func(b *testing.B) {
 		reg := serve.NewRegistry(opts)
 		defer reg.Close()
-		m, err := model.FromNetwork("arch1", "v1", net, []int{features})
+		m, err := model.New("arch1", "v1", net, program.CompileOptions{InShape: []int{features}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -693,7 +693,7 @@ func BenchmarkRegistryRoutedInfer(b *testing.B) {
 			b.Fatal(err)
 		}
 		// A second registered model makes the name lookup non-trivial.
-		other, err := model.FromNetwork("cifar", "v1", nn.Arch2(rand.New(rand.NewSource(19))), []int{121})
+		other, err := model.New("cifar", "v1", nn.Arch2(rand.New(rand.NewSource(19))), program.CompileOptions{InShape: []int{121}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -768,7 +768,7 @@ func BenchmarkBatchedSpectralForward(b *testing.B) {
 		b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "vec/s")
 	})
 	// arch1Batched is the serving-path number: since the compiled-program
-	// redesign, model.FromNetwork executes batches through a compiled
+	// redesign, model.New executes batches through a compiled
 	// Float64Split program (the fused spectral kernels this benchmark
 	// always measured, now scheduled by the compiler's fusion pass), so
 	// the compiled path is what this sub-benchmark drives. The
@@ -799,7 +799,7 @@ func BenchmarkBatchedSpectralForward(b *testing.B) {
 
 // BenchmarkCompiledForward measures compiled Float64Split programs on the
 // two FC evaluation architectures at batch 1 and a serving batch — the
-// executor model.FromNetwork now hands every serving replica. Warm runs
+// executor model.New hands every serving replica. Warm runs
 // are allocation-free (alloc-gated in CI next to the batched-spectral
 // kernel gate).
 func BenchmarkCompiledForward(b *testing.B) {
@@ -982,7 +982,7 @@ func streamBench(b *testing.B, admit *admission.Controller) (*stream.Client, [][
 	b.Helper()
 	rng := rand.New(rand.NewSource(25))
 	const features = 256
-	m, err := model.FromNetwork("arch1", "v1", nn.Arch1(rng), []int{features})
+	m, err := model.New("arch1", "v1", nn.Arch1(rng), program.CompileOptions{InShape: []int{features}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1086,7 +1086,7 @@ func routerBench(b *testing.B, n int) (*router.Router, [][]float64, func()) {
 	cfgs := make([]router.BackendConfig, 0, n)
 	closers := make([]func(), 0, n)
 	for i := 0; i < n; i++ {
-		m, err := model.FromNetwork("arch1", "v1", nn.Arch1(rand.New(rand.NewSource(26))), []int{features})
+		m, err := model.New("arch1", "v1", nn.Arch1(rand.New(rand.NewSource(26))), program.CompileOptions{InShape: []int{features}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/program"
 	"repro/internal/router"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
@@ -48,7 +49,7 @@ func TestFrontEndAcrossMounts(t *testing.T) {
 	const slots = 16
 	ctrl := admission.New(admission.Config{MaxInflight: slots, RetryAfter: 2 * time.Second})
 	reg := serve.NewRegistry(serve.Options{Workers: 2, MaxBatch: 4, MaxDelay: 100 * time.Microsecond})
-	m, err := model.FromNetwork("test", "v1", testNet(1), []int{64})
+	m, err := model.New("test", "v1", testNet(1), program.CompileOptions{InShape: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,23 @@
 //	serve -demo mnist=arch1 -quantize mnist=12 \
 //	      -weights mnist=v1:0.9,v1-q12:0.1 [flags]  # float vs fixed-point A/B
 //
-// -quantize name[@version]=bits additionally registers an Int16Spectral
-// fixed-point build of an already-loaded model under the derived version
-// "<version>-q<bits>" (e.g. mnist@v1 → mnist@v1-q12): the paper's
-// embedded int16 deployment served side by side with the float build,
-// ready for a -weights A/B split.
+// Every registered model is one model.New call: the network compiled
+// into an inference program with the options that name its build. -model
+// and -demo compile the default float build; -quantize name[@version]=bits
+// additionally registers an Int16Spectral fixed-point build of an
+// already-loaded model under the derived version "<version>-q<bits>"
+// (e.g. mnist@v1 → mnist@v1-q12) — the paper's embedded int16 deployment
+// served side by side with the float build, ready for a -weights A/B
+// split; -embed name[@version] registers the same network with its
+// classifier head cut off as "<name>.embed"; -store dir registers every
+// model of an mmap-backed artifact directory (-pack dir writes one). The
+// exact-input LRU (-cache) is the one result cache.
 //
 // Flags: [-addr :8080] [-workers N] [-batch 16] [-deadline 2ms] [-cache 1024]
 // [-pprof] [-listen-tcp :9090] [-max-inflight N] [-fair-share N] [-quota name=N]
 // [-slo 5ms] [-retry-after 50ms] [-canary name@base:name@cand]
 // [-canary-interval 15s] [-canary-schedule 0.05,0.25,0.5]
+// [-embed name[@version]] [-store dir] [-pack dir]
 //
 // -canary starts the rollout autopilot (internal/canary) over an A/B
 // pair: the candidate ramps through the -canary-schedule weight steps,
@@ -83,7 +90,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -95,6 +101,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
 	"repro/internal/serve/stream"
@@ -133,12 +140,8 @@ func main() {
 	flag.Var(&canaries, "canary", "canary autopilot: ramp candidate against base, name@base:name@cand (repeatable)")
 	canaryInterval := flag.Duration("canary-interval", 15*time.Second, "canary evaluation period")
 	canarySchedule := flag.String("canary-schedule", "0.05,0.25,0.5", "canary weight ramp, ascending shares in (0,1)")
-	var embeds, simcaches modelFlag
+	var embeds modelFlag
 	flag.Var(&embeds, "embed", "also serve a loaded model's penultimate-layer embedding under \"<name>.embed\": name[@version] (repeatable)")
-	flag.Var(&simcaches, "simcache", "enable the similarity-keyed result cache on a model (requires -embed of the same model): name[@version] (repeatable)")
-	simThreshold := flag.Float64("sim-threshold", 0.999, "similarity-cache cosine hit threshold")
-	simCapacity := flag.Int("sim-capacity", 256, "similarity-cache entries per model")
-	simValidate := flag.Int("sim-validate", 0, "audit every Nth similarity hit against the exact answer (0 disables)")
 	storeDir := flag.String("store", "", "mmap-backed artifact store directory: register every indexed model at boot, weights resident via mmap only")
 	packDir := flag.String("pack", "", "pack every loaded model into an artifact-store directory and exit")
 	flag.Parse()
@@ -164,37 +167,18 @@ func main() {
 	// and GET /metrics scrapes it.
 	mx := metrics.NewRegistry()
 
-	serveOpts := serve.Options{
+	reg := serve.NewRegistry(serve.Options{
 		Workers:   *workers,
 		MaxBatch:  *batch,
 		MaxDelay:  *deadline,
 		CacheSize: *cache,
 		SLO:       *slo,
 		Metrics:   mx,
-	}
-	reg := serve.NewRegistry(serveOpts)
+	})
 
-	// Resolve the similarity-cache specs before registration: the cache
-	// must be configured when its model's server is built, and its Embed
-	// closure routes through the registry to the model's ".embed" sibling
-	// (registered below — the closure only runs per request, so order
-	// doesn't matter, but the spec must name a model that has one).
-	simSet, err := simCacheSet(simcaches.specs, embeds.specs)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var names []string
 	for _, l := range loaded {
-		opts := serveOpts
-		if id := serve.ModelID(l.Model); simSet[id] {
-			opts.SimCache = serve.SimCacheOptions{
-				Embed:         registryEmbedFn(reg, embed.ModelName(l.Name()), l.Version()),
-				Capacity:      *simCapacity,
-				Threshold:     *simThreshold,
-				ValidateEvery: *simValidate,
-			}
-		}
-		if err := reg.RegisterWith(l.Model, opts); err != nil {
+		if err := reg.Register(l.Model); err != nil {
 			log.Fatal(err)
 		}
 		names = append(names, serve.ModelID(l.Model))
@@ -320,64 +304,11 @@ func main() {
 	}
 }
 
-// simCacheSet resolves -simcache specs to model ids, checking each names a
-// model that also has an -embed spec (the cache keys on that embedding).
-func simCacheSet(simSpecs, embedSpecs []string) (map[string]bool, error) {
-	if len(simSpecs) == 0 {
-		return nil, nil
-	}
-	embedded := make(map[string]bool, len(embedSpecs))
-	for _, spec := range embedSpecs {
-		name, version, err := parseSimSpec("embed", spec)
-		if err != nil {
-			return nil, err
-		}
-		embedded[model.ID(name, version)] = true
-	}
-	set := make(map[string]bool, len(simSpecs))
-	for _, spec := range simSpecs {
-		name, version, err := parseSimSpec("simcache", spec)
-		if err != nil {
-			return nil, err
-		}
-		id := model.ID(name, version)
-		if !embedded[id] {
-			return nil, fmt.Errorf("-simcache %s: needs a matching -embed %s (the cache keys on that embedding)", spec, id)
-		}
-		set[id] = true
-	}
-	return set, nil
-}
-
-// registryEmbedFn adapts the registry's InferInto seam into a
-// SimCacheOptions.Embed function: the input runs through the model's
-// ".embed" sibling (its own batcher coalesces concurrent lookups) and the
-// float64 activations narrow into the caller's float32 buffer. The
-// float64 scratch is pooled — the similarity path's documented allocation
-// is the cache machinery itself, not a fresh score row per lookup.
-func registryEmbedFn(reg *serve.Registry, name, version string) func([]float64, []float32) ([]float32, error) {
-	pool := sync.Pool{New: func() any { return new([]float64) }}
-	return func(input []float64, dst []float32) ([]float32, error) {
-		scratch := pool.Get().(*[]float64)
-		res, err := reg.InferInto(context.Background(), name, version, input, *scratch)
-		if err != nil {
-			pool.Put(scratch)
-			return dst, err
-		}
-		for _, v := range res.Scores {
-			dst = append(dst, float32(v))
-		}
-		*scratch = res.Scores
-		pool.Put(scratch)
-		return dst, nil
-	}
-}
-
 // embedModel resolves an -embed spec against the loaded models and builds
 // the tapped embedding sibling (internal/embed): same network, the
 // classifier head cut off at compile time.
 func embedModel(loaded []loadedModel, spec string) (model.Model, error) {
-	name, version, err := parseSimSpec("embed", spec)
+	name, version, err := parseEmbedSpec(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -387,6 +318,22 @@ func embedModel(loaded []loadedModel, spec string) (model.Model, error) {
 		}
 	}
 	return nil, fmt.Errorf("-embed %s: no loaded model %s (artifact-store models cannot be tapped from flags yet)", spec, model.ID(name, version))
+}
+
+// parseEmbedSpec parses an "-embed name[@version]" spec into its id parts,
+// defaulting the version to v1.
+func parseEmbedSpec(spec string) (name, version string, err error) {
+	if spec == "" || strings.ContainsAny(spec, "=:") {
+		return "", "", fmt.Errorf("-embed %q: want name[@version]", spec)
+	}
+	name, version, _ = strings.Cut(spec, "@")
+	if name == "" {
+		return "", "", fmt.Errorf("-embed %s: empty model name", spec)
+	}
+	if version == "" {
+		version = "v1"
+	}
+	return name, version, nil
 }
 
 // packModels writes every loaded model into an artifact-store directory.
@@ -642,7 +589,7 @@ func demoModel(name, version, arch string) (loadedModel, error) {
 	default:
 		return loadedModel{}, fmt.Errorf("unknown demo architecture %q (want arch1, arch2 or arch3)", arch)
 	}
-	m, err := model.FromNetwork(name, version, net, inShape)
+	m, err := model.New(name, version, net, program.CompileOptions{InShape: inShape})
 	if err != nil {
 		return loadedModel{}, err
 	}
@@ -676,7 +623,7 @@ func quantizeModels(loaded []loadedModel, specs []string) ([]model.Model, error)
 			return nil, fmt.Errorf("-quantize %q: no loaded model %s@%s", spec, name, version)
 		}
 		qv := fmt.Sprintf("%s-q%d", version, bits)
-		m, err := model.Quantized(name, qv, src.net, src.inShape, bits, bits)
+		m, err := model.New(name, qv, src.net, program.CompileOptions{InShape: src.inShape, Backend: program.Int16Spectral(bits, bits)})
 		if err != nil {
 			return nil, fmt.Errorf("-quantize %q: %w", spec, err)
 		}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
 	"repro/internal/serve/httpapi"
@@ -43,7 +44,7 @@ func newTestServer(t *testing.T, cacheSize int) (*serve.Registry, *httptest.Serv
 		MaxDelay:  100 * time.Microsecond,
 		CacheSize: cacheSize,
 	})
-	m, err := model.FromNetwork("test", "v1", testNet(1), []int{64})
+	m, err := model.New("test", "v1", testNet(1), program.CompileOptions{InShape: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestMultiModelEndpoints(t *testing.T) {
 	reg, hs := newTestServer(t, 8)
 	rng := rand.New(rand.NewSource(2))
 	wide := nn.NewNetwork(nn.NewCircDense(128, 32, 16, rng), nn.NewReLU(), nn.NewDense(32, 4, rng))
-	m, err := model.FromNetwork("wide", "v1", wide, []int{128})
+	m, err := model.New("wide", "v1", wide, program.CompileOptions{InShape: []int{128}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +535,7 @@ func TestPprofRegistration(t *testing.T) {
 
 	reg := serve.NewRegistry(serve.Options{Workers: 1, MaxBatch: 2})
 	defer reg.Close()
-	m, err := model.FromNetwork("test", "v1", testNet(3), []int{64})
+	m, err := model.New("test", "v1", testNet(3), program.CompileOptions{InShape: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +566,7 @@ func TestPprofRegistration(t *testing.T) {
 func TestAdmissionHTTP429(t *testing.T) {
 	reg := serve.NewRegistry(serve.Options{Workers: 1, MaxBatch: 4})
 	defer reg.Close()
-	m, err := model.FromNetwork("test", "v1", testNet(5), []int{64})
+	m, err := model.New("test", "v1", testNet(5), program.CompileOptions{InShape: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}

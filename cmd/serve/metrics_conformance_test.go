@@ -15,6 +15,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
 	"repro/internal/serve/stream"
@@ -95,13 +96,12 @@ func TestMetricsConformance(t *testing.T) {
 		CacheSize: 8,
 		Metrics:   mx,
 	})
-	m, err := model.FromNetwork("test", "v1", testNet(1), []int{64})
+	m, err := model.New("test", "v1", testNet(1), program.CompileOptions{InShape: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The embed sibling first, then the scoring model with the similarity
-	// cache routed through it — exactly main's -embed/-simcache wiring —
-	// so the embed and sim-cache families are in the scrape too.
+	// The embed sibling next to the scoring model — main's -embed wiring —
+	// so the embed family is in the scrape too.
 	em, err := embed.NewModel("test", "v1", testNet(1), []int{64})
 	if err != nil {
 		t.Fatal(err)
@@ -109,18 +109,7 @@ func TestMetricsConformance(t *testing.T) {
 	if err := reg.Register(em); err != nil {
 		t.Fatal(err)
 	}
-	simOpts := serve.Options{
-		Workers:   2,
-		MaxBatch:  4,
-		MaxDelay:  100 * time.Microsecond,
-		CacheSize: 8,
-		Metrics:   mx,
-		SimCache: serve.SimCacheOptions{
-			Embed:    registryEmbedFn(reg, embed.ModelName("test"), "v1"),
-			Capacity: 8,
-		},
-	}
-	if err := reg.RegisterWith(m, simOpts); err != nil {
+	if err := reg.Register(m); err != nil {
 		t.Fatal(err)
 	}
 	ss := stream.NewServer(reg, stream.Options{Admission: ctrl, Metrics: mx})
@@ -203,10 +192,6 @@ func TestMetricsConformance(t *testing.T) {
 		"repro_stream_frames_total",
 		"repro_stream_pipeline_depth",
 		"repro_stream_goaways_total",
-		serve.MetricSimCacheHits,
-		serve.MetricSimCacheMisses,
-		serve.MetricSimCacheFalseHits,
-		serve.MetricSimCacheEntries,
 		metricEmbedRequests,
 		metricVectorCollections,
 		metricVectorVectors,
@@ -240,7 +225,7 @@ func TestStatsMetricsParity(t *testing.T) {
 			CacheSize: 16,
 			Metrics:   mx,
 		})
-		m, err := model.FromNetwork("test", "v1", testNet(1), []int{64})
+		m, err := model.New("test", "v1", testNet(1), program.CompileOptions{InShape: []int{64}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +278,7 @@ func TestStatsMetricsParity(t *testing.T) {
 			SLO:      time.Nanosecond,
 			Metrics:  mx,
 		})
-		m, err := model.FromNetwork("test", "v1", testNet(1), []int{64})
+		m, err := model.New("test", "v1", testNet(1), program.CompileOptions{InShape: []int{64}})
 		if err != nil {
 			t.Fatal(err)
 		}

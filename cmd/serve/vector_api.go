@@ -2,10 +2,7 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/serve/httpapi"
@@ -159,20 +156,4 @@ func registerVectorAPI(mux *http.ServeMux, vs *vector.Store) {
 		k, n, _ := c.Trained()
 		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"trained_k": k, "count": n})
 	})
-}
-
-// parseSimSpec parses a "-simcache name[@version]" or "-embed
-// name[@version]" spec into its id parts, defaulting the version to v1.
-func parseSimSpec(flagName, spec string) (name, version string, err error) {
-	if spec == "" || strings.ContainsAny(spec, "=:") {
-		return "", "", fmt.Errorf("-%s %q: want name[@version]", flagName, spec)
-	}
-	name, version, _ = strings.Cut(spec, "@")
-	if name == "" {
-		return "", "", errors.New("-" + flagName + " " + spec + ": empty model name")
-	}
-	if version == "" {
-		version = "v1"
-	}
-	return name, version, nil
 }

@@ -28,11 +28,12 @@ func ExampleCompile() {
 	// Register the float build and its quantised sibling under one name.
 	reg := repro.NewRegistry(repro.ServeOptions{Workers: 1, MaxBatch: 4})
 	defer reg.Close()
-	floatBuild, err := repro.ModelFromNetwork("mnist", "v1", net, []int{256})
+	floatBuild, err := repro.NewModel("mnist", "v1", net, repro.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		panic(err)
 	}
-	q12Build, err := repro.ModelQuantized("mnist", "v1-q12", net, []int{256}, 12, 12)
+	q12Build, err := repro.NewModel("mnist", "v1-q12", net,
+		repro.CompileOptions{InShape: []int{256}, Backend: repro.BackendInt16(12, 12)})
 	if err != nil {
 		panic(err)
 	}

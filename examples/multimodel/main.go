@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 )
 
@@ -36,11 +37,11 @@ func main() {
 
 	// 2. Register the paper's two workload shapes under distinct names:
 	// the 256-input FC MNIST network and the 32×32×3 CONV CIFAR network.
-	mnist, err := model.FromNetwork("mnist", "v1", nn.Arch1(rng), []int{256})
+	mnist, err := model.New("mnist", "v1", nn.Arch1(rng), program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cifar, err := model.FromNetwork("cifar", "v1", nn.Arch3(rng), []int{32, 32, 3})
+	cifar, err := model.New("cifar", "v1", nn.Arch3(rng), program.CompileOptions{InShape: []int{32, 32, 3}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func main() {
 	// 4. A/B: route 80% of routed MNIST traffic to the circulant model,
 	// 20% to its dense uncompressed baseline — the comparison the paper's
 	// compression claims are measured against.
-	dense, err := model.DenseBaseline("mnist", "dense", nn.Arch1Dense(rng), []int{256})
+	dense, err := model.New("mnist", "dense", nn.Arch1Dense(rng), program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func main() {
 	if err := reg.SetWeights("mnist", nil); err != nil {
 		log.Fatal(err)
 	}
-	v2, err := model.FromNetwork("mnist", "v2", nn.Arch1(rng), []int{256})
+	v2, err := model.New("mnist", "v2", nn.Arch1(rng), program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 )
 
@@ -98,8 +99,13 @@ func newPair(t *testing.T, baseSeed, candSeed int64) *serve.Registry {
 	t.Helper()
 	reg := serve.NewRegistry(serve.Options{Workers: 1, MaxBatch: 4})
 	t.Cleanup(reg.Close)
-	for v, seed := range map[string]int64{"v1": baseSeed, "v2": candSeed} {
-		m, err := model.FromNetwork("m", v, testNet(seed), []int{64})
+	// v1 then v2, in that order: tests rely on the later registration
+	// holding the "latest" alias.
+	for _, b := range []struct {
+		version string
+		seed    int64
+	}{{"v1", baseSeed}, {"v2", candSeed}} {
+		m, err := model.New("m", b.version, testNet(b.seed), program.CompileOptions{InShape: []int{64}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 )
 
 // NameSuffix is appended to a base model name to form its embedding
@@ -51,5 +52,5 @@ func NewModel(base, version string, net *nn.Network, inShape []int) (model.Model
 	if err := model.ValidateName("name", base); err != nil {
 		return nil, err
 	}
-	return model.Embedding(ModelName(base), version, net, inShape)
+	return model.New(ModelName(base), version, net, program.CompileOptions{InShape: inShape, TapPenultimate: true})
 }

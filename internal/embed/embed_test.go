@@ -47,7 +47,7 @@ func TestNewModelMatchesTrunk(t *testing.T) {
 	trunk := nn.NewNetwork(net.Layers[:len(net.Layers)-1]...)
 	x := tensor.New(4, 256).Randn(rng, 1)
 	want := trunk.Forward(x, false)
-	got := m.Forward(nil, x)
+	got := m.Forward(x)
 	if !got.SameShape(want) {
 		t.Fatalf("shape %v, want %v", got.Shape(), want.Shape())
 	}
@@ -61,7 +61,7 @@ func TestNewModelMatchesTrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2 := rep.Forward(nil, x)
+	got2 := rep.Forward(x)
 	for i := range want.Data {
 		if got2.Data[i] != got.Data[i] {
 			t.Fatalf("replica deviates at element %d", i)

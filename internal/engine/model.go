@@ -11,20 +11,10 @@ import (
 
 // Model adapts a deployed engine — a parsed architecture with its loaded
 // parameter file, the artefact modules 1+2 of Fig. 4 produce — into the
-// serving stack's executor interface. The adapter compiles the network
-// into an inference program on the float split-complex backend
-// (internal/program) and replicates by deep copy plus recompile, so one
-// engine-loaded bundle can back a whole replica pool.
+// serving stack's executor interface: the network compiled on the default
+// float split-complex backend (internal/program).
 func (e *Engine) Model(name, version string) (model.Model, error) {
-	return model.FromNetwork(name, version, e.Net, e.InShape)
-}
-
-// QuantizedModel is Model on the Int16Spectral fixed-point backend: the
-// same loaded bundle served with int16 weights and activations — the
-// paper's embedded deployment — registrable next to the float build for
-// A/B comparison.
-func (e *Engine) QuantizedModel(name, version string, weightBits, actBits int) (model.Model, error) {
-	return model.Quantized(name, version, e.Net, e.InShape, weightBits, actBits)
+	return model.New(name, version, e.Net, program.CompileOptions{InShape: e.InShape})
 }
 
 // PredictBatched runs inference over a whole dataset through a compiled

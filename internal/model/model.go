@@ -6,28 +6,16 @@
 // addresses a Model by name and version and calls Forward on whole batches,
 // never a concrete network type.
 //
-// Four adapters cover the artefacts the repo produces:
-//
-//   - FromNetwork compiles a trained *nn.Network into an inference
-//     program on the Float64Split backend (internal/program): the typed
-//     op graph with the fused spectral kernels, executed batch-at-a-time.
-//   - Quantized compiles the same network on the Int16Spectral backend —
-//     the paper's fixed-point deployment (int16 weights and activations,
-//     int64 accumulation, per-layer rescale) — so a float build and a
-//     quantised build of one network can serve side by side for registry
-//     A/B.
-//   - Engine-exported artifacts (a parsed architecture plus its loaded
-//     parameter file) adapt through engine.Engine.Model, which lives in
-//     internal/engine to keep this package's dependencies at the framework
-//     layer.
-//   - DenseBaseline wraps a network through the plain per-call Forward —
-//     the uncompressed reference arm of a dense-versus-circulant A/B pair,
-//     deliberately bypassing both the compiler and the workspace path so
-//     the comparison measures the model, not the execution strategy.
+// There is one road from a trained network to a servable Model: New
+// compiles it with the program.CompileOptions the compiler already defines.
+// The options choose the build — Float64Split (the default) for the fused
+// spectral kernels, Int16Spectral for the paper's fixed-point deployment,
+// DenseRef for the uncompressed reference arm of an A/B pair,
+// TapPenultimate for the embedding build (internal/embed) — and travel
+// with the model, so every replica is the same build.
 package model
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -56,11 +44,10 @@ type Model interface {
 	OutDim() int
 	// Forward runs inference on a [B, InShape...] batch and returns a
 	// [B, OutDim] tensor. The returned tensor may alias internal scratch
-	// or the input; callers copy what they keep. ws carries the FFT and
-	// layer scratch for implementations that use it; it may be nil.
-	Forward(ws *nn.Workspace, batch *tensor.Tensor) *tensor.Tensor
-	// Replicate returns an independent copy sharing no mutable state with
-	// the receiver — the unit of parallel serving.
+	// or the input; callers copy what they keep.
+	Forward(batch *tensor.Tensor) *tensor.Tensor
+	// Replicate returns a copy sharing no mutable state with the receiver
+	// — the unit of parallel serving.
 	Replicate() (Model, error)
 }
 
@@ -92,163 +79,70 @@ func ValidateName(kind, s string) error {
 	return nil
 }
 
-// netModel adapts *nn.Network to Model. A non-nil backend selects the
-// compiled-program executor (prog carries the bound program); otherwise
-// the plain per-call Forward runs (the uncompressed baseline arm).
+// netModel is a network compiled into an inference program. opts is what
+// New was given, kept so Replicate compiles the same build again.
 type netModel struct {
 	name    string
 	version string
 	net     *nn.Network
-	inShape []int
-	inDim   int
-	outDim  int
-	backend program.Backend
+	opts    program.CompileOptions
 	prog    *program.Program
-	tap     bool // compile with TapPenultimate: serve the embedding, not the scores
-	shared  bool // Replicate shares the (read-only) network instead of cloning
 }
 
-// FromNetwork compiles a trained network into an inference program on the
-// float split-complex backend and wraps it as a Model. Shape problems —
-// a rejected inShape, mismatched layer dimensions — are errors here
-// rather than panics in a serving worker. The caller keeps ownership of
-// net; the program shares its float parameters (later in-place updates
-// are visible, exactly like the interpreted path), and Replicate
-// deep-copies the network and recompiles.
-func FromNetwork(name, version string, net *nn.Network, inShape []int) (Model, error) {
-	return fromNetwork(name, version, net, inShape, program.Float64Split())
-}
-
-// Quantized compiles a trained network on the Int16Spectral fixed-point
-// backend: int16 weights (quantised once, a frozen snapshot) and
-// activations, int64 accumulation, per-layer rescale — the paper's
-// embedded deployment, servable next to the float build of the same
-// network for registry A/B.
-func Quantized(name, version string, net *nn.Network, inShape []int, weightBits, actBits int) (Model, error) {
-	return fromNetwork(name, version, net, inShape, program.Int16Spectral(weightBits, actBits))
-}
-
-// DenseBaseline wraps a network as a Model running the plain per-call
-// Forward path — the reference arm of a dense-versus-circulant A/B pair.
-func DenseBaseline(name, version string, net *nn.Network, inShape []int) (Model, error) {
-	return fromNetwork(name, version, net, inShape, nil)
-}
-
-// Embedding compiles the network with the classifier head cut off
-// (program.CompileOptions.TapPenultimate), so Forward returns the
-// penultimate-layer activation — the network's embedding — through the
-// same batched zero-alloc executor the scoring path uses. OutDim is the
-// embedding width. The serving convention registers the result under a
-// derived name (see internal/embed), keeping every tier above this
-// package unchanged.
-func Embedding(name, version string, net *nn.Network, inShape []int) (Model, error) {
-	m, err := fromNetwork(name, version, net, inShape, program.Float64Split())
-	if err != nil {
-		return nil, err
-	}
-	nm := m.(*netModel)
-	nm.tap = true
-	prog, err := program.Compile(net, program.CompileOptions{InShape: inShape, Backend: nm.backend, TapPenultimate: true})
-	if err != nil {
-		return nil, fmt.Errorf("model: %s: %w", ID(name, version), err)
-	}
-	nm.prog, nm.outDim = prog, prog.OutDim()
-	return nm, nil
-}
-
-// FromNetworkShared compiles the network like FromNetwork but marks it
-// shared: Replicate recompiles a fresh program (the per-worker mutable
-// state) against the SAME network instead of deep-copying it. The caller
-// must guarantee the network's parameters are never written after
-// construction — this is the mmap artifact store's adapter, where the
-// weights live in a read-only file mapping and cloning them onto the heap
-// would defeat the zero-copy load. In-place weight updates (SetWeights,
-// training) are out of contract for shared models.
-func FromNetworkShared(name, version string, net *nn.Network, inShape []int) (Model, error) {
-	m, err := fromNetwork(name, version, net, inShape, program.Float64Split())
-	if err != nil {
-		return nil, err
-	}
-	m.(*netModel).shared = true
-	return m, nil
-}
-
-func fromNetwork(name, version string, net *nn.Network, inShape []int, backend program.Backend) (Model, error) {
+// New compiles a trained network into an inference program
+// (program.Compile with opts) and wraps it as a Model. Shape problems — a
+// rejected opts.InShape, mismatched layer dimensions, an out-of-range
+// fixed-point precision — are errors here rather than panics in a serving
+// worker. The caller keeps ownership of net and must not write its
+// parameters while the model or any replica is serving: float programs
+// read them in place (see Replicate).
+func New(name, version string, net *nn.Network, opts program.CompileOptions) (Model, error) {
 	if err := ValidateName("name", name); err != nil {
 		return nil, err
 	}
 	if err := ValidateName("version", version); err != nil {
 		return nil, err
 	}
-	if net == nil {
-		return nil, errors.New("model: nil network")
+	opts.InShape = append([]int(nil), opts.InShape...)
+	prog, err := program.Compile(net, opts)
+	if err != nil {
+		return nil, fmt.Errorf("model: %s: %w", ID(name, version), err)
 	}
-	m := &netModel{
-		name:    name,
-		version: version,
-		net:     net,
-		inShape: append([]int(nil), inShape...),
-		backend: backend,
-	}
-	if backend != nil {
-		// Compile validates the whole shape chain itself, so no separate
-		// probe pass is needed on this arm.
-		prog, err := program.Compile(net, program.CompileOptions{InShape: inShape, Backend: backend})
-		if err != nil {
-			return nil, fmt.Errorf("model: %s: %w", ID(name, version), err)
-		}
-		m.prog, m.inDim, m.outDim = prog, prog.InDim(), prog.OutDim()
-	} else {
-		inDim, outDim, err := nn.ProbeShape(net, inShape)
-		if err != nil {
-			return nil, fmt.Errorf("model: %s: %w", ID(name, version), err)
-		}
-		m.inDim, m.outDim = inDim, outDim
-	}
-	return m, nil
+	return &netModel{name: name, version: version, net: net, opts: opts, prog: prog}, nil
 }
 
 func (m *netModel) Name() string    { return m.name }
 func (m *netModel) Version() string { return m.version }
-func (m *netModel) InShape() []int  { return m.inShape }
-func (m *netModel) InDim() int      { return m.inDim }
-func (m *netModel) OutDim() int     { return m.outDim }
+func (m *netModel) InShape() []int  { return m.prog.InShape() }
+func (m *netModel) InDim() int      { return m.prog.InDim() }
+func (m *netModel) OutDim() int     { return m.prog.OutDim() }
 
-func (m *netModel) Forward(ws *nn.Workspace, batch *tensor.Tensor) *tensor.Tensor {
-	if m.prog != nil {
-		// The compiled program owns its arena, so the worker's workspace
-		// is not consulted.
-		return m.prog.Run(batch)
-	}
-	return m.net.Forward(batch, false)
-}
+func (m *netModel) Forward(batch *tensor.Tensor) *tensor.Tensor { return m.prog.Run(batch) }
 
+// Replicate compiles a fresh program — the per-worker mutable state: arena,
+// integer scratch, FFT workspace — from the same options. Typed ops only
+// read the network's parameters and spectra, so a program made of them
+// shares the receiver's network: replicas hold no extra copy of the
+// weights, and mmap-backed parameters (internal/store) stay file-resident.
+// A KindLayer fallback runs an opaque layer.Forward, which writes receiver
+// fields (cached shapes, pooling argmax) even at inference, so a program
+// containing one gets a deep copy of the network instead.
 func (m *netModel) Replicate() (Model, error) {
-	cp := *m
-	if m.shared {
-		// Shared (read-only) weights: the network is immutable by
-		// contract, so replicas share it and only the program — the
-		// per-worker mutable state — is rebuilt. This keeps mmap-backed
-		// parameters file-resident instead of cloning them onto the heap.
-		cp.net = m.net
-	} else {
-		clone, err := m.net.Clone()
-		if err != nil {
-			return nil, fmt.Errorf("model: replicating %s: %w", ID(m.name, m.version), err)
-		}
-		cp.net = clone
-	}
-	cp.prog = nil
-	if cp.backend != nil {
+	net := m.net
+	if hasFallback(m.prog) {
 		var err error
-		cp.prog, err = program.Compile(cp.net, program.CompileOptions{InShape: cp.inShape, Backend: cp.backend, TapPenultimate: cp.tap})
-		if err != nil {
+		if net, err = m.net.Clone(); err != nil {
 			return nil, fmt.Errorf("model: replicating %s: %w", ID(m.name, m.version), err)
 		}
 	}
-	return &cp, nil
+	return New(m.name, m.version, net, m.opts)
 }
 
-// Program exposes the compiled program backing a FromNetwork/Quantized
-// model (nil for the dense baseline) — for listings and diagnostics.
-func (m *netModel) Program() *program.Program { return m.prog }
+func hasFallback(p *program.Program) bool {
+	for _, op := range p.Ops() {
+		if op.Kind == program.KindLayer {
+			return true
+		}
+	}
+	return false
+}

@@ -2,12 +2,15 @@ package model_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/tensor"
 )
 
@@ -20,29 +23,162 @@ func testNet(seed int64) *nn.Network {
 	)
 }
 
-func TestFromNetworkProbesShape(t *testing.T) {
-	net := testNet(1)
-	m, err := model.FromNetwork("mnist", "v1", net, []int{64})
+// convNet is an Arch-3-shaped network in miniature: conv → pool → flatten
+// → block-circulant FC → dense head. Conv and pool have no typed lowering,
+// so its program carries KindLayer fallbacks.
+func convNet(seed int64) *nn.Network {
+	rng := rand.New(rand.NewSource(seed))
+	return nn.NewNetwork(
+		nn.NewConv2D(tensor.Conv2DGeom{H: 8, W: 8, C: 1, R: 3, P: 4, Stride: 1}, rng),
+		nn.NewReLU(),
+		nn.NewMaxPool(2),
+		nn.NewFlatten(),
+		nn.NewCircDense(36, 16, 4, rng),
+		nn.NewReLU(),
+		nn.NewDense(16, 10, rng),
+	)
+}
+
+func denseNet(seed int64) *nn.Network {
+	rng := rand.New(rand.NewSource(seed))
+	return nn.NewNetwork(nn.NewDense(64, 32, rng), nn.NewReLU(), nn.NewDense(32, 10, rng))
+}
+
+// TestNew drives the one constructor over every build the serving stack
+// registers. For each: identity and shape surface, agreement with the
+// interpreted network, replica equality (≤1e-12 float, bit-equal int16),
+// and the derived Replicate rule — programs of typed ops share the
+// network, programs with a KindLayer fallback deep-copy it.
+func TestNew(t *testing.T) {
+	cases := []struct {
+		name     string
+		net      *nn.Network
+		opts     program.CompileOptions
+		outDim   int
+		refTol   float64 // |model − net.Forward|; 0 skips (tapped output has no interpreted twin)
+		bitEqual bool    // replica must match the original exactly
+		shared   bool    // replicas run the original's network
+	}{
+		{name: "float", net: testNet(3), opts: program.CompileOptions{InShape: []int{64}},
+			outDim: 10, refTol: 1e-9, shared: true},
+		{name: "int16", net: testNet(8), opts: program.CompileOptions{InShape: []int{64}, Backend: program.Int16Spectral(12, 12)},
+			outDim: 10, refTol: 0.05, bitEqual: true, shared: true},
+		{name: "tap", net: testNet(5), opts: program.CompileOptions{InShape: []int{64}, TapPenultimate: true},
+			outDim: 32, shared: true},
+		{name: "denseRef", net: testNet(3), opts: program.CompileOptions{InShape: []int{64}, Backend: program.DenseRef()},
+			outDim: 10, refTol: 1e-9, shared: true},
+		{name: "denseNet", net: denseNet(6), opts: program.CompileOptions{InShape: []int{64}},
+			outDim: 10, refTol: 1e-9, shared: true},
+		{name: "conv", net: convNet(7), opts: program.CompileOptions{InShape: []int{8, 8, 1}},
+			outDim: 10, refTol: 1e-9, shared: false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := model.New("mnist", "v1", tc.net, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Name() != "mnist" || m.Version() != "v1" {
+				t.Errorf("identity %s@%s, want mnist@v1", m.Name(), m.Version())
+			}
+			if m.InDim() != 64 || m.OutDim() != tc.outDim {
+				t.Errorf("dims in=%d out=%d, want 64/%d", m.InDim(), m.OutDim(), tc.outDim)
+			}
+			if got := m.InShape(); !reflect.DeepEqual(got, tc.opts.InShape) {
+				t.Errorf("InShape %v, want %v", got, tc.opts.InShape)
+			}
+
+			const batch = 5
+			x := tensor.New(append([]int{batch}, tc.opts.InShape...)...).Randn(rand.New(rand.NewSource(4)), 1)
+			out := m.Forward(x)
+			if out.Dim(0) != batch || out.Dim(1) != tc.outDim {
+				t.Fatalf("output shape %v, want [%d %d]", out.Shape(), batch, tc.outDim)
+			}
+			want := append([]float64(nil), out.Data...)
+			if tc.refTol > 0 {
+				ref := tc.net.Forward(x, false)
+				for i, v := range want {
+					if math.Abs(v-ref.Data[i]) > tc.refTol {
+						t.Fatalf("output[%d] = %g, interpreted network %g", i, v, ref.Data[i])
+					}
+				}
+			}
+
+			for r := 0; r < 2; r++ {
+				rep, err := m.Replicate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Name() != m.Name() || rep.Version() != m.Version() ||
+					rep.InDim() != m.InDim() || rep.OutDim() != tc.outDim {
+					t.Errorf("replica %d identity or shape differs from original", r)
+				}
+				if got := model.NetworkOf(rep) == tc.net; got != tc.shared {
+					t.Errorf("replica %d shares the network: %v, want %v", r, got, tc.shared)
+				}
+				got := rep.Forward(x).Data
+				for i, v := range want {
+					if tc.bitEqual && got[i] != v || math.Abs(got[i]-v) > 1e-12 {
+						t.Fatalf("replica %d output[%d] = %g, original %g", r, i, got[i], v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestNewRejectsAtConstruction: everything that would otherwise panic in a
+// serving worker is an error from New.
+func TestNewRejectsAtConstruction(t *testing.T) {
+	in := func(shape ...int) program.CompileOptions { return program.CompileOptions{InShape: shape} }
+	for _, tc := range []struct {
+		name string
+		net  *nn.Network
+		opts program.CompileOptions
+	}{
+		{"mismatched input length", testNet(1), in(63)},
+		{"nil network", nil, in(64)},
+		{"missing input shape", testNet(1), in()},
+		{"conv rejects a flat input", convNet(1), in(64)},
+		{"99-bit weights", testNet(1), program.CompileOptions{InShape: []int{64}, Backend: program.Int16Spectral(99, 12)}},
+		{"tap with one product", nn.NewNetwork(nn.NewDense(64, 10, rand.New(rand.NewSource(1)))),
+			program.CompileOptions{InShape: []int{64}, TapPenultimate: true}},
+	} {
+		if _, err := model.New("mnist", "v1", tc.net, tc.opts); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestFallbackReplicaIsIndependent: a replica of a program with fallback
+// layers owns a deep copy, so it shares no parameters with the original —
+// perturbing the original's network must not move the replica's outputs.
+func TestFallbackReplicaIsIndependent(t *testing.T) {
+	net := convNet(5)
+	m, err := model.New("m", "v1", net, program.CompileOptions{InShape: []int{8, 8, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name() != "mnist" || m.Version() != "v1" {
-		t.Errorf("identity %s@%s, want mnist@v1", m.Name(), m.Version())
+	rep, err := m.Replicate()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.InDim() != 64 || m.OutDim() != 10 {
-		t.Errorf("dims in=%d out=%d, want 64/10", m.InDim(), m.OutDim())
-	}
-	if got := m.InShape(); len(got) != 1 || got[0] != 64 {
-		t.Errorf("InShape %v, want [64]", got)
-	}
+	x := tensor.New(1, 8, 8, 1).Randn(rand.New(rand.NewSource(6)), 1)
+	before := append([]float64(nil), rep.Forward(x).Data...)
 
-	// A shape the network rejects must error at adapt time, not panic in a
-	// worker.
-	if _, err := model.FromNetwork("mnist", "v2", net, []int{63}); err == nil {
-		t.Error("mismatched input shape accepted")
+	for _, p := range net.Params() {
+		for i := range p.Value.Data {
+			p.Value.Data[i] += 1
+		}
+		if p.OnUpdate != nil {
+			p.OnUpdate()
+		}
 	}
-	if _, err := model.FromNetwork("mnist", "v3", nil, []int{64}); err == nil {
-		t.Error("nil network accepted")
+	after := rep.Forward(x).Data
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("replica output moved with original's parameters: %g → %g", before[i], after[i])
+		}
 	}
 }
 
@@ -55,7 +191,7 @@ func TestNameValidation(t *testing.T) {
 		// /v1/models/{id}.
 		{"a?b", "v1"}, {"a#b", "v1"}, {"a%b", "v1"},
 	} {
-		if _, err := model.FromNetwork(bad.name, bad.version, net, []int{64}); err == nil {
+		if _, err := model.New(bad.name, bad.version, net, program.CompileOptions{InShape: []int{64}}); err == nil {
 			t.Errorf("accepted invalid identity %q@%q", bad.name, bad.version)
 		}
 	}
@@ -72,113 +208,6 @@ func TestIDRoundTrip(t *testing.T) {
 	name, version = model.ParseID("mnist")
 	if name != "mnist" || version != "" {
 		t.Errorf("ParseID bare = %q, %q", name, version)
-	}
-}
-
-// TestForwardMatchesNetwork pins the adapter contract: the batched
-// spectral path through the adapter, the dense-baseline path, and the raw
-// network must all agree on the same batch.
-func TestForwardMatchesNetwork(t *testing.T) {
-	net := testNet(3)
-	spectral, err := model.FromNetwork("m", "spectral", net, []int{64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := model.DenseBaseline("m", "dense", net, []int{64})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(4))
-	const batch = 5
-	x := tensor.New(batch, 64).Randn(rng, 1)
-	ref := net.Forward(x, false)
-	ws := nn.NewWorkspace()
-	for _, m := range []model.Model{spectral, dense} {
-		out := m.Forward(ws, x)
-		if out.Dim(0) != batch || out.Dim(1) != m.OutDim() {
-			t.Fatalf("%s: output shape %v", m.Version(), out.Shape())
-		}
-		for i := 0; i < batch*m.OutDim(); i++ {
-			diff := out.Data[i] - ref.Data[i]
-			if diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("%s: output[%d] = %g, reference %g", m.Version(), i, out.Data[i], ref.Data[i])
-			}
-		}
-	}
-}
-
-// TestQuantizedAdapter: the fixed-point build reports the same identity
-// surface as the float build, tracks it closely on real inputs, and
-// replicates independently.
-func TestQuantizedAdapter(t *testing.T) {
-	net := testNet(8)
-	q, err := model.Quantized("mnist", "v1-q12", net, []int{64}, 12, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.InDim() != 64 || q.OutDim() != 10 {
-		t.Errorf("dims in=%d out=%d, want 64/10", q.InDim(), q.OutDim())
-	}
-	rng := rand.New(rand.NewSource(9))
-	x := tensor.New(4, 64).Randn(rng, 1)
-	ref := net.Forward(x, false)
-	got := q.Forward(nil, x)
-	for i := range ref.Data {
-		if diff := got.Data[i] - ref.Data[i]; diff > 0.05 || diff < -0.05 {
-			t.Fatalf("q12 output[%d] = %g, float reference %g", i, got.Data[i], ref.Data[i])
-		}
-	}
-	rep, err := q.Replicate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	repOut := rep.Forward(nil, x)
-	for i := range got.Data[:10] {
-		if repOut.Data[i] != got.Data[i] {
-			t.Fatalf("replica output[%d] = %g, original %g", i, repOut.Data[i], got.Data[i])
-		}
-	}
-	// Bad precision surfaces at adapt time.
-	if _, err := model.Quantized("mnist", "bad", net, []int{64}, 99, 12); err == nil {
-		t.Error("99-bit weights accepted")
-	}
-}
-
-// TestReplicateIsIndependent checks that a replica shares no parameters
-// with the original: perturbing the original must not move the replica's
-// outputs.
-func TestReplicateIsIndependent(t *testing.T) {
-	net := testNet(5)
-	m, err := model.FromNetwork("m", "v1", net, []int{64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.Replicate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Name() != m.Name() || rep.Version() != m.Version() || rep.OutDim() != m.OutDim() {
-		t.Error("replica identity or shape differs from original")
-	}
-
-	rng := rand.New(rand.NewSource(6))
-	x := tensor.New(1, 64).Randn(rng, 1)
-	before := append([]float64(nil), rep.Forward(nil, x).Data...)
-
-	for _, p := range net.Params() {
-		for i := range p.Value.Data {
-			p.Value.Data[i] += 1
-		}
-		if p.OnUpdate != nil {
-			p.OnUpdate()
-		}
-	}
-	after := rep.Forward(nil, x).Data
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("replica output moved with original's parameters: %g → %g", before[i], after[i])
-		}
 	}
 }
 
@@ -212,7 +241,7 @@ func TestEngineModelAdapter(t *testing.T) {
 	}
 	x := tensor.New(2, 64).Randn(rand.New(rand.NewSource(9)), 1)
 	ref := e.Net.Forward(x, false)
-	got := m.Forward(nn.NewWorkspace(), x)
+	got := m.Forward(x)
 	for i := range ref.Data[:2*10] {
 		diff := got.Data[i] - ref.Data[i]
 		if diff > 1e-9 || diff < -1e-9 {

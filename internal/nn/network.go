@@ -90,41 +90,6 @@ func (n *Network) Accuracy(x *tensor.Tensor, labels []int) float64 {
 	return float64(correct) / float64(len(labels))
 }
 
-// ProbeShape verifies that the network accepts a per-sample input of shape
-// inShape by running a one-sample zero forward pass, and returns the
-// flattened input length together with the per-sample output width. Layers
-// panic on shape mismatch; the probe converts that into an error with the
-// offending shape attached, scoped so unrelated panics keep their real
-// cause. This is the shape handshake every serving-layer adapter performs
-// before a model reaches a worker.
-func ProbeShape(n *Network, inShape []int) (inDim, outDim int, err error) {
-	if len(inShape) == 0 {
-		return 0, 0, fmt.Errorf("nn: empty input shape")
-	}
-	inDim = 1
-	for _, d := range inShape {
-		if d < 1 {
-			return 0, 0, fmt.Errorf("nn: non-positive input dimension in %v", inShape)
-		}
-		inDim *= d
-	}
-	probe, err := func() (t *tensor.Tensor, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				t, err = nil, fmt.Errorf("nn: model rejects input shape %v: %v", inShape, p)
-			}
-		}()
-		return n.Forward(tensor.New(append([]int{1}, inShape...)...), false), nil
-	}()
-	if err != nil {
-		return 0, 0, err
-	}
-	if probe.Rank() != 2 {
-		return 0, 0, fmt.Errorf("nn: model output rank %d, want 2 ([batch, classes])", probe.Rank())
-	}
-	return inDim, probe.Dim(1), nil
-}
-
 // CountOps returns the analytical per-sample inference cost of the whole
 // stack. A forward pass must have been run first so every layer knows its
 // activation sizes.

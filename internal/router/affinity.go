@@ -14,9 +14,8 @@ import (
 // affinity: every key — an inference route, or a vector collection — maps
 // to a stable ranking of backends, and the router sends the key to the
 // highest-ranked eligible one. Requests for one model version land on the
-// process whose exact-input LRU and similarity cache are already warm, and
-// a vector collection's upserts and searches land on the one process that
-// holds it. When the chosen backend drops out (breaker open, draining,
+// process whose exact-input LRU is already warm, and a vector collection's
+// upserts and searches land on the one process that holds it. When the chosen backend drops out (breaker open, draining,
 // transport down) the key falls to its next-ranked backend — only the keys
 // owned by the failed backend move, the rest of the fleet keeps its warm
 // caches, which is precisely the property least-loaded routing lacks.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/serve/stream"
 )
@@ -307,7 +308,7 @@ func TestChaosDrainUnderHotSwap(t *testing.T) {
 	}
 
 	swapToV2 := func(fb *fleetBackend) {
-		m2, err := model.FromNetwork("mnist", "v2", nn.Arch2(rand.New(rand.NewSource(42))), []int{121})
+		m2, err := model.New("mnist", "v2", nn.Arch2(rand.New(rand.NewSource(42))), program.CompileOptions{InShape: []int{121}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +374,7 @@ func TestChaosDrainUnderHotSwap(t *testing.T) {
 func TestChaosThroughputScales(t *testing.T) {
 	mkBackend := func() *fleetBackend {
 		rng := rand.New(rand.NewSource(41))
-		m, err := model.FromNetwork("mnist", "v1", nn.Arch2(rng), []int{121})
+		m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,8 +85,8 @@ type Options struct {
 	// Affinity switches inference routing from least-loaded to rendezvous
 	// (highest-random-weight) hashing keyed on the route: one model
 	// version's traffic sticks to one backend while it stays healthy, so
-	// that backend's exact-input LRU and similarity caches stay warm
-	// instead of being diluted across the fleet. The HTTP-proxied
+	// that backend's exact-input LRU stays warm instead of being diluted
+	// across the fleet. The HTTP-proxied
 	// endpoints (vector tier, /embed) always use rendezvous placement
 	// regardless of this setting — a vector collection must live
 	// somewhere definite.

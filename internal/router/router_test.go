@@ -19,6 +19,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
 	"repro/internal/serve/stream"
@@ -117,7 +118,7 @@ func newFleetRegistry(t testing.TB, mx *metrics.Registry, versions ...string) *s
 	rng := rand.New(rand.NewSource(41))
 	reg := serve.NewRegistry(serve.Options{Workers: 2, MaxBatch: 8, Metrics: mx})
 	for _, v := range versions {
-		m, err := model.FromNetwork("mnist", v, nn.Arch2(rng), []int{121})
+		m, err := model.New("mnist", v, nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,9 +506,9 @@ type slowModel struct {
 	delay time.Duration
 }
 
-func (m slowModel) Forward(ws *nn.Workspace, batch *tensor.Tensor) *tensor.Tensor {
+func (m slowModel) Forward(batch *tensor.Tensor) *tensor.Tensor {
 	time.Sleep(m.delay)
-	return m.Model.Forward(ws, batch)
+	return m.Model.Forward(batch)
 }
 
 func (m slowModel) Replicate() (model.Model, error) {
@@ -524,7 +525,7 @@ func (m slowModel) Replicate() (model.Model, error) {
 // breaker — shedding is the backend working as designed.
 func TestRouterOverloadPassthrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	m, err := model.FromNetwork("mnist", "v1", nn.Arch2(rng), []int{121})
+	m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 )
 
 // TestRegistryRoutedInferZeroAlloc is the serving-path allocation gate: at
@@ -27,7 +28,7 @@ func TestRegistryRoutedInferZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(71))
 	net := nn.Arch1(rng)
-	m, err := model.FromNetwork("arch1", "v1", net, []int{256})
+	m, err := model.New("arch1", "v1", net, program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestRegistryRoutedInferZeroAlloc(t *testing.T) {
 func TestInferIntoReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	net := nn.Arch1(rng)
-	m, err := model.FromNetwork("arch1", "v1", net, []int{256})
+	m, err := model.New("arch1", "v1", net, program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		t.Fatal(err)
 	}

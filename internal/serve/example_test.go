@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 )
 
@@ -17,9 +18,9 @@ import (
 // engine.Engine.Model; here a fresh Arch-1 keeps the example
 // self-contained.
 func Example() {
-	m, err := model.FromNetwork("mnist", "v1",
+	m, err := model.New("mnist", "v1",
 		nn.Arch1(rand.New(rand.NewSource(1))),
-		[]int{256}) // Arch-1: 16×16 grey images, flattened
+		program.CompileOptions{InShape: []int{256}}) // Arch-1: 16×16 grey images, flattened
 	if err != nil {
 		panic(err)
 	}
@@ -70,11 +71,11 @@ func ExampleRegistry() {
 	// Two builds of the same model name. In production these come from
 	// cmd/train bundles via engine.Engine.Model; fresh Arch-1 weights keep
 	// the example self-contained.
-	v1, err := model.FromNetwork("mnist", "v1", nn.Arch1(rand.New(rand.NewSource(1))), []int{256})
+	v1, err := model.New("mnist", "v1", nn.Arch1(rand.New(rand.NewSource(1))), program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		panic(err)
 	}
-	v2, err := model.FromNetwork("mnist", "v2", nn.Arch1(rand.New(rand.NewSource(2))), []int{256})
+	v2, err := model.New("mnist", "v2", nn.Arch1(rand.New(rand.NewSource(2))), program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		panic(err)
 	}

@@ -38,15 +38,6 @@ const (
 	MetricCacheHits    = "repro_cache_hits_total"
 	MetricCacheMisses  = "repro_cache_misses_total"
 	MetricCacheEntries = "repro_cache_entries"
-	// MetricSimCacheHits / MetricSimCacheMisses count similarity-cache
-	// lookups; MetricSimCacheFalseHits counts audited hits whose exact
-	// class disagreed (the live hit-error estimate at the configured
-	// threshold); MetricSimCacheEntries is the ring occupancy gauge. All
-	// registered only when Options.SimCache is enabled.
-	MetricSimCacheHits      = "repro_simcache_hits_total"
-	MetricSimCacheMisses    = "repro_simcache_misses_total"
-	MetricSimCacheFalseHits = "repro_simcache_false_hits_total"
-	MetricSimCacheEntries   = "repro_simcache_entries"
 	// MetricWorkers is the configured replica count per model.
 	MetricWorkers = "repro_workers"
 )
@@ -112,21 +103,6 @@ func newServerMetrics(r *metrics.Registry, s *Server) *serverMetrics {
 		r.GaugeFunc(MetricCacheEntries, "Cached results currently held.",
 			func() float64 { _, _, n := cache.counters(); return float64(n) },
 			lbl(MetricCacheEntries, "model", id)...)
-	}
-	if s.sim != nil {
-		sim := s.sim
-		r.CounterFunc(MetricSimCacheHits, "Similarity-cache hits (cosine ≥ threshold), including audited ones.",
-			func() float64 { h, _, _, _, _, _ := sim.counters(); return float64(h) },
-			lbl(MetricSimCacheHits, "model", id)...)
-		r.CounterFunc(MetricSimCacheMisses, "Similarity-cache lookups that embedded but matched nothing.",
-			func() float64 { _, mi, _, _, _, _ := sim.counters(); return float64(mi) },
-			lbl(MetricSimCacheMisses, "model", id)...)
-		r.CounterFunc(MetricSimCacheFalseHits, "Audited similarity hits whose exact class disagreed with the cached one.",
-			func() float64 { _, _, f, _, _, _ := sim.counters(); return float64(f) },
-			lbl(MetricSimCacheFalseHits, "model", id)...)
-		r.GaugeFunc(MetricSimCacheEntries, "Similarity-cache entries currently held.",
-			func() float64 { _, _, _, _, _, n := sim.counters(); return float64(n) },
-			lbl(MetricSimCacheEntries, "model", id)...)
 	}
 	return m
 }

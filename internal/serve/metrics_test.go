@@ -13,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve/admission"
 )
 
@@ -24,7 +25,7 @@ func metricsTestRegistry(t *testing.T, opts Options) (*Registry, *metrics.Regist
 	opts.Metrics = mr
 	reg := NewRegistry(opts)
 	t.Cleanup(reg.Close)
-	m, err := model.FromNetwork("m", "v1", testModel(3), []int{64})
+	m, err := model.New("m", "v1", testModel(3), program.CompileOptions{InShape: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestShedCounterAgrees(t *testing.T) {
 // model's series survive.
 func TestRetireUnregistersSeries(t *testing.T) {
 	reg, mr := metricsTestRegistry(t, Options{Workers: 1, MaxBatch: 4, CacheSize: 8})
-	m2, err := model.FromNetwork("m", "v2", testModel(4), []int{64})
+	m2, err := model.New("m", "v2", testModel(4), program.CompileOptions{InShape: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestAdmissionMetricsAgree(t *testing.T) {
 // when the name has no split.
 func TestRegistryWeightsRaw(t *testing.T) {
 	reg, _ := metricsTestRegistry(t, Options{Workers: 1, MaxBatch: 2})
-	m2, err := model.FromNetwork("m", "v2", testModel(5), []int{64})
+	m2, err := model.New("m", "v2", testModel(5), program.CompileOptions{InShape: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestMetricsInstrumentedInferZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(71))
 	net := nn.Arch1(rng)
-	m, err := model.FromNetwork("arch1", "v1", net, []int{256})
+	m, err := model.New("arch1", "v1", net, program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		t.Fatal(err)
 	}

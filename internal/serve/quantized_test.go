@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 )
 
 // TestQuantizedServingAccuracy is the fixed-point acceptance gate: a
@@ -30,11 +31,11 @@ func TestQuantizedServingAccuracy(t *testing.T) {
 		}
 	}
 
-	float64Build, err := model.FromNetwork("mnist", "v1", net, []int{121})
+	float64Build, err := model.New("mnist", "v1", net, program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q12Build, err := model.Quantized("mnist", "v1-q12", net, []int{121}, 12, 12)
+	q12Build, err := model.New("mnist", "v1-q12", net, program.CompileOptions{InShape: []int{121}, Backend: program.Int16Spectral(12, 12)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,14 +143,6 @@ func NewRegistry(opts Options) *Registry {
 // hot-swapping a model means registering the new version and retiring the
 // old one, both of which are safe under live traffic.
 func (r *Registry) Register(m model.Model) error {
-	return r.RegisterWith(m, r.opts)
-}
-
-// RegisterWith is Register with per-model serving options overriding the
-// registry's defaults — the hook for configuration that cannot be shared
-// across models, like a similarity cache whose Embed function is the
-// model's own tapped trunk (Options.SimCache).
-func (r *Registry) RegisterWith(m model.Model, opts Options) error {
 	if m == nil {
 		return errors.New("serve: nil model")
 	}
@@ -181,7 +173,7 @@ func (r *Registry) RegisterWith(m model.Model, opts Options) error {
 	if dup {
 		return fmt.Errorf("%w: %s", ErrExists, id)
 	}
-	srv, err := NewModel(m, opts)
+	srv, err := NewModel(m, r.opts)
 	if err != nil {
 		return err
 	}

@@ -13,13 +13,14 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/tensor"
 )
 
 // registryModel wraps a small distinct network as name@version.
 func registryModel(t *testing.T, name, version string, seed int64) model.Model {
 	t.Helper()
-	m, err := model.FromNetwork(name, version, testModel(seed), []int{64})
+	m, err := model.New(name, version, testModel(seed), program.CompileOptions{InShape: []int{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,11 +532,11 @@ func TestRegistryDenseVsCirculantAB(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	circ := nn.Arch1(rng)
 	dense := nn.Arch1Dense(rng)
-	mc, err := model.FromNetwork("arch1", "circ", circ, []int{256})
+	mc, err := model.New("arch1", "circ", circ, program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := model.DenseBaseline("arch1", "dense", dense, []int{256})
+	md, err := model.New("arch1", "dense", dense, program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		t.Fatal(err)
 	}

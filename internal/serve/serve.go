@@ -85,11 +85,6 @@ type Options struct {
 	// deadline. Requests whose context deadline has passed are shed the
 	// same way regardless of SLO. 0 disables age-based shedding.
 	SLO time.Duration
-	// SimCache, when enabled (Embed set and Capacity > 0), adds the
-	// similarity-keyed result cache behind the exact LRU: inputs that miss
-	// the exact cache are embedded and matched against recent results by
-	// cosine similarity. Off by default. See SimCacheOptions.
-	SimCache SimCacheOptions
 	// Metrics, when non-nil, registers this server's Prometheus series
 	// (latency and batch-size histograms, queue/cache gauges, and
 	// callback-backed counters reading the same state Stats reads) under
@@ -126,12 +121,8 @@ type Result struct {
 	// BatchSize is the size of the batch this request was served in
 	// (1 for a batch of its own, 0 for a cache hit).
 	BatchSize int `json:"batch_size"`
-	// Cached reports whether the result came from a cache — the exact LRU
-	// or, when Similarity is non-zero, the similarity cache.
+	// Cached reports whether the result came from the LRU result cache.
 	Cached bool `json:"cached"`
-	// Similarity is the cosine similarity of the matched embedding for a
-	// similarity-cache hit, 0 otherwise.
-	Similarity float64 `json:"similarity,omitempty"`
 }
 
 // request is one in-flight inference job. Requests are pooled: the
@@ -149,9 +140,6 @@ type request struct {
 	scores   []float64
 	key      string      // cache key, "" when caching is disabled
 	shard    *cacheShard // key's home shard, resolved once per request
-	simVec   []float32   // normalised embedding, len 0 when sim cache is off
-	simClass int         // the cached class an audited sim hit bet on
-	simAudit bool        // this request validates a sim hit (see simCache)
 	enq      time.Time
 	deadline time.Time // from the submitting context; zero = none
 	// err is set by the worker before the resp send when the request was
@@ -181,7 +169,6 @@ type Server struct {
 	freeBatches chan []*request
 
 	cache *resultCache
-	sim   *simCache // nil unless Options.SimCache is enabled
 	stats collector
 	mx    *serverMetrics // nil when Options.Metrics is unset
 
@@ -201,14 +188,11 @@ type Server struct {
 
 // NewModel validates the model, replicates it once per worker, and starts
 // the scheduler and worker pool. The returned server must be released with
-// Close. The model has already proven its shape contract in its adapter
-// (nn.ProbeShape), so a mis-shaped model never reaches a worker.
+// Close. The model has already proven its shape contract at construction
+// (model.New compiles it), so a mis-shaped model never reaches a worker.
 func NewModel(m model.Model, opts Options) (*Server, error) {
 	if m == nil {
 		return nil, errors.New("serve: nil model")
-	}
-	if err := opts.SimCache.validate(); err != nil {
-		return nil, err
 	}
 	opts = opts.withDefaults()
 
@@ -234,9 +218,6 @@ func NewModel(m model.Model, opts Options) (*Server, error) {
 	}
 	if opts.CacheSize > 0 {
 		s.cache = newResultCache(opts.CacheSize)
-	}
-	if opts.SimCache.enabled() {
-		s.sim = newSimCache(opts.SimCache)
 	}
 	if opts.Metrics != nil {
 		s.mx = newServerMetrics(opts.Metrics, s)
@@ -291,18 +272,15 @@ func (s *Server) InferInto(ctx context.Context, input, scores []float64) (Result
 
 	var key string
 	var shard *cacheShard
-	precounted := s.cache != nil || s.sim != nil
-	if precounted {
-		// Count the request before any cache lookup: hits are recorded
-		// inside the caches under their locks, and a cache counter must
-		// never outrun the request it belongs to (Stats reads the caches
+	if s.cache != nil {
+		// Count the request before the cache lookup: hits are recorded
+		// inside the cache under its shard lock, and a cache counter must
+		// never outrun the request it belongs to (Stats reads the cache
 		// before the collector, so CacheHits+CacheMisses ≤ Requests holds
 		// in every snapshot). The pre-count is reversed on the
 		// closed-server and cancelled-before-admission paths below, keeping
 		// the "only accepted calls are counted" contract.
 		s.stats.request()
-	}
-	if s.cache != nil {
 		//repro:lint-ignore noalloc the result-cache key is one small allocation, the documented cost of enabling the LRU
 		key = cacheKey(s.id, input)
 		shard = s.cache.shard(key)
@@ -321,48 +299,29 @@ func (s *Server) InferInto(ctx context.Context, input, scores []float64) (Result
 	r.input = append(r.input[:0], input...) // detach from caller
 	r.key = key
 	r.shard = shard
-	r.simVec = r.simVec[:0]
-	r.simAudit = false
 	r.enq = time.Now()
 	r.deadline, _ = ctx.Deadline()
 	r.err = nil
-
-	if s.sim != nil {
-		// Similarity lookup behind the exact LRU: embed the input (into the
-		// request's reusable buffer, so the worker can cache a miss without
-		// re-embedding) and serve a confident near-repeat from the ring. An
-		// audited hit falls through: the request runs exactly and the worker
-		// scores the cached bet afterwards (simCache false-hit accounting).
-		//repro:lint-ignore noalloc the embed pass behind a sim lookup may allocate, the documented cost of enabling the similarity cache
-		res, hit, audit := s.sim.lookup(r, scores)
-		if hit && !audit {
-			requestPool.Put(r)
-			return res, nil
-		}
-		if audit {
-			r.simAudit, r.simClass = true, res.Class
-		}
-	}
 
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		requestPool.Put(r)
-		if precounted {
+		if s.cache != nil {
 			s.stats.unadmit() // reverse the pre-lookup request count
 		}
 		return Result{}, ErrClosed
 	}
-	// Count the request (pre-counted above when a cache lookup ran) and
+	// Count the request (pre-counted above when the cache lookup ran) and
 	// then the cache miss before the send: once the scheduler can see the
 	// request, Stats must already include it, so Requests ≥ Completed
 	// holds at every instant, and a miss is never counted before its
 	// request. A submission cancelled before admission is uncounted
 	// again, in reverse order.
 	s.queued.Add(1)
-	if !precounted {
+	if s.cache == nil {
 		s.stats.admit()
-	} else if s.cache != nil {
+	} else {
 		shard.miss()
 	}
 	select {
@@ -418,10 +377,6 @@ func (s *Server) Stats() Stats {
 	}
 	st := s.stats.snapshot()
 	st.CacheHits, st.CacheMisses, st.CacheEntries = hits, misses, entries
-	if s.sim != nil {
-		sh, sm, sf, _, _, sn := s.sim.counters()
-		st.SimCacheHits, st.SimCacheMisses, st.SimCacheFalseHits, st.SimCacheEntries = sh, sm, sf, sn
-	}
 	st.Workers = s.opts.Workers
 	return st
 }
@@ -547,13 +502,12 @@ func (s *Server) dispatch() {
 }
 
 // worker executes batches on its own model replica with its own reusable
-// workspace and input buffer, then fans results back out to the
-// per-request channels. The Forward call below is where batching pays:
-// the coalesced batch tensor takes one batched spectral pass per
-// block-circulant layer instead of one product per request.
+// input buffer, then fans results back out to the per-request channels.
+// The Forward call below is where batching pays: the coalesced batch
+// tensor takes one batched spectral pass per block-circulant layer instead
+// of one product per request.
 func (s *Server) worker(m model.Model) {
 	defer s.wg.Done()
-	ws := nn.NewWorkspace()
 	buf := make([]float64, s.opts.MaxBatch*s.features)
 	lats := make([]time.Duration, 0, s.opts.MaxBatch)
 	// The input tensor header is bound to buf per batch instead of
@@ -599,7 +553,7 @@ func (s *Server) worker(m model.Model) {
 		}
 		shape[0] = n
 		x := xt.Bind(buf[:n*s.features], shape...)
-		out := m.Forward(ws, x)
+		out := m.Forward(x)
 		// Record stats before fanning responses out: the moment the last
 		// response lands, a caller may read Stats and must see this batch.
 		now = time.Now()
@@ -626,18 +580,6 @@ func (s *Server) worker(m model.Model) {
 				cres := res
 				cres.Scores = append([]float64(nil), r.scores...)
 				r.shard.add(r.key, cres)
-			}
-			if s.sim != nil {
-				if r.simAudit {
-					// An audited similarity hit: score the cached bet
-					// against the exact class. The entry is already in the
-					// ring, so no add.
-					if res.Class != r.simClass {
-						s.sim.falseHit()
-					}
-				} else {
-					s.sim.add(r.simVec, res.Class, r.scores)
-				}
 			}
 			r.resp <- res
 		}

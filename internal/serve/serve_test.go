@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/tensor"
 )
 
@@ -28,7 +29,7 @@ func testModel(seed int64) *nn.Network {
 // newNetServer serves a bare network under "default@v1": the scheduler
 // tests address one Server directly, without a Registry in front.
 func newNetServer(net *nn.Network, inShape []int, opts Options) (*Server, error) {
-	m, err := model.FromNetwork("default", "v1", net, inShape)
+	m, err := model.New("default", "v1", net, program.CompileOptions{InShape: inShape})
 	if err != nil {
 		return nil, err
 	}

@@ -35,15 +35,6 @@ type Stats struct {
 	CacheMisses uint64 `json:"cache_misses"`
 	// CacheEntries is the current number of cached results.
 	CacheEntries int `json:"cache_entries"`
-	// SimCacheHits and SimCacheMisses count similarity-cache lookups that
-	// produced an embedding; SimCacheFalseHits counts audited hits whose
-	// exact class disagreed with the cached one (see SimCacheOptions);
-	// SimCacheEntries is the current ring occupancy. All zero when the
-	// similarity cache is disabled.
-	SimCacheHits      uint64 `json:"sim_cache_hits,omitempty"`
-	SimCacheMisses    uint64 `json:"sim_cache_misses,omitempty"`
-	SimCacheFalseHits uint64 `json:"sim_cache_false_hits,omitempty"`
-	SimCacheEntries   int    `json:"sim_cache_entries,omitempty"`
 	// Batches is the number of batches dispatched to workers.
 	Batches uint64 `json:"batches"`
 	// MeanBatch is the mean dispatched batch size; MaxBatch is the

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 )
 
@@ -29,7 +30,7 @@ func TestStreamInferZeroAlloc(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; the alloc gate runs without -race")
 	}
 	rng := rand.New(rand.NewSource(73))
-	m, err := model.FromNetwork("arch1", "v1", nn.Arch1(rng), []int{256})
+	m, err := model.New("arch1", "v1", nn.Arch1(rng), program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
 )
@@ -27,7 +28,7 @@ import (
 // series (same atomics on all three surfaces).
 func TestStreamPerConnFairness(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	m, err := model.FromNetwork("mnist", "v1", nn.Arch2(rng), []int{121})
+	m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,5 +133,102 @@ func TestStreamPerConnFairness(t *testing.T) {
 	want := fmt.Sprintf(`repro_admission_shed_total{reason="fairness"} %d`, st.ShedFairness)
 	if exp := mx.Expose(); !strings.Contains(exp, want) {
 		t.Errorf("/metrics missing %q\nscrape:\n%s", want, exp)
+	}
+}
+
+// heldListener hands the server connections whose Write delivers its bytes
+// and then stays open until afterWrite returns — what a server write looks
+// like from the inside while the client, already holding the reply, acts
+// on it.
+type heldListener struct {
+	net.Listener
+	afterWrite func()
+}
+
+func (l *heldListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return heldConn{Conn: nc, afterWrite: l.afterWrite}, nil
+}
+
+type heldConn struct {
+	net.Conn
+	afterWrite func()
+}
+
+func (c heldConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	c.afterWrite()
+	return n, err
+}
+
+// TestStreamSequentialClientKeepsItsShare pins the ordering behind the
+// per-connection cap: a request's admission slot is free by the time its
+// reply can be read, so a strictly sequential client with a share of one
+// is never shed by its own previous request. Every reply's Write is held
+// open until the server has ruled on the client's next frame — if the slot
+// were released after the write, that ruling would be a "fairness" shed
+// every time.
+func TestStreamSequentialClientKeepsItsShare(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry(serve.Options{Workers: 1, MaxBatch: 1})
+	if err := reg.Register(m); err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ctrl := admission.New(admission.Config{MaxPerConn: 1})
+	srv := NewServer(reg, Options{Window: 4, Handlers: 2, Admission: ctrl})
+
+	const rounds = 3
+	var writes atomic.Int64
+	stop := make(chan struct{})
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &heldListener{Listener: tcp, afterWrite: func() {
+		k := writes.Add(1)
+		// Reply k stays in Write until request k+1 has been admitted to
+		// the window or shed; nothing follows the last reply.
+		for k < rounds {
+			if st := srv.Stats(); st.Frames+st.Shed > uint64(k) {
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	cl, err := Dial(tcp.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(stop)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		cl.Close(ctx)
+		srv.Close()
+		<-serveDone
+	})
+
+	input := make([]float64, 121)
+	for i := 0; i < rounds; i++ {
+		if _, err := cl.Do(context.Background(), "mnist", [][]float64{input}); err != nil {
+			t.Fatalf("sequential request %d shed by its predecessor: %v", i, err)
+		}
+	}
+	if st := ctrl.Stats(); st.ShedFairness != 0 {
+		t.Errorf("ShedFairness = %d for a client that never exceeded its share", st.ShedFairness)
 	}
 }

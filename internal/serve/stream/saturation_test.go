@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
 )
@@ -104,7 +105,7 @@ func TestStreamSaturation(t *testing.T) {
 		t.Skip("saturation sweep is a multi-second soak")
 	}
 	rng := rand.New(rand.NewSource(51))
-	m, err := model.FromNetwork("mnist", "v1", nn.Arch2(rng), []int{121})
+	m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -371,14 +371,18 @@ func (c *sconn) writeFrame(buf []byte) error {
 	return err
 }
 
-// writeStatus answers id with a status frame (reader-side sheds and
-// handler-less errors; uses the shared scratch under wmu).
+// statusFrame encodes a complete status frame for id into dst[:0].
+func statusFrame(dst []byte, id uint64, code int, retryAfter time.Duration, msg string) []byte {
+	dst = beginFrame(dst[:0], FrameStatus, id)
+	dst = appendStatusPayload(dst, code, retryAfter, msg)
+	return finishFrame(dst, 0)
+}
+
+// writeStatus answers id with a status frame from the reader loop (sheds
+// and malformed frames; uses the shared scratch under wmu).
 func (c *sconn) writeStatus(id uint64, code int, retryAfter time.Duration, msg string) {
 	c.wmu.Lock()
-	start := 0
-	c.sbuf = beginFrame(c.sbuf[:0], FrameStatus, id)
-	c.sbuf = appendStatusPayload(c.sbuf, code, retryAfter, msg)
-	c.sbuf = finishFrame(c.sbuf, start)
+	c.sbuf = statusFrame(c.sbuf, id, code, retryAfter, msg)
 	_, _ = c.nc.Write(c.sbuf) // best-effort: a failed status write surfaces in the read loop
 	c.wmu.Unlock()
 }
@@ -484,19 +488,27 @@ func (c *sconn) handle() {
 		out     []byte
 	)
 	for q := range c.pending {
-		results, out = c.handleOne(q, &scratch, results, out)
+		var answered bool
+		results, out, answered = c.answer(q, &scratch, results, out)
+		// The admission slot is given back before the frame is written: a
+		// sequential client sends its next request the moment it has read
+		// this one's reply, and with the slot still held that request would
+		// be shed "fairness" by the very request it follows.
 		q.ticket.Release()
 		c.putFree(q)
+		if c.writeFrame(out) == nil && answered {
+			c.srv.responses.Add(1)
+		}
 	}
 }
 
-// handleOne answers a single request frame, returning the (possibly
-// grown) scratch slices for reuse.
-func (c *sconn) handleOne(q *sreq, scratch *serve.WireRowsScratch, results []serve.Result, out []byte) ([]serve.Result, []byte) {
+// answer runs one request frame and encodes its reply — a response frame
+// (answered) or the status frame of whatever went wrong — into out[:0],
+// returning the (possibly grown) scratch slices for reuse.
+func (c *sconn) answer(q *sreq, scratch *serve.WireRowsScratch, results []serve.Result, out []byte) ([]serve.Result, []byte, bool) {
 	inputs, err := serve.ParseWireRequest(q.wire, scratch)
 	if err != nil {
-		c.writeStatus(q.id, 400, 0, err.Error())
-		return results, out
+		return results, statusFrame(out, q.id, 400, 0, err.Error()), false
 	}
 	ctx := c.ctx
 	if q.deadline > 0 {
@@ -515,29 +527,22 @@ func (c *sconn) handleOne(q *sreq, scratch *serve.WireRowsScratch, results []ser
 	for i, in := range inputs {
 		res, err := c.srv.reg.InferInto(ctx, q.name, q.version, in, results[i].Scores[:0])
 		if err != nil {
-			c.writeStatusErr(q.id, err)
-			return results, out
+			return results, c.statusErrFrame(out, q.id, err), false
 		}
 		results[i] = res
 	}
-	start := 0
 	out = beginFrame(out[:0], FrameResponse, q.id)
 	out, err = serve.AppendWireResults(out, results)
 	if err != nil {
-		c.writeStatus(q.id, 500, 0, err.Error())
-		return results, out
+		return results, statusFrame(out, q.id, 500, 0, err.Error()), false
 	}
-	out = finishFrame(out, start)
-	if c.writeFrame(out) == nil {
-		c.srv.responses.Add(1)
-	}
-	return results, out
+	return results, finishFrame(out, 0), true
 }
 
-// writeStatusErr answers id with err's status frame (StatusFor is the
+// statusErrFrame encodes err's status frame for id (StatusFor is the
 // policy). An overload's message is its bare reason — the client rebuilds
 // the typed admission.OverloadError from it.
-func (c *sconn) writeStatusErr(id uint64, err error) {
+func (c *sconn) statusErrFrame(dst []byte, id uint64, err error) []byte {
 	code, retryAfter := StatusFor(err)
 	msg := err.Error()
 	var oe *admission.OverloadError
@@ -545,5 +550,5 @@ func (c *sconn) writeStatusErr(id uint64, err error) {
 		c.srv.shed.Add(1)
 		msg = oe.Reason
 	}
-	c.writeStatus(id, code, retryAfter, msg)
+	return statusFrame(dst, id, code, retryAfter, msg)
 }

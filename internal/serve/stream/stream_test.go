@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
 	"repro/internal/tensor"
@@ -23,7 +24,7 @@ import (
 func newArch2Registry(t testing.TB, opts serve.Options) (*serve.Registry, [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
-	m, err := model.FromNetwork("mnist", "v1", nn.Arch2(rng), []int{121})
+	m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestStreamHotSwapMidStream(t *testing.T) {
 	// Hot-swap loop: register v2, retire v1, re-register v1, retire v2 —
 	// the alias always has a live target.
 	for cycle := 0; cycle < 5; cycle++ {
-		m2, err := model.FromNetwork("mnist", "v2", net2, []int{121})
+		m2, err := model.New("mnist", "v2", net2, program.CompileOptions{InShape: []int{121}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestStreamHotSwapMidStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		time.Sleep(5 * time.Millisecond)
-		m1, err := model.FromNetwork("mnist", "v1", nn.Arch2(rand.New(rand.NewSource(41))), []int{121})
+		m1, err := model.New("mnist", "v1", nn.Arch2(rand.New(rand.NewSource(41))), program.CompileOptions{InShape: []int{121}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,9 +282,9 @@ type slowModel struct {
 	delay time.Duration
 }
 
-func (m slowModel) Forward(ws *nn.Workspace, batch *tensor.Tensor) *tensor.Tensor {
+func (m slowModel) Forward(batch *tensor.Tensor) *tensor.Tensor {
 	time.Sleep(m.delay)
-	return m.Model.Forward(ws, batch)
+	return m.Model.Forward(batch)
 }
 
 func (m slowModel) Replicate() (model.Model, error) {
@@ -300,7 +301,7 @@ func (m slowModel) Replicate() (model.Model, error) {
 // the connection goroutines must all exit.
 func TestStreamDrainCompletesInflight(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	m, err := model.FromNetwork("mnist", "v1", nn.Arch2(rng), []int{121})
+	m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestStreamDrainCompletesInflight(t *testing.T) {
 // everything before the socket dies.
 func TestStreamClientCloseDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	m, err := model.FromNetwork("mnist", "v1", nn.Arch2(rng), []int{121})
+	m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestStreamClientCloseDrains(t *testing.T) {
 // configured Retry-After hint.
 func TestStreamAdmissionShed(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	m, err := model.FromNetwork("mnist", "v1", nn.Arch2(rng), []int{121})
+	m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,11 +497,11 @@ func TestStreamAdmissionShed(t *testing.T) {
 // reason "quota" while a sibling model is unaffected.
 func TestStreamQuotaShed(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	mA, err := model.FromNetwork("capped", "v1", nn.Arch2(rng), []int{121})
+	mA, err := model.New("capped", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mB, err := model.FromNetwork("open", "v1", nn.Arch2(rng), []int{121})
+	mB, err := model.New("open", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +559,7 @@ func TestStreamQuotaShed(t *testing.T) {
 // counter records them.
 func TestStreamSLOShed(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	m, err := model.FromNetwork("mnist", "v1", nn.Arch2(rng), []int{121})
+	m, err := model.New("mnist", "v1", nn.Arch2(rng), program.CompileOptions{InShape: []int{121}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/platform"
+	"repro/internal/program"
 )
 
 // Store is an opened artifact directory: the parsed index plus the blob
@@ -94,9 +95,10 @@ func checksum(b []byte) uint64 {
 // its slice of the mapped view with its OnUpdate hook fired so derived
 // state (circulant spectra) is rebuilt. Load is idempotent per id: the
 // registry can hot-load the same artifact repeatedly without stacking
-// mappings. The returned model's Replicate shares the read-only network
-// (model.FromNetworkShared), so every serving replica reads the same
-// mapped pages.
+// mappings. Replicas of a typed-op program (Arch-1/2) share the read-only
+// network, so every serving replica reads the same mapped pages; a program
+// with fallback layers (conv/pool) deep-copies it per replica instead (see
+// model.New).
 func (s *Store) Load(name, version string) (model.Model, error) {
 	e, ok := s.Find(name, version)
 	if !ok {
@@ -146,7 +148,7 @@ func (s *Store) Load(name, version string) (model.Model, error) {
 	if err := bindParams(eng.Net, view); err != nil {
 		return nil, fmt.Errorf("store: %s: %w", id, err)
 	}
-	m, err := model.FromNetworkShared(name, version, eng.Net, e.InShape)
+	m, err := model.New(name, version, eng.Net, program.CompileOptions{InShape: e.InShape})
 	if err != nil {
 		return nil, err
 	}

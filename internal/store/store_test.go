@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 )
@@ -52,13 +53,13 @@ func TestPackOpenLoad(t *testing.T) {
 	if m.InDim() != 256 || m.OutDim() != 10 {
 		t.Fatalf("loaded model is %d→%d", m.InDim(), m.OutDim())
 	}
-	ref, err := model.FromNetwork("mnist", "v1", net, []int{256})
+	ref, err := model.New("mnist", "v1", net, program.CompileOptions{InShape: []int{256}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := tensor.New(4, 256).Randn(rand.New(rand.NewSource(63)), 1)
-	want := ref.Forward(nil, x)
-	got := m.Forward(nil, x)
+	want := ref.Forward(x)
+	got := m.Forward(x)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("stored model deviates at element %d: %g vs %g", i, got.Data[i], want.Data[i])
@@ -197,6 +198,34 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// hammer runs clients concurrent closed-loop callers, n distinct random
+// inputs each, against name@version and waits for them.
+func hammer(t *testing.T, reg *serve.Registry, name, version string, inDim, clients, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			input := make([]float64, inDim)
+			var scores []float64
+			for i := 0; i < n; i++ {
+				for j := range input {
+					input[j] = rng.NormFloat64()
+				}
+				res, err := reg.InferInto(context.Background(), name, version, input, scores)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				scores = res.Scores[:0]
+			}
+		}(int64(70 + w))
+	}
+	wg.Wait()
+}
+
 // TestHotLoadConcurrentQuery is the -race gate for the store → registry
 // path: models hot-load through the PR 3 registry while queries run
 // against already-registered ones — replicas share the read-only mapped
@@ -217,31 +246,10 @@ func TestHotLoadConcurrentQuery(t *testing.T) {
 	if err := reg.Register(m); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			input := make([]float64, 256)
-			scores := make([]float64, 0, 10)
-			for i := 0; i < 200; i++ {
-				for j := range input {
-					input[j] = rng.NormFloat64()
-				}
-				res, err := reg.InferInto(context.Background(), "mnist", "v1", input, scores)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				scores = res.Scores[:0]
-			}
-		}(int64(70 + w))
-	}
 	// Hot-load the second model mid-traffic.
-	wg.Add(1)
+	loaded := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(loaded)
 		m2, err := s.Load("mnist2", "v2")
 		if err != nil {
 			t.Error(err)
@@ -251,8 +259,46 @@ func TestHotLoadConcurrentQuery(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	wg.Wait()
+	hammer(t, reg, "mnist", "v1", 256, 4, 200)
+	<-loaded
 	if _, err := reg.Infer(context.Background(), "mnist2", "v2", make([]float64, 121)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestConvReplicasShareNoLayerState is the -race gate for stored conv
+// artifacts (the paper's Table III network in miniature): conv and pooling
+// run through their own layer.Forward, which writes receiver fields at
+// inference, so two workers serving one loaded model must each own their
+// network — only programs made of typed ops may share it.
+func TestConvReplicasShareNoLayerState(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	net := nn.NewNetwork(
+		nn.NewConv2D(tensor.Conv2DGeom{H: 8, W: 8, C: 1, R: 3, P: 4, Stride: 1}, rng),
+		nn.NewReLU(),
+		nn.NewMaxPool(2),
+		nn.NewFlatten(),
+		nn.NewCircDense(36, 16, 4, rng),
+		nn.NewReLU(),
+		nn.NewDense(16, 10, rng),
+	)
+	dir := t.TempDir()
+	if err := Pack(dir, []PackModel{{Name: "cifar", Version: "v1", Net: net, InShape: []int{8, 8, 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m, err := s.Load("cifar", "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry(serve.Options{Workers: 2, MaxBatch: 2, QueueDepth: 64})
+	defer reg.Close()
+	if err := reg.Register(m); err != nil {
+		t.Fatal(err)
+	}
+	hammer(t, reg, "cifar", "v1", 64, 4, 200)
 }

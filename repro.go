@@ -23,10 +23,10 @@
 //   - a program compiler (internal/program): trained networks lowered to
 //     typed op graphs, pass-driven fusion, and pluggable float /
 //     fixed-point execution backends
-//   - a fleet tier (internal/router, cmd/router): a fault-tolerant proxy
-//     over N serving processes — health-checked circuit breakers,
-//     budget-bounded retries, graceful drain — proved by the seeded
-//     fault-injection harness of internal/faultinject
+//
+// The tiers around the registry — RPS2 streaming, admission control,
+// metrics, canary rollout, the fleet router and its fault injector — are
+// reached through cmd/serve and cmd/router, not through this facade.
 //
 // See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every table and figure.
@@ -40,22 +40,16 @@ import (
 	"io"
 	"math/rand"
 
-	"repro/internal/canary"
 	"repro/internal/circulant"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/faultinject"
 	"repro/internal/fft"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/ops"
 	"repro/internal/platform"
 	"repro/internal/program"
-	"repro/internal/router"
 	"repro/internal/serve"
-	"repro/internal/serve/admission"
-	"repro/internal/serve/stream"
 	"repro/internal/tensor"
 )
 
@@ -176,8 +170,6 @@ type (
 	// ServeOptions parameterises the batching, replica pool and cache of
 	// each served model (per-model instances).
 	ServeOptions = serve.Options
-	// Server is the batched concurrent inference server for one model.
-	Server = serve.Server
 	// ServeStats is a snapshot of one served model's counters.
 	ServeStats = serve.Stats
 	// InferResult is one answered inference request.
@@ -203,20 +195,13 @@ var (
 // served with opts.
 func NewRegistry(opts ServeOptions) *Registry { return serve.NewRegistry(opts) }
 
-// ModelFromNetwork adapts a trained network as a registrable Model running
-// the batched spectral forward path.
-func ModelFromNetwork(name, version string, net *Network, inShape []int) (Model, error) {
-	return model.FromNetwork(name, version, net, inShape)
+// NewModel compiles a trained network with opts and wraps the program as
+// a registrable Model. opts picks the build: the zero Backend is the float
+// spectral path, BackendInt16 the fixed-point deployment — servable side by
+// side with the float build of the same network for registry A/B.
+func NewModel(name, version string, net *Network, opts CompileOptions) (Model, error) {
+	return model.New(name, version, net, opts)
 }
-
-// ModelDenseBaseline adapts a network through the plain per-call forward —
-// the uncompressed reference arm of a dense-versus-circulant A/B pair.
-func ModelDenseBaseline(name, version string, net *Network, inShape []int) (Model, error) {
-	return model.DenseBaseline(name, version, net, inShape)
-}
-
-// NewModelServer starts a batched inference server for one Model.
-func NewModelServer(m Model, opts ServeOptions) (*Server, error) { return serve.NewModel(m, opts) }
 
 // NewWorkspace returns reusable forward-pass scratch for a long-lived
 // inference loop.
@@ -254,149 +239,3 @@ var (
 	BackendDenseRef     = program.DenseRef
 	BackendInt16        = program.Int16Spectral
 )
-
-// ModelQuantized compiles a network on the Int16Spectral fixed-point
-// backend and wraps it as a registrable Model — servable side by side
-// with the float build of the same network for registry A/B.
-func ModelQuantized(name, version string, net *Network, inShape []int, weightBits, actBits int) (Model, error) {
-	return model.Quantized(name, version, net, inShape, weightBits, actBits)
-}
-
-// Streaming wire v2 (internal/serve/stream): the RPS2 length-prefixed
-// protocol carrying the wire-v1 codec over persistent TCP connections.
-// One connection multiplexes many in-flight request frames — each tagged
-// with an id and a "name[@version]" route — responses complete out of
-// order as the batching scheduler finishes them, and a GOAWAY handshake
-// drains pipelined work losslessly during rolling swaps. Admission
-// control (internal/serve/admission) is the shared overload story: one
-// Controller guards both the HTTP handlers and the stream listener, and
-// sheds with a typed OverloadError (HTTP 429 + Retry-After, stream 429
-// status frame) instead of queueing past capacity.
-type (
-	// StreamServer serves RPS2 over net.Listeners backed by a Registry.
-	StreamServer = stream.Server
-	// StreamClient is one pipelined RPS2 connection; safe for concurrent
-	// use by any number of goroutines.
-	StreamClient = stream.Client
-	// StreamOptions parameterises a StreamServer (window, handlers,
-	// admission controller).
-	StreamOptions = stream.Options
-	// StreamStatusError is a non-overload status frame surfaced as an
-	// error; errors.Is maps it back onto the serving sentinels.
-	StreamStatusError = stream.StatusError
-	// AdmissionController is the shared load-shedding gate.
-	AdmissionController = admission.Controller
-	// AdmissionConfig parameterises NewAdmission.
-	AdmissionConfig = admission.Config
-	// OverloadError is the typed shed error carried across both protocols,
-	// with the shed reason and a Retry-After hint.
-	OverloadError = admission.OverloadError
-)
-
-// ErrStreamGoingAway is returned by StreamClient.Do once the server has
-// announced a drain; in-flight requests still complete.
-var ErrStreamGoingAway = stream.ErrGoingAway
-
-// NewStreamServer builds an RPS2 streaming server over a registry.
-func NewStreamServer(reg *Registry, opts StreamOptions) *StreamServer {
-	return stream.NewServer(reg, opts)
-}
-
-// DialStream connects an RPS2 streaming client to a NewStreamServer
-// address.
-func DialStream(addr string) (*StreamClient, error) { return stream.Dial(addr) }
-
-// NewAdmission builds an admission controller to share between a
-// StreamServer and an HTTP front end.
-func NewAdmission(cfg AdmissionConfig) *AdmissionController { return admission.New(cfg) }
-
-// Observability (internal/metrics, internal/canary): a dependency-free
-// Prometheus text-exposition registry with atomic counters, gauges, and
-// histograms (no per-observation allocation, so the serving hot path
-// stays at 0 allocs/op), and a canary controller that ramps a candidate
-// version's registry A/B weight through a schedule while watching the
-// same latency histograms and probe-based score drift, auto-promoting
-// on sustained health and auto-rolling back to the pre-canary weights
-// on sustained breach. ServeOptions.Metrics wires a MetricsRegistry into
-// every registered model; MetricsRegistry.Handler serves GET /metrics.
-type (
-	// MetricsRegistry holds registered series and renders the
-	// Prometheus 0.0.4 text exposition.
-	MetricsRegistry = metrics.Registry
-	// MetricsCounter is a monotone atomic counter series.
-	MetricsCounter = metrics.Counter
-	// MetricsGauge is a settable atomic gauge series.
-	MetricsGauge = metrics.Gauge
-	// MetricsHistogram is a fixed-bucket atomic histogram series.
-	MetricsHistogram = metrics.Histogram
-	// CanaryController ramps, evaluates, and promotes or rolls back
-	// one base→candidate pair.
-	CanaryController = canary.Controller
-	// CanaryConfig parameterises NewCanary.
-	CanaryConfig = canary.Config
-	// CanaryEvent is the structured record emitted on every ramp step,
-	// promote, rollback, or stop.
-	CanaryEvent = canary.Event
-	// CanaryState is the controller's lifecycle state.
-	CanaryState = canary.State
-)
-
-// NewMetricsRegistry builds an empty metrics registry; pass it via
-// ServeOptions.Metrics and mount its Handler at /metrics.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// NewCanary validates a canary configuration against the registry and
-// returns a controller; call Start to begin the ramp.
-func NewCanary(cfg CanaryConfig) (*CanaryController, error) { return canary.New(cfg) }
-
-// Fleet tier (internal/router, internal/faultinject): a shared-nothing
-// proxy fronting N serving processes over persistent RPS2 connections,
-// re-exposing the same HTTP and RPS2 front ends. Routing is keyed by
-// "name[@version]" against a propagated registry view (periodic
-// /v1/models + /metrics scrapes), selection is least-loaded among
-// healthy holders, and per-backend fault tolerance is a three-state
-// circuit breaker, a token-bucket-bounded single retry on a different
-// backend, and an admin-driven graceful drain riding the GOAWAY
-// handshake. The fault injector that proves all of this — seeded,
-// deterministic connection faults wrapped around real net.Conns — is
-// exported too, because chaos harnesses are part of the product's
-// contract, not just its tests.
-type (
-	// FleetRouter fans requests out across backends; it implements the
-	// same InferInto seam a Registry does, so the stream server and the
-	// HTTP handlers run unchanged on top of it.
-	FleetRouter = router.Router
-	// FleetOptions parameterises NewFleetRouter (backends, intervals,
-	// breaker and retry-budget tuning).
-	FleetOptions = router.Options
-	// FleetBackend names one fronted process: RPS2 address, HTTP base
-	// URL for view/health scraping, and an optional dial hook.
-	FleetBackend = router.BackendConfig
-	// FleetBreakerConfig tunes every backend's circuit breaker.
-	FleetBreakerConfig = router.BreakerConfig
-	// FaultInjector wraps net.Conns with a seeded, deterministic fault
-	// schedule (drops, delays, truncations, corruption).
-	FaultInjector = faultinject.Injector
-	// FaultConfig is the injector's fault schedule.
-	FaultConfig = faultinject.Config
-)
-
-// Fleet routing sentinels: ErrFleetNoBackend (known route, nothing
-// healthy holds it — a 503) versus ErrFleetUnknownRoute (no backend has
-// ever advertised it — a 404).
-var (
-	ErrFleetNoBackend    = router.ErrNoBackend
-	ErrFleetUnknownRoute = router.ErrUnknownRoute
-	// ErrInjectedFault is the typed error a scheduled connection drop
-	// surfaces through a wrapped conn.
-	ErrInjectedFault = faultinject.ErrInjectedDrop
-)
-
-// NewFleetRouter dials every backend and starts the health loops; the
-// router is serving as soon as it returns.
-func NewFleetRouter(opts FleetOptions) (*FleetRouter, error) { return router.New(opts) }
-
-// NewFaultInjector builds a deterministic connection-fault injector;
-// wire its Dialer into a FleetBackend or wrap a test listener with
-// Listen.
-func NewFaultInjector(cfg FaultConfig) *FaultInjector { return faultinject.New(cfg) }
