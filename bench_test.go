@@ -990,7 +990,7 @@ func streamBench(b *testing.B, admit *admission.Controller) (*stream.Client, [][
 	if err := reg.Register(m); err != nil {
 		b.Fatal(err)
 	}
-	srv := stream.NewServer(reg, stream.Options{Window: 128, Handlers: 8, Admission: admit})
+	srv := stream.NewServer(reg, stream.Options{Window: 128, Admission: admit})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -1094,7 +1094,7 @@ func routerBench(b *testing.B, n int) (*router.Router, [][]float64, func()) {
 		if err := reg.Register(m); err != nil {
 			b.Fatal(err)
 		}
-		srv := stream.NewServer(reg, stream.Options{Window: 128, Handlers: 8})
+		srv := stream.NewServer(reg, stream.Options{Window: 128})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -190,6 +193,7 @@ func TestMetricsConformance(t *testing.T) {
 		"repro_admission_inflight",
 		"repro_stream_conns",
 		"repro_stream_frames_total",
+		"repro_stream_writes_total",
 		"repro_stream_pipeline_depth",
 		"repro_stream_goaways_total",
 		metricEmbedRequests,
@@ -222,7 +226,7 @@ func TestStatsMetricsParity(t *testing.T) {
 			Workers:   2,
 			MaxBatch:  4,
 			MaxDelay:  100 * time.Microsecond,
-			CacheSize: 16,
+			CacheSize: 128, // room for all five inputs in any one shard of the seeded hash
 			Metrics:   mx,
 		})
 		m, err := model.New("test", "v1", testNet(1), program.CompileOptions{InShape: []int{64}})
@@ -309,6 +313,81 @@ func TestStatsMetricsParity(t *testing.T) {
 		vals := seriesValues(t, scrapeMetrics(t, hs.URL))
 		assertSeries(t, vals, serve.MetricShed+`{model="test@v1",reason="slo"}`, float64(st.Shed))
 		assertSeries(t, vals, serve.MetricRequests+`{model="test@v1"}`, float64(st.Requests))
+	})
+
+	// The streaming listener's counters through both surfaces, after
+	// pipelined traffic and a complete drain: Stats() and the scrape read
+	// the same atomics, and every socket write carried at least one frame.
+	t.Run("stream", func(t *testing.T) {
+		mx := metrics.NewRegistry()
+		reg := serve.NewRegistry(serve.Options{Workers: 2, MaxBatch: 4, MaxDelay: 100 * time.Microsecond})
+		m, err := model.New("test", "v1", testNet(1), program.CompileOptions{InShape: []int{64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Register(m); err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		ss := stream.NewServer(reg, stream.Options{Metrics: mx})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- ss.Serve(ln) }()
+		defer func() { ss.Close(); <-served }()
+		hs := httptest.NewServer(newMux(reg, time.Now(), nil, mx, nil))
+		defer hs.Close()
+
+		cl, err := stream.Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		const callers, each = 8, 10
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				in := [][]float64{make([]float64, 64)}
+				for i := 0; i < each; i++ {
+					if _, err := cl.Do(ctx, "test", in); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := cl.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// The connection is gone once its last frame, the GOAWAY, is out.
+		for ss.Stats().Conns != 0 {
+			if ctx.Err() != nil {
+				t.Fatal("connection still open after the client's drain")
+			}
+			time.Sleep(time.Millisecond)
+		}
+
+		st := ss.Stats()
+		if st.Frames != callers*each || st.Responses != callers*each {
+			t.Fatalf("frames=%d responses=%d, want %d each", st.Frames, st.Responses, callers*each)
+		}
+		if st.Writes == 0 || st.Writes > st.Responses+st.GoAways {
+			t.Errorf("writes=%d for %d responses and %d GOAWAYs: want at least one frame per write", st.Writes, st.Responses, st.GoAways)
+		}
+		vals := seriesValues(t, scrapeMetrics(t, hs.URL))
+		assertSeries(t, vals, "repro_stream_conns_total", float64(st.TotalConns))
+		assertSeries(t, vals, "repro_stream_frames_total", float64(st.Frames))
+		assertSeries(t, vals, "repro_stream_responses_total", float64(st.Responses))
+		assertSeries(t, vals, "repro_stream_writes_total", float64(st.Writes))
+		assertSeries(t, vals, "repro_stream_shed_total", float64(st.Shed))
+		assertSeries(t, vals, "repro_stream_goaways_total", float64(st.GoAways))
+		assertSeries(t, vals, "repro_stream_pipeline_depth", 0)
 	})
 }
 

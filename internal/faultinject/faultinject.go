@@ -11,8 +11,8 @@
 // streams (one per direction) from Config.Seed and the connection's
 // accept/dial ordinal, and each I/O operation consumes draws from its
 // stream in call order. Reads and writes on one connection are already
-// serialized by their owners (a demux read loop, a mutex-guarded write
-// path), so a fixed seed replays the same fault schedule for the same
+// serialized by their owners (a demux read loop, a single writer
+// goroutine), so a fixed seed replays the same fault schedule for the same
 // traffic shape, and a chaos failure reproduces under `go test -run ...
 // -seed` instead of vanishing. The wrappers are nonetheless fully
 // goroutine-safe: fault draws take a per-direction mutex, never the

@@ -253,10 +253,16 @@ func TestRouterRoutesByView(t *testing.T) {
 // fixed op count, over and over, while concurrent load keeps calls in
 // flight — so drops catch live requests — yet no routed request may
 // surface an error: each loss is retried once on the other backend.
+//
+// An op is a Read or a Write of the transport, and one of either now
+// carries every frame that was ready: a lockstepped batch of replies is
+// one Read, after which nothing is in flight for the next op's drop to
+// catch. So the load does not stop at a fixed count but runs on (within
+// a bound) until some drop has caught a live request.
 func TestRouterRetriesOnConnLoss(t *testing.T) {
 	b1 := startFleetBackend(t, newFleetRegistry(t, nil, "v1"), nil, stream.Options{})
 	b2 := startFleetBackend(t, newFleetRegistry(t, nil, "v1"), nil, stream.Options{})
-	inj := faultinject.New(faultinject.Config{Seed: 7, DropAfterOps: 30})
+	inj := faultinject.New(faultinject.Config{Seed: 7, DropAfterOps: 10})
 	cfgs := []BackendConfig{b1.config(), b2.config()}
 	cfgs[0].Dial = inj.Dialer(b1.addr)
 	rt := newTestRouter(t, Options{
@@ -272,14 +278,14 @@ func TestRouterRetriesOnConnLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const workers, perWorker = 4, 30
+	const workers, perWorker, maxPerWorker = 4, 30, 3000
 	var wg sync.WaitGroup
-	errCh := make(chan error, workers*perWorker)
+	errCh := make(chan error, workers*maxPerWorker)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
+			for i := 0; i < perWorker || (i < maxPerWorker && rt.Stats().Retries == 0); i++ {
 				res, err := rt.Infer(ctx, "mnist", "v1", in)
 				if err != nil {
 					errCh <- err

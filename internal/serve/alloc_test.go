@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -19,9 +18,8 @@ import (
 // AllocsPerRun, which counts every goroutine's allocations, so the
 // dispatcher and worker are covered, not just the caller).
 //
-// The cache stays disabled: a cache lookup materialises a key string per
-// request by design (exact-input keying), which is the documented cost of
-// enabling it.
+// The cache stays disabled so every call runs the model; the cached path
+// has its own gate, TestCachedInferZeroAlloc.
 func TestRegistryRoutedInferZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gate runs without -race")
@@ -121,82 +119,75 @@ func TestInferIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestCacheSharding covers the shard layout: capacities partition across
-// shards (summing to the configured total), tiny caches collapse to fewer
-// shards, keys route deterministically, and aggregated counters reconcile
-// with traffic.
-func TestCacheSharding(t *testing.T) {
-	for _, tc := range []struct{ capacity, wantShards int }{
-		{1, 1}, {2, 2}, {3, 2}, {15, 8}, {16, 16}, {1024, 16},
-	} {
-		c := newResultCache(tc.capacity)
-		if len(c.shards) != tc.wantShards {
-			t.Errorf("capacity %d: %d shards, want %d", tc.capacity, len(c.shards), tc.wantShards)
+// TestCachedInferZeroAlloc is the result-cache allocation gate: with the
+// cache full, a hit (hash, bit-for-bit compare, scores copied out under
+// the shard lock) and a miss (hash, lookup, model pass, insert recycling
+// the evicted entry) both allocate nothing anywhere in the process.
+func TestCachedInferZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the alloc gate runs without -race")
+	}
+	rng := rand.New(rand.NewSource(74))
+	m, err := model.New("arch1", "v1", nn.Arch1(rng), program.CompileOptions{InShape: []int{256}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity = 16
+	srv, err := NewModel(m, Options{Workers: 1, MaxBatch: 16, CacheSize: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Sixteen times more inputs than entries, visited round-robin: by the
+	// time an input comes round again its shard has long evicted it.
+	inputs := make([][]float64, 16*capacity)
+	for i := range inputs {
+		inputs[i] = make([]float64, 256)
+		for j := range inputs[i] {
+			inputs[i][j] = rng.NormFloat64()
 		}
-		total := 0
-		for i := range c.shards {
-			total += c.shards[i].cap
+	}
+	ctx := context.Background()
+	var scores []float64
+	next := 0
+	infer := func(in []float64) Result {
+		res, err := srv.InferInto(ctx, in, scores)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if total != tc.capacity {
-			t.Errorf("capacity %d: shard capacities sum to %d", tc.capacity, total)
-		}
+		scores = res.Scores
+		return res
+	}
+	for k := 0; k < 3*len(inputs); k++ { // fill every shard and size every recycled buffer
+		infer(inputs[next%len(inputs)])
+		next++
 	}
 
-	// Fill a sharded cache far beyond capacity: the entry count must never
-	// exceed the configured total, and every key must be found in the
-	// shard it hashes to (get after add).
-	const capacity = 32
-	c := newResultCache(capacity)
-	for i := 0; i < 10*capacity; i++ {
-		key := cacheKey(fmt.Sprintf("m@v%d", i), []float64{float64(i)})
-		sh := c.shard(key)
-		sh.add(key, Result{Class: i})
-		if res, ok := sh.get(key); !ok || res.Class != i {
-			t.Fatalf("key %d: just-added entry not found (ok=%v)", i, ok)
-		}
+	before := srv.Stats()
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, func() {
+		infer(inputs[next%len(inputs)])
+		next++
+	})
+	after := srv.Stats()
+	if allocs > 0 {
+		t.Errorf("miss + insert on a full cache allocates %.0f/op; want 0", allocs)
 	}
-	hits, misses, entries := c.counters()
-	if entries > capacity {
-		t.Errorf("cache holds %d entries, capacity %d", entries, capacity)
+	if after.CacheEntries != capacity {
+		t.Errorf("cache holds %d entries, want it full at %d", after.CacheEntries, capacity)
 	}
-	if hits != 10*capacity || misses != 0 {
-		t.Errorf("counters hits=%d misses=%d, want %d/0", hits, misses, 10*capacity)
+	if missed := after.CacheMisses - before.CacheMisses; missed < runs/2 {
+		t.Errorf("only %d of %d round-robin lookups missed; the miss path was not what ran", missed, runs)
 	}
-}
 
-// TestCacheShardedConcurrent hammers one cache from many goroutines with
-// overlapping keys (hits, misses, evictions in every shard) and checks the
-// aggregate counters reconcile; run under -race in CI, this is the
-// regression test for the shard conversion.
-func TestCacheShardedConcurrent(t *testing.T) {
-	const goroutines, iters, distinct = 8, 500, 64
-	c := newResultCache(distinct / 2) // force evictions
-	keys := make([]string, distinct)
-	for i := range keys {
-		keys[i] = cacheKey("m@v1", []float64{float64(i)})
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < iters; i++ {
-				k := keys[rng.Intn(distinct)]
-				sh := c.shard(k)
-				if _, ok := sh.get(k); !ok {
-					sh.miss()
-					sh.add(k, Result{Class: i})
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	hits, misses, entries := c.counters()
-	if hits+misses != goroutines*iters {
-		t.Errorf("hits %d + misses %d != %d lookups", hits, misses, goroutines*iters)
-	}
-	if entries > distinct/2 {
-		t.Errorf("cache holds %d entries, capacity %d", entries, distinct/2)
+	hot := inputs[0]
+	infer(hot)
+	allocs = testing.AllocsPerRun(runs, func() {
+		if res := infer(hot); !res.Cached {
+			t.Fatal("repeat of the input just served was not a cache hit")
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("cache hit allocates %.0f/op; want 0", allocs)
 	}
 }

@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"container/list"
-	"encoding/binary"
 	"math"
+	"math/bits"
 	"sync"
+	"time"
 )
 
 // resultCache is a fixed-capacity LRU of inference results keyed by the
@@ -12,21 +12,32 @@ import (
 // same preprocessed frame, the same probe image), and a cache hit skips
 // the queue, the batch and the FFTs entirely.
 //
-// Keys are the model's name@version identifier followed by the raw
-// little-endian bytes of the input, so equality is exact: a hit can never
-// return the result of a different input, and two registered models can
-// never alias each other's cached scores even if a cache were shared —
-// the namespace makes identical input bytes distinct keys per model.
+// A lookup costs one pass over the input: hashInput mixes the input's
+// math.Float64bits a word at a time into 64 bits, the hash picks the
+// shard and keys the shard's map, and the entry found there keeps the
+// exact input it was stored under. A hit is accepted only when that
+// input equals the query bit for bit, so a hit can never return the
+// result of a different input — two inputs sharing a hash are a miss,
+// and the newcomer replaces the entry — and +0/−0 or two NaN payloads
+// stay distinct keys. The hash is seeded per cache (from the clock at
+// construction), so no fixed set of inputs shares a shard or a hash in
+// every process. Every Server owns its cache: two registered models
+// cannot see each other's entries.
 //
-// The cache is sharded cacheShards ways by key hash: under concurrent
+// The cache is sharded cacheShards ways by the hash: under concurrent
 // /infer load every lookup and insert takes a lock, and a single mutex in
 // front of one LRU list serialises the whole request fan-in. Each shard
-// owns an independent mutex, LRU list and hit/miss counters; a key's
-// shard is fixed (FNV-1a of the key), so LRU ordering and eviction stay
-// exact per shard and the total capacity is partitioned across shards.
+// owns an independent mutex, LRU list and hit/miss counters, so LRU
+// ordering and eviction stay exact per shard and the total capacity is
+// partitioned across shards.
+//
+// Entries are an intrusive list whose evicted entry — its input copy and
+// score row — is recycled by the insert that evicted it: once a shard is
+// full, a hit, a miss and an insert allocate nothing.
 type resultCache struct {
 	shards []cacheShard
 	mask   uint64 // len(shards)-1; shard counts are powers of two
+	seed   uint64
 }
 
 // cacheShards is the shard-count ceiling: comfortably above the core
@@ -45,15 +56,19 @@ const cacheShards = 16
 type cacheShard struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List               // front = most recently used
-	items map[string]*list.Element // key → element whose Value is *cacheEntry
+	items map[uint64]*cacheEntry // input hash → entry
+	lru   cacheEntry             // list sentinel: lru.next is the most recently used entry, lru.prev the least
 
 	hits, misses uint64
 }
 
+// cacheEntry is one cached result and a link of its shard's LRU list.
 type cacheEntry struct {
-	key string
-	res Result
+	prev, next *cacheEntry
+	hash       uint64
+	input      []float64 // the exact input the result belongs to
+	class      int
+	scores     []float64
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -64,74 +79,108 @@ func newResultCache(capacity int) *resultCache {
 	for nshards*2 <= cacheShards && nshards*2 <= capacity {
 		nshards *= 2
 	}
-	c := &resultCache{shards: make([]cacheShard, nshards), mask: uint64(nshards - 1)}
+	c := &resultCache{
+		shards: make([]cacheShard, nshards),
+		mask:   uint64(nshards - 1),
+		seed:   uint64(time.Now().UnixNano()),
+	}
 	per := capacity / nshards
 	extra := capacity % nshards
 	for i := range c.shards {
-		n := per
+		s := &c.shards[i]
+		s.cap = per
 		if i < extra {
-			n++
+			s.cap++
 		}
-		c.shards[i] = cacheShard{
-			cap:   n,
-			order: list.New(),
-			items: make(map[string]*list.Element, n),
-		}
+		s.items = make(map[uint64]*cacheEntry, s.cap)
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
 	}
 	return c
 }
 
-// shard maps a key to its home shard by FNV-1a hash.
+// hashInput mixes the input's bit patterns into the 64-bit hash that
+// picks its shard and keys the shard's map: two words per 128-bit
+// multiply, folded, with the length mixed in last.
 //
 //repro:noalloc
-func (c *resultCache) shard(key string) *cacheShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+func (c *resultCache) hashInput(input []float64) uint64 {
+	const k0, k1 = 0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f
+	h := c.seed
+	i := 0
+	for ; i+1 < len(input); i += 2 {
+		hi, lo := bits.Mul64(math.Float64bits(input[i])^h^k0, math.Float64bits(input[i+1])^k1)
+		h ^= hi ^ lo
 	}
-	return &c.shards[h&c.mask]
+	if i < len(input) {
+		hi, lo := bits.Mul64(math.Float64bits(input[i])^h^k0, k1)
+		h ^= hi ^ lo
+	}
+	hi, lo := bits.Mul64(h^k1, uint64(len(input))^k0)
+	return hi ^ lo
 }
 
-// cacheKey encodes an input vector as an exact byte-string key, namespaced
-// by the serving model's name@version identifier. The namespace length is
-// prefixed so no (namespace, input) pair can collide with another by
-// shifting bytes across the boundary.
-func cacheKey(namespace string, input []float64) string {
-	b := make([]byte, 4+len(namespace)+8*len(input))
-	binary.LittleEndian.PutUint32(b, uint32(len(namespace)))
-	copy(b[4:], namespace)
-	off := 4 + len(namespace)
-	for i, v := range input {
-		binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(v))
-	}
-	return string(b)
-}
-
-// The lookup/record operations live on cacheShard: for a ~2 KB exact-input
-// key, hashing is a real cost, so the serving path resolves a key's shard
-// once per request (resultCache.shard) and drives every subsequent
-// operation — get, miss/unmiss, the worker's add — against that pointer.
-
-// get returns the cached result for key and whether it was present,
-// promoting the entry to most recently used and counting the hit.
+// shard maps an input hash to its home shard.
 //
 //repro:noalloc
-func (s *cacheShard) get(key string) (Result, bool) {
+func (c *resultCache) shard(hash uint64) *cacheShard {
+	return &c.shards[hash&c.mask]
+}
+
+// sameBits reports whether a and b are the same vector bit for bit (so
+// +0 ≠ −0 and a NaN equals only its own payload).
+//
+//repro:noalloc
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// toFront makes e the shard's most recently used entry; e is either new
+// (unlinked, prev == nil) or already on the list.
+//
+//repro:noalloc
+func (s *cacheShard) toFront(e *cacheEntry) {
+	if e.prev != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// The lookup/record operations live on cacheShard: the serving path
+// hashes an input and resolves its shard once per request, and drives
+// every subsequent operation — get, miss/unmiss, the worker's add —
+// against that pointer and hash.
+
+// get looks input up under its hash. On a hit the entry becomes the most
+// recently used, the hit is counted, and the scores are copied into the
+// caller's buffer (grown as needed) before the shard lock is released:
+// the entry's score row is recycled by a later eviction, so it must not
+// be read outside the lock.
+//
+//repro:noalloc
+func (s *cacheShard) get(hash uint64, input, scores []float64) (Result, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
+	e := s.items[hash]
+	if e == nil || !sameBits(e.input, input) {
 		return Result{}, false
 	}
 	s.hits++
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	s.toFront(e)
+	return Result{Class: e.class, Scores: append(scores[:0], e.scores...), Cached: true}, true
 }
 
 // miss counts one lookup miss whose request was admitted to the queue;
 // unmiss reverses it for a submission cancelled before admission. Callers
-// must use the key's home shard so the counters reconcile with its own
+// must use the input's home shard so the counters reconcile with its own
 // traffic.
 //
 //repro:noalloc
@@ -148,22 +197,33 @@ func (s *cacheShard) unmiss() {
 	s.mu.Unlock()
 }
 
-// add inserts or refreshes an entry, evicting the shard's least recently
-// used entry when over its capacity.
-func (s *cacheShard) add(key string, res Result) {
+// add stores (input → class, scores) under hash, copying both vectors
+// into the entry's own storage. An entry already under the hash is
+// overwritten — a refresh of the same input, or a different input that
+// collided with it; otherwise a full shard recycles its least recently
+// used entry, buffers included.
+//
+//repro:noalloc
+func (s *cacheShard) add(hash uint64, input []float64, class int, scores []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		s.order.MoveToFront(el)
-		return
+	e := s.items[hash]
+	if e == nil {
+		if len(s.items) < s.cap {
+			e = &cacheEntry{}
+		} else {
+			e = s.lru.prev
+			delete(s.items, e.hash)
+		}
+		// Once the shard is full this re-keys a recycled entry into the slot
+		// its eviction just freed; the map only grows while the shard fills.
+		s.items[hash] = e
 	}
-	s.items[key] = s.order.PushFront(&cacheEntry{key: key, res: res})
-	if s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*cacheEntry).key)
-	}
+	s.toFront(e)
+	e.hash = hash
+	e.input = append(e.input[:0], input...)
+	e.class = class
+	e.scores = append(e.scores[:0], scores...)
 }
 
 // counts returns this shard's hit/miss counters and entry count under its
@@ -171,7 +231,7 @@ func (s *cacheShard) add(key string, res Result) {
 func (s *cacheShard) counts() (hits, misses uint64, entries int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.hits, s.misses, s.order.Len()
+	return s.hits, s.misses, len(s.items)
 }
 
 // counters returns the aggregated hit/miss totals and entry count. Each
@@ -183,12 +243,10 @@ func (s *cacheShard) counts() (hits, misses uint64, entries int) {
 // double-count.
 func (c *resultCache) counters() (hits, misses uint64, entries int) {
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.misses
-		entries += s.order.Len()
-		s.mu.Unlock()
+		h, m, n := c.shards[i].counts()
+		hits += h
+		misses += m
+		entries += n
 	}
 	return hits, misses, entries
 }

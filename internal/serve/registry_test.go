@@ -157,18 +157,21 @@ func TestLatestAliasRepointing(t *testing.T) {
 	}
 }
 
-// TestRegistryCacheNamespacing is the satellite regression test: result
-// caches are keyed by name@version plus the input bytes, so two registered
-// models fed the same input vector can never alias each other's cached
-// scores.
+// TestRegistryCacheNamespacing is the cache-isolation regression test:
+// every registered model — another name, or another version of the same
+// name — answers from its own Server's cache, so models fed the same
+// input vector never serve each other's cached scores.
 func TestRegistryCacheNamespacing(t *testing.T) {
 	reg := NewRegistry(registryOptions(32))
 	defer reg.Close()
-	if err := reg.Register(registryModel(t, "a", "v1", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(registryModel(t, "b", "v1", 2)); err != nil {
-		t.Fatal(err)
+	models := []struct {
+		name, version string
+		seed          int64
+	}{{"a", "v1", 1}, {"a", "v2", 2}, {"b", "v1", 3}}
+	for _, m := range models {
+		if err := reg.Register(registryModel(t, m.name, m.version, m.seed)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(3))
@@ -176,65 +179,29 @@ func TestRegistryCacheNamespacing(t *testing.T) {
 	for i := range input {
 		input[i] = rng.NormFloat64()
 	}
-	refA := testModel(1).Forward(tensor.FromSlice(input, 1, 64), false).Row(0)
-	refB := testModel(2).Forward(tensor.FromSlice(input, 1, 64), false).Row(0)
 
-	// Prime model a's cache with this exact input, then query model b:
-	// b's first sight of the input must be a miss served by b's own
-	// forward pass, never a's cached scores.
-	resA, err := reg.Infer(context.Background(), "a", "", input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := reg.Infer(context.Background(), "b", "", input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resB.Cached {
-		t.Error("model b's first query answered from cache after priming model a")
-	}
-	for j := range refA {
-		if resA.Scores[j] != refA[j] {
-			t.Fatalf("model a score %d: %g, reference %g", j, resA.Scores[j], refA[j])
+	// The same exact input goes to each model in turn, with the earlier
+	// models' caches already primed by it: every first sight must be a
+	// miss served by that model's own forward pass, and every repeat a
+	// hit carrying that model's own scores.
+	ctx := context.Background()
+	for _, m := range models {
+		ref := testModel(m.seed).Forward(tensor.FromSlice(input, 1, 64), false).Row(0)
+		for _, wantCached := range []bool{false, true} {
+			res, err := reg.Infer(ctx, m.name, m.version, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cached != wantCached {
+				t.Errorf("%s@%s: cached=%v, want %v", m.name, m.version, res.Cached, wantCached)
+			}
+			for j := range ref {
+				if res.Scores[j] != ref[j] {
+					t.Fatalf("%s@%s (cached=%v) score %d: %g, reference %g (another model's cached scores?)",
+						m.name, m.version, res.Cached, j, res.Scores[j], ref[j])
+				}
+			}
 		}
-		if resB.Scores[j] != refB[j] {
-			t.Fatalf("model b score %d: %g, reference %g (aliased into a's cache?)", j, resB.Scores[j], refB[j])
-		}
-	}
-	// Repeats hit each model's own namespace.
-	resA2, err := reg.Infer(context.Background(), "a", "", input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB2, err := reg.Infer(context.Background(), "b", "", input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resA2.Cached || !resB2.Cached {
-		t.Errorf("repeats not cached: a=%v b=%v", resA2.Cached, resB2.Cached)
-	}
-	if resA2.Class != resA.Class || resB2.Class != resB.Class {
-		t.Error("cached classes drifted from first answers")
-	}
-}
-
-// TestCacheKeyNamespace pins the key encoding itself: equal inputs under
-// different namespaces, and namespace/input boundary shifts, must produce
-// distinct keys.
-func TestCacheKeyNamespace(t *testing.T) {
-	x := []float64{1, 2, 3}
-	if cacheKey("a@v1", x) == cacheKey("b@v1", x) {
-		t.Error("same input under different models produced the same cache key")
-	}
-	if cacheKey("a@v1", x) == cacheKey("a@v2", x) {
-		t.Error("same input under different versions produced the same cache key")
-	}
-	if cacheKey("a@v1", x) != cacheKey("a@v1", []float64{1, 2, 3}) {
-		t.Error("equal (namespace, input) pairs produced different keys")
-	}
-	// Length prefix prevents boundary shifting between namespace and data.
-	if cacheKey("ab", []float64{1}) == cacheKey("a", append([]float64{0}, 1)[:1]) {
-		t.Error("namespace bytes can shift into input bytes")
 	}
 }
 

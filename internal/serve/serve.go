@@ -10,8 +10,8 @@
 //     of Options.Workers model replicas (model.Model.Replicate, so no
 //     mutable state is shared) runs each dispatched batch as one planned
 //     spectral pass per layer, and an optional LRU result cache — keyed by
-//     the model's name@version plus the exact input bytes — answers
-//     repeated queries without touching the queue at all.
+//     the exact input, bit for bit — answers repeated queries without
+//     touching the queue at all.
 //   - Registry (registry.go) holds any number of versioned Servers behind
 //     "name@version" identifiers with a "latest" alias, weighted A/B
 //     routing between versions, and atomic hot-swap while serving.
@@ -138,8 +138,8 @@ type Result struct {
 type request struct {
 	input    []float64
 	scores   []float64
-	key      string      // cache key, "" when caching is disabled
-	shard    *cacheShard // key's home shard, resolved once per request
+	hash     uint64      // input hash, the cache key; unused when caching is disabled
+	shard    *cacheShard // hash's home shard, resolved once per request
 	enq      time.Time
 	deadline time.Time // from the submitting context; zero = none
 	// err is set by the worker before the resp send when the request was
@@ -158,7 +158,7 @@ var requestPool = sync.Pool{
 type Server struct {
 	opts     Options
 	m        model.Model
-	id       string // name@version — the cache namespace
+	id       string // name@version
 	inShape  []int
 	features int
 
@@ -270,7 +270,7 @@ func (s *Server) InferInto(ctx context.Context, input, scores []float64) (Result
 		return Result{}, ErrClosed
 	}
 
-	var key string
+	var hash uint64
 	var shard *cacheShard
 	if s.cache != nil {
 		// Count the request before the cache lookup: hits are recorded
@@ -281,13 +281,9 @@ func (s *Server) InferInto(ctx context.Context, input, scores []float64) (Result
 		// closed-server and cancelled-before-admission paths below, keeping
 		// the "only accepted calls are counted" contract.
 		s.stats.request()
-		//repro:lint-ignore noalloc the result-cache key is one small allocation, the documented cost of enabling the LRU
-		key = cacheKey(s.id, input)
-		shard = s.cache.shard(key)
-		if res, ok := shard.get(key); ok {
-			res.Cached = true
-			res.BatchSize = 0
-			res.Scores = append(scores[:0], res.Scores...)
+		hash = s.cache.hashInput(input)
+		shard = s.cache.shard(hash)
+		if res, ok := shard.get(hash, input, scores); ok {
 			return res, nil
 		}
 		// The miss is recorded only after queue admission below, so the
@@ -297,7 +293,7 @@ func (s *Server) InferInto(ctx context.Context, input, scores []float64) (Result
 
 	r := requestPool.Get().(*request)
 	r.input = append(r.input[:0], input...) // detach from caller
-	r.key = key
+	r.hash = hash
 	r.shard = shard
 	r.enq = time.Now()
 	r.deadline, _ = ctx.Deadline()
@@ -575,11 +571,9 @@ func (s *Server) worker(m model.Model) {
 			r.scores = append(r.scores[:0], out.Data[i*classes:(i+1)*classes]...)
 			res := Result{Class: nn.Argmax(r.scores), Scores: r.scores, BatchSize: n}
 			if s.cache != nil {
-				// Cache a private copy of the scores: the request's row is
-				// reused on its next trip through the pool.
-				cres := res
-				cres.Scores = append([]float64(nil), r.scores...)
-				r.shard.add(r.key, cres)
+				// The cache copies input and scores into its own entry: the
+				// request's buffers are reused on its next trip through the pool.
+				r.shard.add(r.hash, r.input, res.Class, r.scores)
 			}
 			r.resp <- res
 		}

@@ -39,7 +39,7 @@ func TestStreamInferZeroAlloc(t *testing.T) {
 	if err := reg.Register(m); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, Options{Window: 32, Handlers: 2})
+	srv := NewServer(reg, Options{Window: 32})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

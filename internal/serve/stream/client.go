@@ -77,13 +77,15 @@ func (o ClientOptions) withDefaults() ClientOptions {
 }
 
 // call is one in-flight request's rendezvous, pooled so the steady-state
-// Do round trip allocates nothing. The reader parses the response into
-// the call's own scratch before signalling done; Do copies outward and
-// recycles. A call abandoned by context cancellation is NOT pooled — the
-// reader may still be about to touch it (the buffered done channel makes
-// that signal harmless on a dead call).
+// Do round trip allocates nothing. Do encodes the request frame into the
+// call's own buffer before queueing it for the writer; the reader parses
+// the response into the call's own scratch before signalling done; Do
+// copies outward and recycles. A call abandoned by context cancellation
+// is NOT pooled — the reader may still be about to touch it (the buffered
+// done channel makes that signal harmless on a dead call).
 type call struct {
 	done    chan struct{}
+	frame   []byte // encoded request frame
 	scratch serve.WireResultsScratch
 	results []serve.Result
 	err     error
@@ -100,15 +102,13 @@ var callPool = sync.Pool{
 type Client struct {
 	opts ClientOptions
 
-	// nc is the current transport. It is written at construction and —
-	// for a reconnecting client — replaced by the redial loop while
-	// holding both mu and wmu; every reader holds one of the two.
-	nc net.Conn
-
-	wmu  sync.Mutex
-	wbuf []byte // frame encode scratch, under wmu
-
-	mu       sync.Mutex
+	mu sync.Mutex
+	// w is the current transport and its one writer. It is set at
+	// construction and — for a reconnecting client — replaced by the
+	// redial loop; a frame is only ever queued on the writer that was
+	// current when its call was registered, so nothing queued for a lost
+	// transport reaches its successor.
+	w        *connWriter
 	calls    map[uint64]*call
 	inflight int
 	idle     chan struct{} // signalled when inflight drops to 0, for Close
@@ -118,7 +118,6 @@ type Client struct {
 	nextID    atomic.Uint64
 	goingAway atomic.Bool
 	down      atomic.Bool   // reconnecting client with no live transport
-	gen       atomic.Uint64 // connection generation, bumped per redial
 	dials     atomic.Uint64 // transports established
 
 	shutdown chan struct{} // closed by Close, wakes the redial backoff
@@ -157,14 +156,13 @@ func NewClient(nc net.Conn) *Client {
 func newClient(nc net.Conn, opts ClientOptions) *Client {
 	c := &Client{
 		opts:     opts,
-		nc:       nc,
+		w:        newConnWriter(nc, nil, nil),
 		calls:    make(map[uint64]*call),
 		idle:     make(chan struct{}, 1),
 		drained:  make(chan struct{}),
 		shutdown: make(chan struct{}),
 		readDone: make(chan struct{}),
 	}
-	c.gen.Store(1)
 	c.dials.Store(1)
 	go c.read()
 	return c
@@ -216,6 +214,14 @@ func (c *Client) DoInto(ctx context.Context, route string, inputs [][]float64, o
 	cl := callPool.Get().(*call)
 	cl.err = nil
 	id := c.nextID.Add(1)
+	cl.frame = beginFrame(cl.frame[:0], FrameRequest, id)
+	var err error
+	cl.frame, err = appendRequestPayload(cl.frame, route, budget, inputs)
+	if err != nil {
+		callPool.Put(cl)
+		return out, err
+	}
+	cl.frame = finishFrame(cl.frame, 0)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -225,29 +231,22 @@ func (c *Client) DoInto(ctx context.Context, route string, inputs [][]float64, o
 	//repro:lint-ignore noalloc registering the pending call in the id map may grow it; the sync.Pool reuses call slots themselves
 	c.calls[id] = cl
 	c.inflight++
+	w := c.w
 	c.mu.Unlock()
 
-	c.wmu.Lock()
-	start := 0
-	c.wbuf = beginFrame(c.wbuf[:0], FrameRequest, id)
-	var err error
-	c.wbuf, err = appendRequestPayload(c.wbuf, route, budget, inputs)
-	if err == nil {
-		c.wbuf = finishFrame(c.wbuf, start)
-		if _, werr := c.nc.Write(c.wbuf); werr != nil {
-			// A failed frame write IS a lost connection; give it the
-			// typed identity retry policies key on.
-			err = &connLostError{cause: werr}
-		}
-	}
-	c.wmu.Unlock()
-	if err != nil {
+	// The frame goes to the writer of the transport the call was
+	// registered against. Once that transport is lost its writer refuses
+	// frames with the typed ErrConnLost identity retry policies key on —
+	// and it is stopped before the registered calls are failed, so a call
+	// registered too late to be failed with them is refused here: no
+	// frame is ever queued and then silently dropped.
+	if err := w.enqueue(ctx, cl.frame, false); err != nil {
 		// The reader may have raced us: a connection failure between
-		// registering the call and the write error runs failInflight,
-		// which claims the call and signals done. Pooling a call with
-		// that signal still pending would poison the pool, so claim it
-		// back under mu — and if the reader won, drain its signal (and
-		// prefer its typed error) before recycling.
+		// registering the call and the refusal runs failInflight, which
+		// claims the call and signals done. Pooling a call with that
+		// signal still pending would poison the pool, so claim it back
+		// under mu — and if the reader won, drain its signal (and prefer
+		// its error) before recycling.
 		c.mu.Lock()
 		_, mine := c.calls[id]
 		delete(c.calls, id)
@@ -351,7 +350,14 @@ func appendResults(out, parsed []serve.Result) []serve.Result {
 func (c *Client) read() {
 	var rng *rand.Rand // lazily built; jitter only matters when redialing
 	for {
-		err := c.readConn()
+		w := c.writer()
+		err := c.readConn(w)
+		// The transport is done with, whatever ended the read. Closing it
+		// makes the writer's last flush fail at once instead of blocking,
+		// and stopping the writer — before any registered call is failed
+		// — makes every later enqueue on it fail typed (see DoInto).
+		_ = w.nc.Close()
+		w.stop(err)
 		c.mu.Lock()
 		closed := c.closed
 		c.mu.Unlock()
@@ -379,11 +385,10 @@ func (c *Client) read() {
 	}
 }
 
-// readConn demultiplexes the current transport until it fails, returning
-// the transport error.
-func (c *Client) readConn() error {
-	gen := c.gen.Load()
-	br := bufio.NewReaderSize(c.nc, 64<<10)
+// readConn demultiplexes w's transport until it fails, returning the
+// transport error.
+func (c *Client) readConn(w *connWriter) error {
+	br := bufio.NewReaderSize(w.nc, 64<<10)
 	var f Frame
 	for {
 		if err := DecodeFrame(br, &f); err != nil {
@@ -401,7 +406,7 @@ func (c *Client) readConn() error {
 				drained := c.drained
 				c.mu.Unlock()
 				close(drained)
-				go c.ackGoAway(gen)
+				go c.ackGoAway(w)
 			}
 		case FrameResponse:
 			cl := c.take(f.ID)
@@ -461,25 +466,20 @@ func (c *Client) redial(rng *rand.Rand) bool {
 		}
 		nc, err := c.opts.Dial()
 		if err == nil {
-			// Install the fresh transport under both locks so no writer
-			// or GOAWAY acker can touch a half-swapped connection, and
+			// Install the fresh transport, with a writer of its own, and
 			// reset the per-connection drain state.
-			c.wmu.Lock()
 			c.mu.Lock()
 			if c.closed {
 				c.mu.Unlock()
-				c.wmu.Unlock()
 				_ = nc.Close()
 				return false
 			}
-			c.nc = nc
+			c.w = newConnWriter(nc, nil, nil)
 			c.drained = make(chan struct{})
-			c.gen.Add(1)
 			c.dials.Add(1)
 			c.goingAway.Store(false)
 			c.down.Store(false)
 			c.mu.Unlock()
-			c.wmu.Unlock()
 			return true
 		}
 		// Jittered exponential backoff: wait backoff ± 50%.
@@ -504,18 +504,15 @@ func (c *Client) redial(rng *rand.Rand) bool {
 // fast-path but has not yet registered: it observes closed and fails
 // instead of slipping a frame past the handshake. A reconnecting client
 // stays open — the redial loop resets the drain state once the server
-// closes the drained connection — so it marks itself down instead. The
-// generation guard keeps a stale acker (its connection already replaced)
-// from touching the successor transport.
-func (c *Client) ackGoAway(gen uint64) {
+// closes the drained connection — so it marks itself down instead. w is
+// the transport the GOAWAY arrived on: a stale acker (its connection
+// already replaced) leaves the successor alone.
+func (c *Client) ackGoAway(w *connWriter) {
 	for {
-		if c.gen.Load() != gen {
-			return
-		}
 		c.mu.Lock()
-		if c.closed {
+		if c.closed || c.w != w {
 			c.mu.Unlock()
-			return // Close owns the handshake from here
+			return // Close, or the successor transport, owns the handshake from here
 		}
 		if c.inflight == 0 {
 			if c.opts.Reconnect {
@@ -524,12 +521,7 @@ func (c *Client) ackGoAway(gen uint64) {
 				c.closed = true
 			}
 			c.mu.Unlock()
-			c.wmu.Lock()
-			if c.gen.Load() == gen {
-				c.wbuf, _ = AppendFrame(c.wbuf[:0], FrameGoAway, 0, nil)
-				_, _ = c.nc.Write(c.wbuf) // best-effort: a failed GOAWAY surfaces in the read loop
-			}
-			c.wmu.Unlock()
+			_ = w.enqueue(context.Background(), goAwayFrame, false) // best-effort: a lost connection surfaces in the read loop
 			return
 		}
 		c.mu.Unlock()
@@ -567,11 +559,11 @@ func (c *Client) closeShutdown() {
 	c.mu.Unlock()
 }
 
-// conn returns the current transport under the write lock.
-func (c *Client) conn() net.Conn {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.nc
+// writer returns the current transport's writer.
+func (c *Client) writer() *connWriter {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.w
 }
 
 // Close drains the connection: it waits for in-flight calls to complete
@@ -590,23 +582,19 @@ func (c *Client) Close(ctx context.Context) error {
 		select {
 		case <-c.idle:
 		case <-ctx.Done():
-			_ = c.conn().Close()
+			_ = c.writer().nc.Close()
 			<-c.readDone
 			return ctx.Err()
 		case <-c.readDone:
 			// Connection already gone; nothing left to drain.
-			_ = c.conn().Close()
 			return c.readErr
 		}
 	}
-	c.wmu.Lock()
-	c.wbuf, _ = AppendFrame(c.wbuf[:0], FrameGoAway, 0, nil)
-	_, _ = c.nc.Write(c.wbuf) // best-effort: the server may already be gone
-	c.wmu.Unlock()
 	c.mu.Lock()
 	c.closed = true
-	drained := c.drained
+	w, drained := c.w, c.drained
 	c.mu.Unlock()
+	_ = w.enqueue(ctx, goAwayFrame, false) // best-effort: the server may already be gone
 	// The server acks the drain with its own GOAWAY before closing; wait
 	// for either the ack or the close so no response frame is cut off.
 	select {
@@ -614,11 +602,7 @@ func (c *Client) Close(ctx context.Context) error {
 	case <-c.readDone:
 	case <-ctx.Done():
 	}
-	err := c.conn().Close()
+	_ = w.nc.Close()
 	<-c.readDone
-	if errors.Is(c.readErr, net.ErrClosed) {
-		return nil
-	}
-	_ = err
 	return nil
 }

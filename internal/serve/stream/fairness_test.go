@@ -41,7 +41,7 @@ func TestStreamPerConnFairness(t *testing.T) {
 	mx := metrics.NewRegistry()
 	ctrl := admission.New(admission.Config{MaxPerConn: 1, RetryAfter: 5 * time.Millisecond})
 	ctrl.RegisterMetrics(mx)
-	srv := NewServer(reg, Options{Window: 16, Handlers: 4, Admission: ctrl})
+	srv := NewServer(reg, Options{Window: 16, Admission: ctrl})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestStreamSequentialClientKeepsItsShare(t *testing.T) {
 	}
 	defer reg.Close()
 	ctrl := admission.New(admission.Config{MaxPerConn: 1})
-	srv := NewServer(reg, Options{Window: 4, Handlers: 2, Admission: ctrl})
+	srv := NewServer(reg, Options{Window: 4, Admission: ctrl})
 
 	const rounds = 3
 	var writes atomic.Int64

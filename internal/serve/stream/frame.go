@@ -108,6 +108,9 @@ func finishFrame(dst []byte, start int) []byte {
 	return dst
 }
 
+// goAwayFrame is the one GOAWAY frame either end ever sends.
+var goAwayFrame = finishFrame(beginFrame(nil, FrameGoAway, 0), 0)
+
 // AppendFrame appends one complete RPS2 frame to dst.
 //
 //repro:noalloc

@@ -122,7 +122,7 @@ func TestStreamSaturation(t *testing.T) {
 	// MaxInflight 8 ≈ the sustainable closed-loop concurrency for two
 	// workers; the 1× level stays under it, 10× slams into it.
 	ctrl := admission.New(admission.Config{MaxInflight: 8, RetryAfter: 5 * time.Millisecond})
-	srv := NewServer(reg, Options{Window: 64, Handlers: 8, Admission: ctrl})
+	srv := NewServer(reg, Options{Window: 64, Admission: ctrl})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -23,17 +23,14 @@ var ErrServerClosed = errors.New("stream: server closed")
 // documented defaults.
 type Options struct {
 	// Window is the per-connection pipelining depth: the most request
-	// frames one connection may have pending (accepted but not yet
-	// dispatched to a handler). A frame past the window is shed with a
-	// 429 status frame rather than stalling the reader — a blocked reader
-	// would head-of-line-block every other request on the connection.
-	// Default: 64.
+	// frames one connection may have accepted and not yet answered. It is
+	// also the connection's concurrency — every accepted frame runs on a
+	// handler goroutine of its own, started on demand and parked for
+	// reuse, so one pipelined client can fill the batching scheduler. A
+	// frame past the window is shed with a 429 status frame rather than
+	// stalling the reader — a blocked reader would head-of-line-block
+	// every other request on the connection. Default: 64.
 	Window int
-	// Handlers is the number of executor goroutines per connection, each
-	// with its own decode scratch and score buffers — the unit of
-	// in-connection concurrency that keeps the batching scheduler fed
-	// from a single pipelined client. Default: 4.
-	Handlers int
 	// Admission is the shared admission controller consulted before a
 	// request frame is accepted into the window; nil admits everything.
 	// The same controller instance should also guard the process's HTTP
@@ -50,9 +47,6 @@ func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 64
 	}
-	if o.Handlers <= 0 {
-		o.Handlers = 4
-	}
 	return o
 }
 
@@ -63,9 +57,13 @@ type ServerStats struct {
 	Conns      int64  `json:"conns"`
 	TotalConns uint64 `json:"total_conns"`
 	// Frames counts request frames accepted into a connection window;
-	// Responses counts response frames written.
+	// Responses counts response frames handed to a successful socket
+	// write, and Writes the socket writes issued — each connection's
+	// writer carries every frame ready at that moment in one write, so
+	// Responses/Writes is about how many share one.
 	Frames    uint64 `json:"frames"`
 	Responses uint64 `json:"responses"`
+	Writes    uint64 `json:"writes"`
 	// Shed counts request frames answered with a 429 status frame
 	// (admission or window overflow) instead of being executed.
 	Shed uint64 `json:"shed"`
@@ -100,6 +98,7 @@ type Server struct {
 	totalConns uint64
 	frames     atomic.Uint64
 	responses  atomic.Uint64
+	writes     atomic.Uint64
 	shed       atomic.Uint64
 	goaways    atomic.Uint64
 }
@@ -121,19 +120,21 @@ func NewServer(reg Backend, opts Options) *Server {
 			func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.totalConns) })
 		r.CounterFunc("repro_stream_frames_total", "Request frames accepted into a connection window.",
 			func() float64 { return float64(s.frames.Load()) })
-		r.CounterFunc("repro_stream_responses_total", "Response frames written.",
+		r.CounterFunc("repro_stream_responses_total", "Response frames handed to a successful socket write.",
 			func() float64 { return float64(s.responses.Load()) })
+		r.CounterFunc("repro_stream_writes_total", "Socket writes issued by the connection writers; responses_total over this is the frames sharing one write.",
+			func() float64 { return float64(s.writes.Load()) })
 		r.CounterFunc("repro_stream_shed_total", "Request frames answered with a 429 status frame.",
 			func() float64 { return float64(s.shed.Load()) })
 		r.CounterFunc("repro_stream_goaways_total", "Server-sent GOAWAY frames (connection drains).",
 			func() float64 { return float64(s.goaways.Load()) })
-		r.GaugeFunc("repro_stream_pipeline_depth", "Request frames pending in connection windows, summed across open connections.",
+		r.GaugeFunc("repro_stream_pipeline_depth", "Request frames accepted and not yet answered, summed across open connections.",
 			func() float64 {
 				s.mu.Lock()
 				defer s.mu.Unlock()
-				depth := 0
+				depth := int64(0)
 				for c := range s.conns {
-					depth += len(c.pending)
+					depth += c.inflight.Load()
 				}
 				return float64(depth)
 			})
@@ -151,6 +152,7 @@ func (s *Server) Stats() ServerStats {
 	s.mu.Unlock()
 	st.Frames = s.frames.Load()
 	st.Responses = s.responses.Load()
+	st.Writes = s.writes.Load()
 	st.Shed = s.shed.Load()
 	st.GoAways = s.goaways.Load()
 	return st
@@ -158,7 +160,8 @@ func (s *Server) Stats() ServerStats {
 
 // Serve accepts connections on ln until the listener fails or the server
 // is shut down; it returns ErrServerClosed on a clean stop. Each
-// connection gets a reader goroutine plus Options.Handlers executors.
+// connection gets a reader goroutine, a writer goroutine and one handler
+// per frame it has had in flight at once, at most Options.Window.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed || s.draining {
@@ -218,7 +221,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		c.sendGoAway()
+		c.sendGoAway(ctx)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -284,16 +287,24 @@ type sconn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
+	// w is the connection's only writer: the handlers' replies, the
+	// reader's status frames and the GOAWAY all go through its queue.
+	w *connWriter
 
-	// wmu serializes complete frame writes from the reader (status
-	// frames), the handlers (responses) and Shutdown (GOAWAY).
-	wmu    sync.Mutex
-	sbuf   []byte // status/goaway encode scratch, under wmu
-	goaway bool   // server GOAWAY already sent, under wmu
+	sbuf   []byte      // status-frame encode scratch, the reader's own
+	goaway atomic.Bool // server GOAWAY already queued
 
-	pending chan *sreq
-	free    chan *sreq
-	routes  map[string]route // route bytes → interned name/version
+	// pending hands accepted frames to the handlers and inflight counts
+	// the frames accepted and not yet answered; the reader keeps it at or
+	// under the window, so a send on pending (capacity: the window) never
+	// blocks. handlers is how many handler goroutines the reader has
+	// started: the most frames ever in flight at once.
+	pending  chan *sreq
+	free     chan *sreq
+	inflight atomic.Int64
+	handlers int
+	hwg      sync.WaitGroup
+	routes   map[string]route // route bytes → interned name/version
 
 	// admit is this connection's fairness accounting, handed to
 	// AdmitConn so one hot pipelined connection cannot consume the whole
@@ -310,35 +321,30 @@ func newSConn(s *Server, nc net.Conn) *sconn {
 		srv:     s,
 		nc:      nc,
 		br:      bufio.NewReaderSize(nc, 64<<10),
+		w:       newConnWriter(nc, &s.writes, &s.responses),
 		pending: make(chan *sreq, s.opts.Window),
-		free:    make(chan *sreq, s.opts.Window+s.opts.Handlers),
+		free:    make(chan *sreq, s.opts.Window),
 		routes:  make(map[string]route),
 		ctx:     ctx,
 		cancel:  cancel,
 	}
 }
 
-// run owns the connection lifecycle: a handler pool drains the pending
-// window while the reader loop fills it; when the reader stops (client
-// GOAWAY, EOF, protocol error) the window is closed, the handlers finish
-// every frame already accepted — the drain guarantee — and only then does
+// run owns the connection lifecycle: the reader loop fills the window and
+// starts handlers as it deepens; when the reader stops (client GOAWAY,
+// EOF, protocol error) the window is closed, the handlers finish every
+// frame already accepted, and the writer flushes every reply they queued
+// with the GOAWAY behind them — the drain guarantee — and only then does
 // the connection close.
 func (c *sconn) run() {
-	var hwg sync.WaitGroup
-	hwg.Add(c.srv.opts.Handlers)
-	for i := 0; i < c.srv.opts.Handlers; i++ {
-		go func() {
-			defer hwg.Done()
-			c.handle()
-		}()
-	}
 	c.read()
 	close(c.pending)
-	hwg.Wait()
+	c.hwg.Wait()
 	// All accepted frames are answered; acknowledge the drain (unless
 	// Shutdown already announced it) so a GOAWAY-initiated client can
 	// distinguish "drained clean" from a cut connection, then tear down.
-	c.sendGoAway()
+	c.sendGoAway(c.ctx)
+	c.w.stop(net.ErrClosed)
 	c.cancel()
 	_ = c.nc.Close()
 	s := c.srv
@@ -350,25 +356,14 @@ func (c *sconn) run() {
 
 // sendGoAway announces the drain to the client (idempotent: one GOAWAY
 // per connection, whichever of Shutdown and the connection's own teardown
-// gets there first).
-func (c *sconn) sendGoAway() {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.goaway {
+// gets there first). ctx bounds the wait for room in a queue a stalled
+// client has filled.
+func (c *sconn) sendGoAway(ctx context.Context) {
+	if c.goaway.Swap(true) {
 		return
 	}
-	c.goaway = true
 	c.srv.goaways.Add(1)
-	c.sbuf, _ = AppendFrame(c.sbuf[:0], FrameGoAway, 0, nil)
-	_, _ = c.nc.Write(c.sbuf) // best-effort: a failed GOAWAY surfaces in the read loop or the teardown
-}
-
-// writeFrame writes one pre-encoded frame under the write lock.
-func (c *sconn) writeFrame(buf []byte) error {
-	c.wmu.Lock()
-	_, err := c.nc.Write(buf)
-	c.wmu.Unlock()
-	return err
+	_ = c.w.enqueue(ctx, goAwayFrame, false) // best-effort: a lost connection surfaces in the read loop or the teardown
 }
 
 // statusFrame encodes a complete status frame for id into dst[:0].
@@ -379,12 +374,10 @@ func statusFrame(dst []byte, id uint64, code int, retryAfter time.Duration, msg 
 }
 
 // writeStatus answers id with a status frame from the reader loop (sheds
-// and malformed frames; uses the shared scratch under wmu).
+// and malformed frames).
 func (c *sconn) writeStatus(id uint64, code int, retryAfter time.Duration, msg string) {
-	c.wmu.Lock()
 	c.sbuf = statusFrame(c.sbuf, id, code, retryAfter, msg)
-	_, _ = c.nc.Write(c.sbuf) // best-effort: a failed status write surfaces in the read loop
-	c.wmu.Unlock()
+	_ = c.w.enqueue(c.ctx, c.sbuf, false) // best-effort: a lost connection surfaces in the read loop
 }
 
 // lookupRoute interns the route bytes into name/version strings — a map
@@ -400,7 +393,7 @@ func (c *sconn) lookupRoute(b []byte) (string, string) {
 }
 
 // read is the connection's reader loop: decode frames, shed what
-// admission or the window rejects, hand the rest to the handler pool. It
+// admission or the window rejects, hand the rest to the handlers. It
 // returns when the client is done sending (GOAWAY, EOF) or the stream is
 // unrecoverable (protocol error).
 func (c *sconn) read() {
@@ -444,6 +437,18 @@ func (c *sconn) readRequest(f *Frame) {
 		}
 		ticket = t
 	}
+	if c.inflight.Load() >= int64(c.srv.opts.Window) {
+		// Window full: shed rather than block the reader — a stalled
+		// reader would head-of-line-block every response already owed.
+		ticket.Release()
+		c.srv.shed.Add(1)
+		retry := time.Duration(0)
+		if ctrl := c.srv.opts.Admission; ctrl != nil {
+			retry = ctrl.RetryAfter()
+		}
+		c.writeStatus(f.ID, 429, retry, admission.ReasonQueue)
+		return
+	}
 	var q *sreq
 	select {
 	case q = <-c.free:
@@ -454,21 +459,16 @@ func (c *sconn) readRequest(f *Frame) {
 	q.arrival = time.Now()
 	q.wire = append(q.wire[:0], wire...)
 	q.ticket = ticket
-	select {
-	case c.pending <- q:
-		c.srv.frames.Add(1)
-	default:
-		// Window full: shed rather than block the reader — a stalled
-		// reader would head-of-line-block every response already owed.
-		ticket.Release()
-		c.putFree(q)
-		c.srv.shed.Add(1)
-		retry := time.Duration(0)
-		if ctrl := c.srv.opts.Admission; ctrl != nil {
-			retry = ctrl.RetryAfter()
-		}
-		c.writeStatus(f.ID, 429, retry, admission.ReasonQueue)
+	// Only this goroutine raises inflight, so the window check above still
+	// holds. Every frame in flight has a handler to itself: one more frame
+	// than there are handlers starts one more handler.
+	if n := int(c.inflight.Add(1)); n > c.handlers {
+		c.handlers++
+		c.hwg.Add(1)
+		go c.handle()
 	}
+	c.srv.frames.Add(1)
+	c.pending <- q
 }
 
 func (c *sconn) putFree(q *sreq) {
@@ -478,10 +478,11 @@ func (c *sconn) putFree(q *sreq) {
 	}
 }
 
-// handle is one executor goroutine: it owns all its decode and encode
+// handle is one handler goroutine: it owns all its decode and encode
 // scratch, so at steady state a request frame travels decode → InferInto
-// → encode → write without a single allocation.
+// → encode → the writer's queue without a single allocation.
 func (c *sconn) handle() {
+	defer c.hwg.Done()
 	var (
 		scratch serve.WireRowsScratch
 		results []serve.Result
@@ -490,15 +491,14 @@ func (c *sconn) handle() {
 	for q := range c.pending {
 		var answered bool
 		results, out, answered = c.answer(q, &scratch, results, out)
-		// The admission slot is given back before the frame is written: a
-		// sequential client sends its next request the moment it has read
-		// this one's reply, and with the slot still held that request would
-		// be shed "fairness" by the very request it follows.
+		// The admission slot and the window slot are given back before the
+		// reply is queued: a sequential client sends its next request the
+		// moment it has read this one's reply, and with a slot still held
+		// that request would be shed by the very request it follows.
 		q.ticket.Release()
 		c.putFree(q)
-		if c.writeFrame(out) == nil && answered {
-			c.srv.responses.Add(1)
-		}
+		c.inflight.Add(-1)
+		_ = c.w.enqueue(c.ctx, out, answered) // a lost connection surfaces in the read loop
 	}
 }
 

@@ -145,7 +145,7 @@ func TestStreamStatusErrors(t *testing.T) {
 // and every one lands on the goroutine that asked for it.
 func TestStreamConcurrentPipelinedClients(t *testing.T) {
 	reg, inputs := newArch2Registry(t, serve.Options{Workers: 2, MaxBatch: 16, MaxDelay: 200 * time.Microsecond})
-	_, cl := startServer(t, reg, Options{Window: 128, Handlers: 8})
+	_, cl := startServer(t, reg, Options{Window: 128})
 	ctx := context.Background()
 
 	want := make([]int, len(inputs))
@@ -188,7 +188,7 @@ func TestStreamConcurrentPipelinedClients(t *testing.T) {
 // frames observe ErrNotFound (as a 404 status frame) only.
 func TestStreamHotSwapMidStream(t *testing.T) {
 	reg, inputs := newArch2Registry(t, serve.Options{Workers: 2, MaxBatch: 8, MaxDelay: 100 * time.Microsecond})
-	_, cl := startServer(t, reg, Options{Window: 128, Handlers: 8})
+	_, cl := startServer(t, reg, Options{Window: 128})
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 	net2 := nn.Arch2(rng)
@@ -312,7 +312,7 @@ func TestStreamDrainCompletesInflight(t *testing.T) {
 	defer reg.Close()
 
 	before := runtime.NumGoroutine()
-	srv := NewServer(reg, Options{Window: 64, Handlers: 4})
+	srv := NewServer(reg, Options{Window: 64})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +445,7 @@ func TestStreamAdmissionShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl := admission.New(admission.Config{MaxInflight: 2, RetryAfter: 25 * time.Millisecond})
-	srv, cl := startServer(t, reg, Options{Window: 64, Handlers: 8, Admission: ctrl})
+	srv, cl := startServer(t, reg, Options{Window: 64, Admission: ctrl})
 
 	input := make([]float64, 121)
 	ctx := context.Background()
@@ -513,7 +513,7 @@ func TestStreamQuotaShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl := admission.New(admission.Config{Quota: map[string]int{"capped": 1}})
-	_, cl := startServer(t, reg, Options{Window: 64, Handlers: 8, Admission: ctrl})
+	_, cl := startServer(t, reg, Options{Window: 64, Admission: ctrl})
 
 	input := make([]float64, 121)
 	ctx := context.Background()
@@ -567,7 +567,7 @@ func TestStreamSLOShed(t *testing.T) {
 	if err := reg.Register(slowModel{Model: m, delay: 4 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	_, cl := startServer(t, reg, Options{Window: 64, Handlers: 8})
+	_, cl := startServer(t, reg, Options{Window: 64})
 
 	input := make([]float64, 121)
 	ctx := context.Background()
