@@ -712,15 +712,14 @@ func BenchmarkRegistryRoutedInfer(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchedSpectralForward is the batched engine's acceptance
-// benchmark: a coalesced batch of vectors through one block-circulant
-// weight, per-vector (one planned full-complex product per vector, the
-// pre-batching hot path) versus batched (one half-spectrum spectral pass
-// over the whole batch — fft.RealPlan transforms, weight spectra streamed
-// across the batch, block-row parallelism). The batched path must be
-// ≥1.5x the per-vector path at batch ≥ 16; the "vec/s" metric reports
-// vectors retired per second, and batch_test.go asserts the two paths
-// agree within 1e-12.
+// BenchmarkBatchedSpectralForward is the spectral engine's batching
+// benchmark: a coalesced batch of B vectors through one block-circulant
+// weight as B passes of the engine at batch 1 (perVector: what serving pays
+// when nothing coalesces) versus one pass over the whole batch (batched:
+// weight spectra streamed across the batch, transforms swept bin-major over
+// every column, block-row parallelism). Same engine, same bits per vector
+// (batch_test.go asserts it); the "vec/s" metric reports vectors retired
+// per second, so the ratio is what coalescing buys.
 func BenchmarkBatchedSpectralForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 512
@@ -732,13 +731,13 @@ func BenchmarkBatchedSpectralForward(b *testing.B) {
 		}
 		dst := make([]float64, batch*n)
 		b.Run(fmt.Sprintf("perVector/batch=%d", batch), func(b *testing.B) {
-			ws := circulant.NewWorkspace()
-			m.TransMulVecInto(dst[:n], x[:n], ws) // warm the scratch
+			ws := circulant.NewBatchWorkspace()
+			m.TransMulBatchInto(dst[:n], x[:n], 1, ws) // warm the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for v := 0; v < batch; v++ {
-					m.TransMulVecInto(dst[v*n:(v+1)*n], x[v*n:(v+1)*n], ws)
+					m.TransMulBatchInto(dst[v*n:(v+1)*n], x[v*n:(v+1)*n], 1, ws)
 				}
 			}
 			b.ReportMetric(float64(b.N)*float64(batch)/b.Elapsed().Seconds(), "vec/s")

@@ -9,11 +9,12 @@ import (
 	"repro/internal/fft"
 )
 
-// Batched spectral execution: one coalesced batch of vectors pushed through
-// a block-circulant matrix in a single planned spectral pass, instead of one
-// independent MulVec per vector.
+// The spectral engine: the one product of a block-circulant matrix with a
+// power-of-two block size. A batch of vectors — a coalesced serving batch,
+// the output pixels of a CONV layer, or a single vector, which is a batch
+// of one — is pushed through the matrix in a single planned spectral pass.
 //
-// Four things make the batched pass faster than B per-vector products:
+// Four things make one pass over B vectors faster than B passes over one:
 //
 //   - Real-input half-spectrum transforms (fft.RealPlan): every block FFT
 //     and IFFT runs at half size by conjugate symmetry, and the spectral
@@ -32,16 +33,17 @@ import (
 //     output block (never within one accumulation), so results do not
 //     depend on the worker count.
 //
-// Numerics: the batched path is deterministic and agrees with the
-// per-vector MulVecInto/TransMulVecInto path to within ~1e-15 per element
-// (asserted at 1e-12 by tests); it is not bit-identical because the
-// half-spectrum kernels round differently than the full complex transforms.
-// The split kernels themselves are bit-identical to their complex128
-// counterparts (same butterfly order, same twiddles; see fft/split.go), so
-// moving the engine to SoA changed no result bits.
+// Numerics: a vector's result is a function of that vector and the matrix
+// alone — bit for bit the same at batch 1, inside any larger batch, at any
+// column of it and at any worker count (columns are independent in every
+// transform, and the accumulation order over input blocks is fixed). Tests
+// pin this with math.Float64bits; it is what lets a serving scheduler
+// coalesce requests, and a result cache replay them, without changing an
+// answer. The engine is validated against the O(n²) Dense() expansion, the
+// numerically independent oracle.
 //
-// Non power-of-two block sizes and single-vector batches fall back to the
-// per-vector path.
+// Block sizes the real plan does not cover (not a power of two, or 1) run
+// the generic complex128 body (mulGeneric) one vector at a time.
 
 // workerSem is the process-wide bounded worker pool for block-row
 // parallelism: at most GOMAXPROCS−1 extra goroutines beyond the callers, no
@@ -109,17 +111,16 @@ func poolWidth(n int) int {
 	return w
 }
 
-// BatchWorkspace is caller-owned scratch for batched block-circulant
-// products, held entirely in split (SoA) form. The packed blocks and their
-// spectra live in the transposed bin-major layout of fft's SplitMany
-// kernels: bin t of transform m at index t·pitch+m, with one column per
-// (vector, input block) pair. Like Workspace it grows to the largest
-// (matrix, batch) pair it has served and is retained across calls; the
-// zero value is ready to use. A BatchWorkspace must not be used by two
-// goroutines at once (the batched product manages its own internal
-// parallelism).
+// BatchWorkspace is caller-owned scratch for block-circulant products, held
+// entirely in split (SoA) form. The packed blocks and their spectra live in
+// the transposed bin-major layout of fft's SplitMany kernels: bin t of
+// transform m at index t·pitch+m, with one column per (vector, input block)
+// pair. It grows to the largest (matrix, batch) pair it has served and is
+// retained across calls, so one BatchWorkspace can be threaded through every
+// layer of a forward pass; the zero value is ready to use. A BatchWorkspace
+// must not be used by two goroutines at once (the product manages its own
+// internal parallelism).
 type BatchWorkspace struct {
-	vec   *Workspace       // per-vector fallback scratch
 	zAll  fft.SplitSlice   // packed input blocks, bin-major: half rows × pitch
 	specs fft.SplitSlice   // input half-spectra, bin-major: specLen rows × pitch
 	wt    []fft.SplitSlice // per-worker weight-spectrum gather, nIn bins
@@ -128,18 +129,14 @@ type BatchWorkspace struct {
 }
 
 // NewBatchWorkspace returns an empty BatchWorkspace ready for reuse.
-func NewBatchWorkspace() *BatchWorkspace { return &BatchWorkspace{vec: NewWorkspace()} }
+func NewBatchWorkspace() *BatchWorkspace { return &BatchWorkspace{} }
 
-// Vec returns the embedded per-vector Workspace (used by fallback paths and
-// by callers that mix batched and per-vector products on one worker).
-//
-//repro:noalloc
-func (w *BatchWorkspace) Vec() *Workspace {
-	if w.vec == nil {
-		w.vec = NewWorkspace()
-	}
-	return w.vec
-}
+// wsPool lends a BatchWorkspace to calls that pass none (MulVec,
+// TransMulVec, training's nil-workspace forwards), so ad-hoc concurrent
+// products — on one matrix or many — stay safe and, once warm, mostly
+// allocation-free. One pool for the package: scratch is sized by the
+// product, not owned by a matrix.
+var wsPool = sync.Pool{New: func() any { return NewBatchWorkspace() }}
 
 // rowPitch pads a bin-major row length so consecutive rows do not land on
 // the same L1 cache sets: power-of-two-ish row strides (the natural
@@ -175,30 +172,12 @@ func (w *BatchWorkspace) ensure(specLen, half, nIn, pitch, bpitch, workers int) 
 
 // MulBatchInto computes W·xᵥ for a batch of vectors in one spectral pass.
 // x holds the batch row-major (batch × Cols), dst receives batch × Rows (a
-// nil dst is allocated) and is returned. A nil ws allocates fresh scratch;
+// nil dst is allocated) and is returned. A nil ws borrows pooled scratch;
 // long-lived callers should reuse one BatchWorkspace.
 //
 //repro:noalloc
 func (m *BlockCirculant) MulBatchInto(dst, x []float64, batch int, ws *BatchWorkspace) []float64 {
-	if batch < 1 || len(x) != batch*m.cols {
-		panic(fmt.Sprintf("circulant: MulBatchInto batch %d, input length %d, want %d", batch, len(x), batch*m.cols))
-	}
-	dst = m.ensureDst(dst, batch*m.rows, "MulBatchInto")
-	if m.rplan == nil || batch == 1 {
-		var vw *Workspace
-		if ws != nil {
-			vw = ws.Vec()
-		}
-		for v := 0; v < batch; v++ {
-			m.MulVecInto(dst[v*m.rows:(v+1)*m.rows], x[v*m.cols:(v+1)*m.cols], vw)
-		}
-		return dst
-	}
-	if ws == nil {
-		ws = NewBatchWorkspace()
-	}
-	m.batchCore(dst, x, batch, ws, false, nil, false)
-	return dst
+	return m.mulBatch("MulBatchInto", dst, x, batch, ws, false, nil, false)
 }
 
 // TransMulBatchInto computes Wᵀ·xᵥ for a batch of vectors in one spectral
@@ -208,25 +187,7 @@ func (m *BlockCirculant) MulBatchInto(dst, x []float64, batch int, ws *BatchWork
 //
 //repro:noalloc
 func (m *BlockCirculant) TransMulBatchInto(dst, x []float64, batch int, ws *BatchWorkspace) []float64 {
-	if batch < 1 || len(x) != batch*m.rows {
-		panic(fmt.Sprintf("circulant: TransMulBatchInto batch %d, input length %d, want %d", batch, len(x), batch*m.rows))
-	}
-	dst = m.ensureDst(dst, batch*m.cols, "TransMulBatchInto")
-	if m.rplan == nil || batch == 1 {
-		var vw *Workspace
-		if ws != nil {
-			vw = ws.Vec()
-		}
-		for v := 0; v < batch; v++ {
-			m.TransMulVecInto(dst[v*m.cols:(v+1)*m.cols], x[v*m.rows:(v+1)*m.rows], vw)
-		}
-		return dst
-	}
-	if ws == nil {
-		ws = NewBatchWorkspace()
-	}
-	m.batchCore(dst, x, batch, ws, true, nil, false)
-	return dst
+	return m.mulBatch("TransMulBatchInto", dst, x, batch, ws, true, nil, false)
 }
 
 // TransMulBatchFusedInto computes ψ(Wᵀ·xᵥ + θ) for a batch of vectors in
@@ -234,49 +195,70 @@ func (m *BlockCirculant) TransMulBatchInto(dst, x []float64, batch int, ws *Batc
 // de-interleave so each output element is written exactly once: θ is the
 // bias (length Cols, required) and ψ is max(·, 0) when relu is set, the
 // identity otherwise. This is the serving form of the paper's FC layer
-// (y = ψ(Wᵀx + θ)): on the batched hot path it removes one full
-// read-modify-write sweep over the activations per layer.
-//
-// Fallback paths (non power-of-two blocks, single-vector batches) compute
-// the same values with a separate epilogue sweep; results are identical.
+// (y = ψ(Wᵀx + θ)): it removes one full read-modify-write sweep over the
+// activations per layer.
 //
 //repro:noalloc
 func (m *BlockCirculant) TransMulBatchFusedInto(dst, x []float64, batch int, ws *BatchWorkspace, bias []float64, relu bool) []float64 {
-	if batch < 1 || len(x) != batch*m.rows {
-		panic(fmt.Sprintf("circulant: TransMulBatchFusedInto batch %d, input length %d, want %d", batch, len(x), batch*m.rows))
-	}
 	if len(bias) != m.cols {
 		panic(fmt.Sprintf("circulant: TransMulBatchFusedInto bias length %d, want %d", len(bias), m.cols))
 	}
-	dst = m.ensureDst(dst, batch*m.cols, "TransMulBatchFusedInto")
-	if m.rplan == nil || batch == 1 {
-		var vw *Workspace
-		if ws != nil {
-			vw = ws.Vec()
-		}
+	return m.mulBatch("TransMulBatchFusedInto", dst, x, batch, ws, true, bias, relu)
+}
+
+// mulBatch is the one body behind every product entry point: it validates
+// the shapes, then runs the engine (batchCore) when the block size has a
+// real plan and the generic body vector by vector otherwise. trans, bias
+// and relu are batchCore's.
+//
+//repro:noalloc
+func (m *BlockCirculant) mulBatch(op string, dst, x []float64, batch int, ws *BatchWorkspace, trans bool, bias []float64, relu bool) []float64 {
+	inLen, outLen := m.cols, m.rows
+	if trans {
+		inLen, outLen = m.rows, m.cols
+	}
+	if batch < 1 || len(x) != batch*inLen {
+		panic(fmt.Sprintf("circulant: %s batch %d, input length %d, want %d", op, batch, len(x), batch*inLen))
+	}
+	dst = ensureDst(dst, batch*outLen, op)
+	switch {
+	case m.rplan == nil:
 		for v := 0; v < batch; v++ {
-			row := dst[v*m.cols : (v+1)*m.cols]
-			m.TransMulVecInto(row, x[v*m.rows:(v+1)*m.rows], vw)
-			if relu {
-				for j, b := range bias {
-					row[j] = max(row[j]+b, 0)
-				}
-			} else {
-				for j, b := range bias {
-					row[j] += b
+			row := dst[v*outLen : (v+1)*outLen]
+			//repro:lint-ignore noalloc block sizes without a real plan (not a power of two, or 1) take the documented generic body, which allocates its scratch
+			m.mulGeneric(row, x[v*inLen:(v+1)*inLen], trans)
+			for j, b := range bias {
+				row[j] += b
+				if relu {
+					row[j] = max(row[j], 0)
 				}
 			}
 		}
-		return dst
+	case ws == nil:
+		ws = wsPool.Get().(*BatchWorkspace)
+		m.batchCore(dst, x, batch, ws, trans, bias, relu)
+		wsPool.Put(ws)
+	default:
+		m.batchCore(dst, x, batch, ws, trans, bias, relu)
 	}
-	if ws == nil {
-		ws = NewBatchWorkspace()
-	}
-	m.batchCore(dst, x, batch, ws, true, bias, relu)
 	return dst
 }
 
-// batchCore is the shared batched kernel. trans selects the correlation
+// ensureDst validates or allocates an output slice of length n.
+//
+//repro:noalloc
+func ensureDst(dst []float64, n int, op string) []float64 {
+	if dst == nil {
+		//repro:lint-ignore noalloc a nil dst is documented to allocate its own output; hot callers pass a preallocated buffer
+		return make([]float64, n)
+	}
+	if len(dst) != n {
+		panic(fmt.Sprintf("circulant: %s dst length %d, want %d", op, len(dst), n))
+	}
+	return dst
+}
+
+// batchCore is the engine. trans selects the correlation
 // form (Wᵀ·x, conjugated weight spectra); otherwise the convolution form
 // (W·x). bias (optional, length outLen) and relu are the fused epilogue
 // applied as output blocks are de-interleaved.
@@ -285,11 +267,11 @@ func (m *BlockCirculant) TransMulBatchFusedInto(dst, x []float64, batch int, ws 
 //
 //  1. pack: every zero-padded input block of every vector becomes one
 //     column of ws.zAll (parallel over vectors);
-//  2. transform: one ForwardSplitMany + UnpackSplitMany over all columns
+//  2. transform: one ForwardSplitManyRev + UnpackSplitMany over all columns
 //     (parallel over column ranges — columns are independent);
 //  3. output: per output block, the register-accumulator multiply-
-//     accumulate across input blocks, PreInverseSplitMany,
-//     InverseSplitMany and the fused-epilogue store (parallel over output
+//     accumulate across input blocks, PreInverseSplitManyRev,
+//     InverseSplitManyRev and the fused-epilogue store (parallel over output
 //     blocks, the independent unit).
 //
 //repro:noalloc

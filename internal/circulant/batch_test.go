@@ -8,16 +8,27 @@ import (
 	"testing"
 )
 
-// batchTol is the agreement bound between the batched half-spectrum engine
-// and the per-vector full-complex path. The two round differently (half-size
-// packed transforms versus full transforms), so they are not bit-identical;
-// observed disagreement is ~1e-15 per element.
-const batchTol = 1e-12
+// sameBits reports whether two float64 slices are equal bit for bit (which,
+// unlike ==, also tells +0 from −0 and compares NaNs).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
 
-// TestBatchMatchesPerVector sweeps matrix shapes (square, tall, wide,
-// padded tails, tiny and non power-of-two blocks) and batch sizes, and
-// requires MulBatchInto/TransMulBatchInto to agree with the per-vector
-// paths within batchTol on every element.
+// TestBatchMatchesPerVector pins batch invariance: over matrix shapes
+// (square, tall, wide, padded tails, tiny and non power-of-two blocks) and
+// batch sizes, row v of MulBatchInto/TransMulBatchInto equals the batch-of-1
+// product of vector v bit for bit — a vector's result does not depend on
+// what it was batched with or on its column in the batch (33 exercises the
+// padded pitch, odd sizes the unpaired tail of the accumulation loop, and
+// 512×512 at batch 16/33 crosses parallelThreshold).
 func TestBatchMatchesPerVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	shapes := []struct{ rows, cols, block int }{
@@ -28,8 +39,8 @@ func TestBatchMatchesPerVector(t *testing.T) {
 		{512, 512, 64}, // the benchmark shape
 		{16, 16, 2},    // smallest real-plan block
 		{12, 20, 4},    // padding with tiny blocks
-		{30, 42, 6},    // non power-of-two block: generic fallback
-		{9, 7, 1},      // block 1: per-vector fallback
+		{30, 42, 6},    // non power-of-two block: generic body
+		{9, 7, 1},      // block 1: generic body
 	}
 	for _, sh := range shapes {
 		m := MustNewBlockCirculant(sh.rows, sh.cols, sh.block).InitRandom(rng)
@@ -41,24 +52,18 @@ func TestBatchMatchesPerVector(t *testing.T) {
 				xT := randVec(rng, batch*sh.rows)
 				gotT := m.TransMulBatchInto(nil, xT, batch, ws)
 				for v := 0; v < batch; v++ {
-					want := m.TransMulVecInto(nil, xT[v*sh.rows:(v+1)*sh.rows], nil)
-					for j := range want {
-						if d := math.Abs(gotT[v*sh.cols+j] - want[j]); d > batchTol {
-							t.Fatalf("TransMul vec %d elem %d: batch %g, per-vector %g (|Δ|=%g)",
-								v, j, gotT[v*sh.cols+j], want[j], d)
-						}
+					want := m.TransMulBatchInto(nil, xT[v*sh.rows:(v+1)*sh.rows], 1, ws)
+					if !sameBits(gotT[v*sh.cols:(v+1)*sh.cols], want) {
+						t.Fatalf("TransMul vec %d: row of the batch differs in bits from its batch-of-1 product", v)
 					}
 				}
 
 				xM := randVec(rng, batch*sh.cols)
 				gotM := m.MulBatchInto(nil, xM, batch, ws)
 				for v := 0; v < batch; v++ {
-					want := m.MulVecInto(nil, xM[v*sh.cols:(v+1)*sh.cols], nil)
-					for j := range want {
-						if d := math.Abs(gotM[v*sh.rows+j] - want[j]); d > batchTol {
-							t.Fatalf("Mul vec %d elem %d: batch %g, per-vector %g (|Δ|=%g)",
-								v, j, gotM[v*sh.rows+j], want[j], d)
-						}
+					want := m.MulBatchInto(nil, xM[v*sh.cols:(v+1)*sh.cols], 1, ws)
+					if !sameBits(gotM[v*sh.rows:(v+1)*sh.rows], want) {
+						t.Fatalf("Mul vec %d: row of the batch differs in bits from its batch-of-1 product", v)
 					}
 				}
 			})
@@ -66,24 +71,50 @@ func TestBatchMatchesPerVector(t *testing.T) {
 	}
 }
 
-// TestBatchAgainstDense validates the batched engine against the O(n²)
-// dense expansion directly, independent of the per-vector FFT path.
+// TestBatchAgainstDense is the engine's numerical oracle: both products
+// against the O(n²) dense expansion, which shares no code with any FFT
+// path. Batch 1 (rowPitch(1), and the accumulation's unpaired tail loop
+// alone), blocks 2 and 4 (the transforms' n = 1 and n = 2 heads) and the
+// ragged Arch-2 shape are here because nothing else reaches them.
 func TestBatchAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	const rows, cols, block, batch = 48, 80, 16, 7
-	m := MustNewBlockCirculant(rows, cols, block).InitRandom(rng)
-	d := m.Dense()
-
-	x := randVec(rng, batch*rows)
-	got := m.TransMulBatchInto(nil, x, batch, nil) // nil workspace allowed
-	for v := 0; v < batch; v++ {
-		for j := 0; j < cols; j++ {
-			var want float64
-			for i := 0; i < rows; i++ {
-				want += d.At(i, j) * x[v*rows+i]
-			}
-			if dd := math.Abs(got[v*cols+j] - want); dd > 1e-9 {
-				t.Fatalf("vec %d col %d: %g, dense %g", v, j, got[v*cols+j], want)
+	shapes := []struct{ rows, cols, block int }{
+		{48, 80, 16},
+		{16, 16, 2},
+		{12, 20, 4},
+		{10, 7, 4},    // ragged on both sides, tiny block
+		{121, 64, 32}, // Arch-2's first layer: a 25-long tail block
+		{64, 121, 32},
+		{100, 60, 8},
+		{130, 70, 64},
+	}
+	for _, sh := range shapes {
+		m := MustNewBlockCirculant(sh.rows, sh.cols, sh.block).InitRandom(rng)
+		d := m.Dense()
+		for _, batch := range []int{1, 2, 3, 7} {
+			xT := randVec(rng, batch*sh.rows)
+			gotT := m.TransMulBatchInto(nil, xT, batch, nil) // nil workspace allowed
+			xM := randVec(rng, batch*sh.cols)
+			gotM := m.MulBatchInto(nil, xM, batch, nil)
+			for v := 0; v < batch; v++ {
+				for j := 0; j < sh.cols; j++ {
+					var want float64
+					for i := 0; i < sh.rows; i++ {
+						want += d.At(i, j) * xT[v*sh.rows+i]
+					}
+					if dd := math.Abs(gotT[v*sh.cols+j] - want); dd > 1e-10 {
+						t.Fatalf("%+v batch %d TransMul vec %d col %d: %g, dense %g", sh, batch, v, j, gotT[v*sh.cols+j], want)
+					}
+				}
+				for i := 0; i < sh.rows; i++ {
+					var want float64
+					for j := 0; j < sh.cols; j++ {
+						want += d.At(i, j) * xM[v*sh.cols+j]
+					}
+					if dd := math.Abs(gotM[v*sh.rows+i] - want); dd > 1e-10 {
+						t.Fatalf("%+v batch %d Mul vec %d row %d: %g, dense %g", sh, batch, v, i, gotM[v*sh.rows+i], want)
+					}
+				}
 			}
 		}
 	}
@@ -126,14 +157,14 @@ func TestBatchWorkspaceReuse(t *testing.T) {
 // TestTransMulBatchFusedMatchesSeparate requires the fused
 // inverse-transform + bias + ReLU epilogue to compute exactly what the
 // unfused product followed by a separate bias/ReLU sweep computes, across
-// the batched path, the per-vector fallback (batch 1) and the generic
-// fallback (non power-of-two block), with and without ReLU.
+// the engine at batch 1 and above and the generic body (non power-of-two
+// block), with and without ReLU.
 func TestTransMulBatchFusedMatchesSeparate(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	shapes := []struct{ rows, cols, block int }{
-		{128, 96, 32},  // batched split path
-		{100, 60, 16},  // padded tails (odd tail handling in storeBlock)
-		{30, 42, 6},    // non power-of-two block: generic fallback
+		{128, 96, 32},  // the engine
+		{100, 60, 16},  // padded tails (odd tail handling in storeColumn)
+		{30, 42, 6},    // non power-of-two block: generic body
 		{512, 512, 64}, // the benchmark shape
 	}
 	for _, sh := range shapes {
@@ -173,31 +204,32 @@ func TestTransMulBatchFusedValidatesBias(t *testing.T) {
 	m.TransMulBatchFusedInto(nil, make([]float64, 16), 2, nil, make([]float64, 7), true)
 }
 
-// TestBatchMulZeroAlloc is the batched-multiply allocation gate: once a
+// TestBatchMulZeroAlloc is the spectral-product allocation gate: once a
 // workspace is warm, the full split spectral pass (forward, fused
-// transpose, plain transpose) must not allocate. The shape stays below
+// transpose, plain transpose) must not allocate — at batch 1, the paper's
+// one-image-at-a-time deployment, as at batch 4. The shape stays below
 // parallelThreshold so the deterministic serial path runs on every host —
 // the parallel path's pfor closures heap-allocate by design.
 func TestBatchMulZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
-	const rows, cols, block, batch = 256, 192, 32, 4
+	const rows, cols, block = 256, 192, 32
 	m := MustNewBlockCirculant(rows, cols, block).InitRandom(rng)
 	bias := randVec(rng, cols)
 	ws := NewBatchWorkspace()
-	xM := randVec(rng, batch*cols)
-	xT := randVec(rng, batch*rows)
-	dstM := make([]float64, batch*rows)
-	dstT := make([]float64, batch*cols)
-	m.MulBatchInto(dstM, xM, batch, ws)
-	m.TransMulBatchInto(dstT, xT, batch, ws)
-	m.TransMulBatchFusedInto(dstT, xT, batch, ws, bias, true)
-	allocs := testing.AllocsPerRun(20, func() {
-		m.MulBatchInto(dstM, xM, batch, ws)
-		m.TransMulBatchInto(dstT, xT, batch, ws)
-		m.TransMulBatchFusedInto(dstT, xT, batch, ws, bias, true)
-	})
-	if allocs > 0 {
-		t.Errorf("warm batched spectral pass allocates %.0f/op; want 0", allocs)
+	for _, batch := range []int{1, 4} {
+		xM := randVec(rng, batch*cols)
+		xT := randVec(rng, batch*rows)
+		dstM := make([]float64, batch*rows)
+		dstT := make([]float64, batch*cols)
+		pass := func() {
+			m.MulBatchInto(dstM, xM, batch, ws)
+			m.TransMulBatchInto(dstT, xT, batch, ws)
+			m.TransMulBatchFusedInto(dstT, xT, batch, ws, bias, true)
+		}
+		pass()
+		if allocs := testing.AllocsPerRun(20, pass); allocs > 0 {
+			t.Errorf("batch %d: warm spectral pass allocates %.0f/op; want 0", batch, allocs)
+		}
 	}
 }
 

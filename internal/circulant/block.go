@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/cmplx"
 	"math/rand"
-	"sync"
 
 	"repro/internal/fft"
 	"repro/internal/ops"
@@ -18,6 +17,15 @@ import (
 // It stores only the k·l defining vectors (k·l·b parameters instead of m·n)
 // plus their cached spectra. The Base tensor is exposed so an optimiser can
 // update parameters in place; call Refresh afterwards to re-derive spectra.
+//
+// Every product of a power-of-two block size ≥ 2 — MulVec, TransMulVec and
+// the batch entry points, at every batch size — runs the one split
+// half-spectrum engine of batch.go, so a vector's result does not depend on
+// what it was batched with. Other block sizes run the generic complex128
+// body below. Scratch is caller-owned (BatchWorkspace) or pooled per call: a
+// BlockCirculant has no mutable state once Refresh returns, which is why
+// any number of goroutines may multiply through one matrix and why
+// model.Replicate may share one between serving replicas.
 type BlockCirculant struct {
 	rows, cols int // logical (unpadded) dimensions
 	block      int
@@ -27,26 +35,23 @@ type BlockCirculant struct {
 	// the first column of block C_ij.
 	Base *tensor.Tensor
 
-	spec []complex128 // k·l·block cached spectra, laid out like Base
-
-	// sspec holds the same spectra in split (structure-of-arrays) half
-	// form: k·l·(block/2+1) bins per plane, laid out like Base. It is
-	// derived once per Refresh — plan time, not product time — and is what
-	// the batched spectral engine streams, so the hot loops never touch
-	// interleaved complex128 weight data. Only populated when rplan is
-	// non-nil.
-	sspec fft.SplitSlice
-
-	// plan and rplan are the precomputed transform plans for the block
-	// size, resolved once at construction so no product ever goes back
-	// through the plan cache. plan is nil for non power-of-two blocks
-	// (generic path); rplan additionally requires block ≥ 2 and drives the
-	// half-spectrum batched engine (batch.go).
-	plan  *fft.Plan
+	// rplan is the real-input transform plan for the block size, resolved
+	// once at construction so no product goes back through the plan cache.
+	// It is non-nil exactly when the block size is a power of two ≥ 2, and
+	// selects the engine; nil selects the generic body.
 	rplan *fft.RealPlan
 
-	poolOnce sync.Once
-	pool     *sync.Pool // *workspace, power-of-two fast paths
+	// sspec holds the cached spectra the engine streams, in split
+	// (structure-of-arrays) half form: k·l·(block/2+1) bins per plane, laid
+	// out like Base. It is derived once per Refresh — plan time, not product
+	// time — so the hot loops never touch interleaved complex128 weight
+	// data. Populated only when rplan is non-nil.
+	sspec fft.SplitSlice
+
+	// spec holds the full complex spectra, k·l·block laid out like Base,
+	// for the generic body. Populated only when rplan is nil: a matrix keeps
+	// one spectrum copy, the one its product reads.
+	spec []complex128
 }
 
 // NewBlockCirculant creates an m×n block-circulant matrix with square block
@@ -67,13 +72,11 @@ func NewBlockCirculant(rows, cols, block int) (*BlockCirculant, error) {
 		l:     (cols + block - 1) / block,
 	}
 	m.Base = tensor.New(m.k, m.l, block)
-	m.spec = make([]complex128, m.k*m.l*block)
-	if fft.IsPow2(block) {
-		m.plan = fft.PlanFor(block)
-		if block >= 2 {
-			m.rplan = fft.RealPlanFor(block)
-			m.sspec = fft.NewSplit(m.k * m.l * m.rplan.SpecLen())
-		}
+	if fft.IsPow2(block) && block >= 2 {
+		m.rplan = fft.RealPlanFor(block)
+		m.sspec = fft.NewSplit(m.k * m.l * m.rplan.SpecLen())
+	} else {
+		m.spec = make([]complex128, m.k*m.l*block)
 	}
 	return m, nil
 }
@@ -132,39 +135,31 @@ func (m *BlockCirculant) baseVec(i, j int) []float64 {
 	return m.Base.Data[off : off+m.block]
 }
 
-// blockSpec returns the cached spectrum of block (i,j) as a shared slice.
-//
-//repro:noalloc
+// blockSpec returns the cached full spectrum of block (i,j) as a shared
+// slice. Valid only when rplan is nil.
 func (m *BlockCirculant) blockSpec(i, j int) []complex128 {
 	off := (i*m.l + j) * m.block
 	return m.spec[off : off+m.block]
 }
 
-// blockSpecSplit returns the cached split half spectrum of block (i,j) as
-// shared per-plane slices of length block/2+1. Valid only when rplan is
-// non-nil.
-func (m *BlockCirculant) blockSpecSplit(i, j int) (re, im []float64) {
-	specLen := m.block/2 + 1
-	off := (i*m.l + j) * specLen
-	return m.sspec.Re[off : off+specLen], m.sspec.Im[off : off+specLen]
-}
-
-// Refresh recomputes all cached block spectra from Base — both the full
-// complex form the per-vector kernels read and the split half form the
-// batched engine streams. Call after any in-place parameter update (e.g.
-// an optimiser step).
+// Refresh recomputes the cached block spectra from Base: the split half
+// form the engine streams, or the full complex form the generic body reads.
+// Call after any in-place parameter update (e.g. an optimiser step); it is
+// the only method that writes the matrix, so it must not run concurrently
+// with a product.
 func (m *BlockCirculant) Refresh() {
 	specLen := m.block/2 + 1
 	for i := 0; i < m.k; i++ {
 		for j := 0; j < m.l; j++ {
 			full := fft.FFTReal(m.baseVec(i, j))
-			copy(m.blockSpec(i, j), full)
-			if m.rplan != nil {
-				sre, sim := m.blockSpecSplit(i, j)
-				for t := 0; t < specLen; t++ {
-					sre[t] = real(full[t])
-					sim[t] = imag(full[t])
-				}
+			if m.rplan == nil {
+				copy(m.blockSpec(i, j), full)
+				continue
+			}
+			off := (i*m.l + j) * specLen
+			for t := 0; t < specLen; t++ {
+				m.sspec.Re[off+t] = real(full[t])
+				m.sspec.Im[off+t] = imag(full[t])
 			}
 		}
 	}
@@ -190,68 +185,55 @@ func padBlocks(v []float64, nblk, b int) [][]complex128 {
 
 // MulVec returns W·x (x of length Cols, result of length Rows) using
 // per-input-block FFTs, spectral-domain accumulation, and one IFFT per output
-// block — Algorithm 1 of the paper in its m ≤ n and m > n general form.
+// block — Algorithm 1 of the paper in its m ≤ n and m > n general form. It
+// is MulBatchInto at batch 1 with pooled scratch.
 func (m *BlockCirculant) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("circulant: MulVec length %d, want %d", len(x), m.cols))
-	}
-	if fft.IsPow2(m.block) {
-		return m.mulVecFast(x)
-	}
-	xf := padBlocks(x, m.l, m.block)
-	out := make([]float64, m.rows)
-	acc := make([]complex128, m.block)
-	for i := 0; i < m.k; i++ {
-		for t := range acc {
-			acc[t] = 0
-		}
-		for j := 0; j < m.l; j++ {
-			s := m.blockSpec(i, j)
-			xj := xf[j]
-			for t := 0; t < m.block; t++ {
-				acc[t] += s[t] * xj[t]
-			}
-		}
-		yi := fft.IFFT(acc)
-		hi := min((i+1)*m.block, m.rows)
-		for t := i * m.block; t < hi; t++ {
-			out[t] = real(yi[t-i*m.block])
-		}
-	}
-	return out
+	return m.mulBatch("MulVec", nil, x, 1, nil, false, nil, false)
 }
 
 // TransMulVec returns Wᵀ·x (x of length Rows, result of length Cols): the
 // forward bottleneck Wᵀx of the paper's FC layer (Eqn. 3), in correlation
-// form.
+// form. It is TransMulBatchInto at batch 1 with pooled scratch.
 func (m *BlockCirculant) TransMulVec(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic(fmt.Sprintf("circulant: TransMulVec length %d, want %d", len(x), m.rows))
+	return m.mulBatch("TransMulVec", nil, x, 1, nil, true, nil, false)
+}
+
+// mulGeneric is the product for block sizes the engine does not plan (not a
+// power of two, or 1): W·x, or Wᵀ·x in the correlation form (conjugated
+// weight spectra) when trans is set, through any-size complex128 transforms
+// (Bluestein off powers of two). It allocates its scratch per call.
+func (m *BlockCirculant) mulGeneric(dst, x []float64, trans bool) {
+	b := m.block
+	inBlks, outBlks := m.l, m.k
+	if trans {
+		inBlks, outBlks = m.k, m.l
 	}
-	if fft.IsPow2(m.block) {
-		return m.transMulVecFast(x)
-	}
-	xf := padBlocks(x, m.k, m.block)
-	out := make([]float64, m.cols)
-	acc := make([]complex128, m.block)
-	for j := 0; j < m.l; j++ {
+	xf := padBlocks(x, inBlks, b)
+	acc := make([]complex128, b)
+	for o := 0; o < outBlks; o++ {
 		for t := range acc {
 			acc[t] = 0
 		}
-		for i := 0; i < m.k; i++ {
-			s := m.blockSpec(i, j)
+		for i := 0; i < inBlks; i++ {
 			xi := xf[i]
-			for t := 0; t < m.block; t++ {
-				acc[t] += cmplx.Conj(s[t]) * xi[t]
+			if trans {
+				s := m.blockSpec(i, o)
+				for t := 0; t < b; t++ {
+					acc[t] += cmplx.Conj(s[t]) * xi[t]
+				}
+			} else {
+				s := m.blockSpec(o, i)
+				for t := 0; t < b; t++ {
+					acc[t] += s[t] * xi[t]
+				}
 			}
 		}
-		yj := fft.IFFT(acc)
-		hi := min((j+1)*m.block, m.cols)
-		for t := j * m.block; t < hi; t++ {
-			out[t] = real(yj[t-j*m.block])
+		y := fft.IFFT(acc)
+		hi := min((o+1)*b, len(dst))
+		for t := o * b; t < hi; t++ {
+			dst[t] = real(y[t-o*b])
 		}
 	}
-	return out
 }
 
 // Dense expands the block-circulant matrix to an explicit rows×cols tensor
@@ -289,12 +271,4 @@ func (m *BlockCirculant) MulVecOps() ops.Counts {
 // DenseOps returns the cost of the equivalent uncompressed dense product.
 func (m *BlockCirculant) DenseOps() ops.Counts {
 	return ops.DenseMatVec(m.rows, m.cols)
-}
-
-//repro:noalloc
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

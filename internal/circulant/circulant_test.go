@@ -1,7 +1,6 @@
 package circulant
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -262,88 +261,6 @@ func TestNewBlockCirculantValidation(t *testing.T) {
 	}
 	if _, err := NewBlockCirculant(4, 4, 0); err == nil {
 		t.Error("expected error for zero block")
-	}
-}
-
-func TestSpectralMatchesBlockCirculant(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, tc := range []struct{ rows, cols, block int }{
-		{8, 8, 4}, {256, 128, 64}, {121, 64, 32}, {10, 14, 4},
-	} {
-		m := MustNewBlockCirculant(tc.rows, tc.cols, tc.block).InitRandom(rng)
-		s, err := m.ToSpectral()
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randVec(rng, tc.rows)
-		if d := maxAbsDiff(s.TransMulVec(x), m.TransMulVec(x)); d > 1e-8 {
-			t.Errorf("%+v: spectral TransMulVec differs by %g", tc, d)
-		}
-	}
-}
-
-func TestSpectralRequiresEvenBlock(t *testing.T) {
-	m := MustNewBlockCirculant(6, 6, 3)
-	if _, err := m.ToSpectral(); err == nil {
-		t.Error("expected error for odd block size")
-	}
-}
-
-func TestSpectralRoundTripThroughBlockCirculant(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := MustNewBlockCirculant(16, 24, 8).InitRandom(rng)
-	s, err := m.ToSpectral()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := s.ToBlockCirculant()
-	if !back.Base.AllClose(m.Base, 1e-10) {
-		t.Error("spectral round trip lost the defining vectors")
-	}
-}
-
-func TestSpectralSerializeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := MustNewBlockCirculant(24, 16, 8).InitRandom(rng)
-	s, err := m.ToSpectral()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSpectral(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randVec(rng, 24)
-	if d := maxAbsDiff(got.TransMulVec(x), s.TransMulVec(x)); d > 1e-12 {
-		t.Errorf("deserialised spectral weights differ by %g", d)
-	}
-}
-
-func TestReadSpectralRejectsGarbage(t *testing.T) {
-	if _, err := ReadSpectral(bytes.NewReader([]byte{9, 9})); err == nil {
-		t.Error("expected error on truncated header")
-	}
-	if _, err := ReadSpectral(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Error("expected error on bad magic")
-	}
-}
-
-func TestStorageFloats(t *testing.T) {
-	m := MustNewBlockCirculant(128, 128, 64)
-	s, err := m.ToSpectral()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2·2 blocks × (64+2) reals.
-	if got := s.StorageFloats(); got != 4*66 {
-		t.Errorf("StorageFloats = %d, want %d", got, 4*66)
-	}
-	if dense := m.Rows() * m.Cols(); s.StorageFloats() >= dense {
-		t.Errorf("spectral storage %d should beat dense %d", s.StorageFloats(), dense)
 	}
 }
 

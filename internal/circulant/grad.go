@@ -59,26 +59,8 @@ func (m *BlockCirculant) TransMulVecGrad(x, g []float64) (gradBase *tensor.Tenso
 		}
 	}
 
-	// ∂L/∂x_i = IFFT(Σ_j S_ij ∘ G_j)  (i.e. gradX = W·g)
-	gradX = make([]float64, m.rows)
-	acc := make([]complex128, b)
-	for i := 0; i < m.k; i++ {
-		for t := range acc {
-			acc[t] = 0
-		}
-		for j := 0; j < m.l; j++ {
-			s := m.blockSpec(i, j)
-			for t := 0; t < b; t++ {
-				acc[t] += s[t] * gf[j][t]
-			}
-		}
-		gi := fft.IFFT(acc)
-		hi := min((i+1)*b, m.rows)
-		for t := i * b; t < hi; t++ {
-			gradX[t] = real(gi[t-i*b])
-		}
-	}
-	return gradBase, gradX
+	// ∂L/∂x_i = IFFT(Σ_j S_ij ∘ G_j): the product W·g itself.
+	return gradBase, m.MulVec(g)
 }
 
 // MulVecGrad computes the gradients for the forward pass y = W·x: given
@@ -111,24 +93,6 @@ func (m *BlockCirculant) MulVecGrad(x, g []float64) (gradBase *tensor.Tensor, gr
 		}
 	}
 
-	// ∂L/∂x_j = IFFT(Σ_i conj(S_ij) ∘ G_i)  (i.e. gradX = Wᵀ·g)
-	gradX = make([]float64, m.cols)
-	acc := make([]complex128, b)
-	for j := 0; j < m.l; j++ {
-		for t := range acc {
-			acc[t] = 0
-		}
-		for i := 0; i < m.k; i++ {
-			s := m.blockSpec(i, j)
-			for t := 0; t < b; t++ {
-				acc[t] += cmplx.Conj(s[t]) * gf[i][t]
-			}
-		}
-		gj := fft.IFFT(acc)
-		hi := min((j+1)*b, m.cols)
-		for t := j * b; t < hi; t++ {
-			gradX[t] = real(gj[t-j*b])
-		}
-	}
-	return gradBase, gradX
+	// ∂L/∂x_j = IFFT(Σ_i conj(S_ij) ∘ G_i): the product Wᵀ·g itself.
+	return gradBase, m.TransMulVec(g)
 }

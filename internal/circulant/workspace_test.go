@@ -8,8 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// The pooled fast paths must be bit-compatible in behaviour (within FFT
-// round-off) with the generic implementation they bypass.
+// MulVec/TransMulVec run the engine at batch 1 on scratch borrowed from the
+// package pool; these tests pin that form against the dense expansion and
+// against the caller-owned-workspace entry points.
 
 func genericMulVec(m *BlockCirculant, x []float64) []float64 {
 	return tensor.MatVec(m.Dense(), x)
@@ -37,29 +38,39 @@ func TestFastPathsMatchDense(t *testing.T) {
 }
 
 func TestFastPathConcurrentUse(t *testing.T) {
-	// Workspaces come from a pool: concurrent products on one matrix must
-	// not interfere.
+	// Scratch comes from one package-level pool: concurrent products on one
+	// shared matrix (and, interleaved, on a second of another shape, so
+	// pooled workspaces change hands between sizes) must not interfere.
+	// Run under -race.
 	rng := rand.New(rand.NewSource(2))
 	m := MustNewBlockCirculant(128, 128, 32).InitRandom(rng)
+	other := MustNewBlockCirculant(48, 200, 16).InitRandom(rng)
 	x := randVec(rng, 128)
+	y := randVec(rng, 48)
 	want := m.TransMulVec(x)
+	wantOther := other.TransMulVec(y)
 	var wg sync.WaitGroup
-	errs := make(chan float64, 16*20)
+	bad := make(chan string, 16)
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				errs <- maxAbsDiff(m.TransMulVec(x), want)
+				if !sameBits(m.TransMulVec(x), want) {
+					bad <- "shared matrix"
+					return
+				}
+				if !sameBits(other.TransMulVec(y), wantOther) {
+					bad <- "second matrix"
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	close(errs)
-	for d := range errs {
-		if d > 1e-12 {
-			t.Fatalf("concurrent product diverged by %g", d)
-		}
+	close(bad)
+	for which := range bad {
+		t.Errorf("concurrent product on the %s diverged", which)
 	}
 }
 
@@ -81,25 +92,25 @@ func TestWorkspaceReuseAcrossCalls(t *testing.T) {
 func TestIntoMatchesAllocating(t *testing.T) {
 	// The caller-owned-workspace entry points must agree exactly with the
 	// allocating forms, across pow-2 and non-pow-2 blocks, with one shared
-	// Workspace threaded through differently-shaped matrices.
+	// BatchWorkspace threaded through differently-shaped matrices.
 	rng := rand.New(rand.NewSource(5))
-	ws := NewWorkspace()
+	ws := NewBatchWorkspace()
 	for _, tc := range []struct{ rows, cols, block int }{
 		{8, 8, 4}, {64, 32, 16}, {100, 60, 32}, {256, 128, 64}, {3, 5, 8}, {48, 80, 12},
 	} {
 		m := MustNewBlockCirculant(tc.rows, tc.cols, tc.block).InitRandom(rng)
 		x := randVec(rng, tc.cols)
 		dst := make([]float64, tc.rows)
-		if d := maxAbsDiff(m.MulVecInto(dst, x, ws), m.MulVec(x)); d != 0 {
-			t.Errorf("%+v: MulVecInto differs by %g", tc, d)
+		if !sameBits(m.MulBatchInto(dst, x, 1, ws), m.MulVec(x)) {
+			t.Errorf("%+v: MulBatchInto at batch 1 differs from MulVec", tc)
 		}
 		y := randVec(rng, tc.rows)
-		if d := maxAbsDiff(m.TransMulVecInto(nil, y, ws), m.TransMulVec(y)); d != 0 {
-			t.Errorf("%+v: TransMulVecInto differs by %g", tc, d)
+		if !sameBits(m.TransMulBatchInto(nil, y, 1, ws), m.TransMulVec(y)) {
+			t.Errorf("%+v: TransMulBatchInto at batch 1 differs from TransMulVec", tc)
 		}
-		// nil workspace falls back to the pool and must agree too.
-		if d := maxAbsDiff(m.MulVecInto(nil, x, nil), m.MulVec(x)); d != 0 {
-			t.Errorf("%+v: MulVecInto(nil ws) differs by %g", tc, d)
+		// nil workspace borrows from the pool and must agree too.
+		if !sameBits(m.MulBatchInto(nil, x, 1, nil), m.MulVec(x)) {
+			t.Errorf("%+v: MulBatchInto(nil ws) differs from MulVec", tc)
 		}
 	}
 }
@@ -112,24 +123,5 @@ func TestIntoRejectsBadDst(t *testing.T) {
 			t.Error("short dst accepted")
 		}
 	}()
-	m.MulVecInto(make([]float64, 3), randVec(rng, 8), NewWorkspace())
-}
-
-func BenchmarkFastVsGenericTransMulVec(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	// Power-of-two block: pooled fast path.
-	fast := MustNewBlockCirculant(512, 512, 64).InitRandom(rng)
-	// Size-63 block: generic (allocating) path, nearly identical work.
-	generic := MustNewBlockCirculant(512, 512, 63).InitRandom(rng)
-	x := randVec(rng, 512)
-	b.Run("pooledPow2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fast.TransMulVec(x)
-		}
-	})
-	b.Run("genericNonPow2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			generic.TransMulVec(x)
-		}
-	})
+	m.MulBatchInto(make([]float64, 3), randVec(rng, 8), 1, NewBatchWorkspace())
 }

@@ -1,76 +1,27 @@
 package fft
 
 // This file implements the "FFT → component-wise multiplication → IFFT"
-// procedure of Fig. 2 of the paper, in both its circular-convolution and
-// circular-correlation forms. These are the exact primitives behind the
-// block-circulant matrix–vector products of Algorithms 1 and 2.
+// procedure of Fig. 2 of the paper in its circular-convolution form — the
+// exact primitive behind the block-circulant matrix–vector products of
+// Algorithms 1 and 2 (the correlation form conjugates FFT(w); see
+// circulant.Circulant.TransMulVec).
 
 // CircularConvolve returns the length-n circular convolution
 // y[a] = Σ_b w[(a−b) mod n]·x[b], computed as IFFT(FFT(w) ∘ FFT(x)).
 // Both inputs must have the same nonzero length.
 func CircularConvolve(w, x []float64) []float64 {
-	n := mustSameLen(w, x)
+	if len(w) != len(x) || len(w) == 0 {
+		panic("fft: convolution operands must share a nonzero length")
+	}
 	wf := FFTReal(w)
 	xf := FFTReal(x)
 	for i := range wf {
 		wf[i] *= xf[i]
 	}
-	return realParts(IFFT(wf), n)
-}
-
-// CircularCorrelate returns the length-n circular cross-correlation
-// y[a] = Σ_b w[(b−a) mod n]·x[b], computed as IFFT(conj(FFT(w)) ∘ FFT(x)).
-// This is the transpose counterpart of CircularConvolve: if C is the
-// circulant matrix whose first column is w, then CircularConvolve(w,x) = C·x
-// and CircularCorrelate(w,x) = Cᵀ·x.
-func CircularCorrelate(w, x []float64) []float64 {
-	n := mustSameLen(w, x)
-	wf := FFTReal(w)
-	xf := FFTReal(x)
-	for i := range wf {
-		wf[i] = complex(real(wf[i]), -imag(wf[i])) * xf[i]
-	}
-	return realParts(IFFT(wf), n)
-}
-
-// LinearConvolve returns the full linear convolution of a and b
-// (length len(a)+len(b)−1) computed via zero-padded FFTs. It is the building
-// block for FFT-based CONV-layer execution on a single channel.
-func LinearConvolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	n := len(a) + len(b) - 1
-	m := NextPow2(n)
-	pa := make([]complex128, m)
-	pb := make([]complex128, m)
-	for i, v := range a {
-		pa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		pb[i] = complex(v, 0)
-	}
-	p := PlanFor(m)
-	p.Forward(pa, pa)
-	p.Forward(pb, pb)
-	for i := range pa {
-		pa[i] *= pb[i]
-	}
-	p.Inverse(pa, pa)
-	return realParts(pa, n)
-}
-
-func mustSameLen(a, b []float64) int {
-	if len(a) != len(b) || len(a) == 0 {
-		panic("fft: convolution operands must share a nonzero length")
-	}
-	return len(a)
-}
-
-func realParts(c []complex128, n int) []float64 {
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = real(c[i])
+	y := IFFT(wf)
+	out := make([]float64, len(y))
+	for i, v := range y {
+		out[i] = real(v)
 	}
 	return out
 }

@@ -138,44 +138,6 @@ func TestRealPlanMatchesRFFT(t *testing.T) {
 	}
 }
 
-// TestBatchTransformsMatchPerVector requires BatchForward/BatchInverse to be
-// bit-identical to one Forward/Inverse per chunk — the batched engine's
-// numerics contract.
-func TestBatchTransformsMatchPerVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, n := range []int{1, 2, 8, 64} {
-		for _, count := range []int{1, 3, 16} {
-			p := PlanFor(n)
-			src := randComplex(rng, n*count)
-			batched := make([]complex128, len(src))
-			p.BatchForward(batched, src)
-			single := make([]complex128, n)
-			for v := 0; v < count; v++ {
-				p.Forward(single, src[v*n:(v+1)*n])
-				for k := range single {
-					if batched[v*n+k] != single[k] {
-						t.Fatalf("n=%d count=%d vec %d bin %d: batch %v, single %v",
-							n, count, v, k, batched[v*n+k], single[k])
-					}
-				}
-			}
-			p.BatchInverse(batched, batched) // in-place, aliasing allowed
-			for k := range src {
-				if cmplxAbs(batched[k]-src[k]) > 1e-12 {
-					t.Fatalf("n=%d count=%d round trip bin %d: %v, want %v", n, count, k, batched[k], src[k])
-				}
-			}
-		}
-	}
-	// Length not a multiple of the plan size must panic, not truncate.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BatchForward accepted a misaligned batch")
-		}
-	}()
-	PlanFor(8).BatchForward(make([]complex128, 12), make([]complex128, 12))
-}
-
 // TestPlanSharedAcrossGoroutines hammers one Plan, one RealPlan and one
 // Plan2D from many goroutines at once; the plans are immutable and the race
 // detector (CI runs this package under -race) must stay silent while every

@@ -10,9 +10,11 @@
 //   - Bluestein's chirp-z algorithm for arbitrary (non power-of-two) sizes;
 //   - real-input forward/inverse transforms exploiting conjugate symmetry,
 //     which halve the spectral storage of network weights;
-//   - 2-D transforms and circular convolution/correlation helpers, the
-//     primitives behind the paper's "FFT → component-wise multiplication →
-//     IFFT" procedure (Fig. 2).
+//   - split-complex (planar) forms of the planned transforms, including the
+//     bin-major many-transform kernels the block-circulant engine runs;
+//   - 2-D transforms and circular convolution, the primitive behind the
+//     paper's "FFT → component-wise multiplication → IFFT" procedure
+//     (Fig. 2).
 //
 // All transforms use the engineering sign convention: the forward transform
 // is X[k] = Σ_j x[j]·e^{-2πi·jk/n} and the inverse includes the 1/n factor.

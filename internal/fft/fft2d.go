@@ -113,25 +113,3 @@ func (p *Plan2D) transform(dst, src, col []complex128, inverse bool) {
 		}
 	}
 }
-
-// CircularConvolve2D returns the rows×cols circular 2-D convolution of two
-// equally-shaped real matrices, via the 2-D convolution theorem. It is used
-// to validate the FFT execution path of CONV layers against direct spatial
-// convolution.
-func CircularConvolve2D(a, b []float64, rows, cols int) []float64 {
-	if len(a) != rows*cols || len(b) != rows*cols {
-		panic("fft: CircularConvolve2D shape mismatch")
-	}
-	ca := make([]complex128, len(a))
-	cb := make([]complex128, len(b))
-	for i := range a {
-		ca[i] = complex(a[i], 0)
-		cb[i] = complex(b[i], 0)
-	}
-	fa := FFT2(ca, rows, cols)
-	fb := FFT2(cb, rows, cols)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	return realParts(IFFT2(fa, rows, cols), rows*cols)
-}

@@ -83,14 +83,3 @@ func IRFFT(spec []complex128, n int) []float64 {
 	}
 	return out
 }
-
-// ExpandHalfSpectrum reconstructs the full length-n complex spectrum from the
-// half spectrum of a real sequence using conjugate symmetry.
-func ExpandHalfSpectrum(spec []complex128, n int) []complex128 {
-	full := make([]complex128, n)
-	copy(full, spec)
-	for k := len(spec); k < n; k++ {
-		full[k] = cmplx.Conj(full[n-k])
-	}
-	return full
-}

@@ -19,9 +19,9 @@ import (
 // use; per-call scratch is owned by the caller.
 //
 // The transform is split into phases (Pack → half-size Forward → Unpack, and
-// PreInverse → half-size Inverse → PostInverse) so batched pipelines can run
-// the middle phase as one (*Plan).BatchForward/BatchInverse over many packed
-// vectors at unit stride. ForwardInto/InverseInto compose the phases for the
+// PreInverse → half-size Inverse → PostInverse) so the circulant engine can
+// run the middle phase as one bin-major pass over many packed vectors
+// (splitmany.go). ForwardInto/InverseInto compose the phases for the
 // single-vector case.
 type RealPlan struct {
 	n    int
@@ -63,8 +63,8 @@ func (rp *RealPlan) Size() int { return rp.n }
 func (rp *RealPlan) SpecLen() int { return rp.half + 1 }
 
 // Complex returns the half-size complex plan that executes the middle phase,
-// for callers batching many packed vectors through one BatchForward or
-// BatchInverse call.
+// for callers pushing many packed vectors through one ForwardSplitManyRev or
+// InverseSplitManyRev call.
 //
 //repro:noalloc
 func (rp *RealPlan) Complex() *Plan { return rp.cplx }

@@ -13,9 +13,11 @@ import "fmt"
 // high-performance FFT libraries: two dense float64 streams, branch-free
 // butterflies with the twiddle tables themselves stored split
 // (Plan.twRe/twIm), so the hot loop is pure float64 multiply-adds at unit
-// stride. The serving hot path (circulant's batched spectral engine) runs
-// entirely on this representation; the complex128 entry points remain as
-// the reference path and for callers that want the simpler types.
+// stride. The circulant engine runs entirely on this representation, through
+// the bin-major Many kernels of splitmany.go; the complex128 Plan.Forward/
+// Inverse remain for training's per-block gradient transforms, the
+// any-size FFT/IFFT entry points and Bluestein, and as the reference the
+// split kernels are held bit-identical to.
 
 // SplitSlice is a complex vector in split (planar) form: element k is
 // Re[k] + i·Im[k]. The two slices must have equal length. The zero value is
@@ -33,13 +35,6 @@ func NewSplit(n int) SplitSlice {
 //
 //repro:noalloc
 func (s SplitSlice) Len() int { return len(s.Re) }
-
-// Slice returns the sub-vector [lo, hi) sharing the receiver's storage.
-//
-//repro:noalloc
-func (s SplitSlice) Slice(lo, hi int) SplitSlice {
-	return SplitSlice{Re: s.Re[lo:hi], Im: s.Im[lo:hi]}
-}
 
 // Resize returns a split vector of length n, reusing the receiver's storage
 // when it has the capacity (contents are then unspecified). The idiom for
@@ -253,30 +248,6 @@ func (p *Plan) transformSplit(dst, src SplitSlice, inverse bool) {
 	}
 }
 
-// BatchForwardSplit computes the DFT of every length-n chunk of src into
-// the corresponding chunk of dst, both in split form. Chunk counts and
-// aliasing rules match BatchForward.
-//
-//repro:noalloc
-func (p *Plan) BatchForwardSplit(dst, src SplitSlice) { p.batchTransformSplit(dst, src, false) }
-
-// BatchInverseSplit computes the inverse DFT (with the 1/n factor) of every
-// length-n chunk of src into the corresponding chunk of dst, in split form.
-//
-//repro:noalloc
-func (p *Plan) BatchInverseSplit(dst, src SplitSlice) { p.batchTransformSplit(dst, src, true) }
-
-//repro:noalloc
-func (p *Plan) batchTransformSplit(dst, src SplitSlice, inverse bool) {
-	n := p.n
-	if dst.Len() != src.Len() || src.Len()%n != 0 {
-		panic(fmt.Sprintf("fft: batch split transform of plan size %d: dst %d, src %d", n, dst.Len(), src.Len()))
-	}
-	for off := 0; off < src.Len(); off += n {
-		p.transformSplit(dst.Slice(off, off+n), src.Slice(off, off+n), inverse)
-	}
-}
-
 // splitTables precomputes the split per-stage twiddle tables on a Plan;
 // called from NewPlan so every plan (cached or not) carries both
 // representations. Stage s (butterfly width 4·2^s) gets its factors
@@ -446,48 +417,5 @@ func (rp *RealPlan) splitTables() {
 	}
 	for k, w := range rp.wi {
 		rp.wiRe[k], rp.wiIm[k] = real(w), imag(w)
-	}
-}
-
-// ForwardSplit computes the 2-D DFT of src into dst in split form
-// (row-major rows×cols; dst may share storage with src), using col (length
-// rows) as column-gather scratch. The row-then-column schedule matches
-// Forward, so results are bit-identical to the complex128 path.
-//
-//repro:noalloc
-func (p *Plan2D) ForwardSplit(dst, src, col SplitSlice) {
-	p.transformSplit(dst, src, col, false)
-}
-
-// InverseSplit computes the inverse 2-D DFT (with 1/(rows·cols)
-// normalisation) of src into dst in split form, using col (length rows) as
-// scratch.
-//
-//repro:noalloc
-func (p *Plan2D) InverseSplit(dst, src, col SplitSlice) {
-	p.transformSplit(dst, src, col, true)
-}
-
-//repro:noalloc
-func (p *Plan2D) transformSplit(dst, src, col SplitSlice, inverse bool) {
-	n := p.rows * p.cols
-	if dst.Len() != n || src.Len() != n || col.Len() != p.rows {
-		panic("fft: Plan2D split transform buffer sizes do not match plan")
-	}
-	for r := 0; r < p.rows; r++ {
-		p.rowPlan.transformSplit(dst.Slice(r*p.cols, (r+1)*p.cols), src.Slice(r*p.cols, (r+1)*p.cols), inverse)
-	}
-	cr, ci := col.Re, col.Im
-	dre, dim := dst.Re, dst.Im
-	for c := 0; c < p.cols; c++ {
-		for r := 0; r < p.rows; r++ {
-			cr[r] = dre[r*p.cols+c]
-			ci[r] = dim[r*p.cols+c]
-		}
-		p.colPlan.transformSplit(col, col, inverse)
-		for r := 0; r < p.rows; r++ {
-			dre[r*p.cols+c] = cr[r]
-			dim[r*p.cols+c] = ci[r]
-		}
 	}
 }

@@ -67,29 +67,6 @@ func TestSplitInPlace(t *testing.T) {
 	}
 }
 
-// TestSplitBatchMatchesPerVector checks BatchForwardSplit/BatchInverseSplit
-// chunk-by-chunk against single transforms.
-func TestSplitBatchMatchesPerVector(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	const n, batch = 64, 5
-	p := PlanFor(n)
-	src := randSplit(rng, n*batch)
-	got := NewSplit(n * batch)
-	p.BatchForwardSplit(got, src)
-	p.BatchInverseSplit(got, got)
-	for v := 0; v < batch; v++ {
-		want := NewSplit(n)
-		p.ForwardSplit(want, src.Slice(v*n, (v+1)*n))
-		p.InverseSplit(want, want)
-		for k := 0; k < n; k++ {
-			if got.Re[v*n+k] != want.Re[k] || got.Im[v*n+k] != want.Im[k] {
-				t.Fatalf("vec %d bin %d: batch (%g,%g), single (%g,%g)",
-					v, k, got.Re[v*n+k], got.Im[v*n+k], want.Re[k], want.Im[k])
-			}
-		}
-	}
-}
-
 // TestRealPlanSplitMatchesComplexPhases checks every split phase of the
 // real plan (Pack/Unpack/PreInverse/PostInverse) against its complex
 // counterpart, including short (zero-padded and truncated) blocks.
@@ -132,39 +109,6 @@ func TestRealPlanSplitMatchesComplexPhases(t *testing.T) {
 	}
 }
 
-// TestPlan2DSplitMatchesComplex checks the split 2-D transform against the
-// complex Plan2D path bit for bit.
-func TestPlan2DSplitMatchesComplex(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	const rows, cols = 8, 16
-	p, err := NewPlan2D(rows, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := randSplit(rng, rows*cols)
-	x := make([]complex128, rows*cols)
-	s.CopyTo(x)
-
-	want := make([]complex128, rows*cols)
-	colC := make([]complex128, rows)
-	p.Forward(want, x, colC)
-	got := NewSplit(rows * cols)
-	colS := NewSplit(rows)
-	p.ForwardSplit(got, s, colS)
-	for k := range want {
-		if got.Re[k] != real(want[k]) || got.Im[k] != imag(want[k]) {
-			t.Fatalf("forward bin %d: split (%g,%g), complex %v", k, got.Re[k], got.Im[k], want[k])
-		}
-	}
-	p.Inverse(want, want, colC)
-	p.InverseSplit(got, got, colS)
-	for k := range want {
-		if got.Re[k] != real(want[k]) || got.Im[k] != imag(want[k]) {
-			t.Fatalf("inverse bin %d: split (%g,%g), complex %v", k, got.Re[k], got.Im[k], want[k])
-		}
-	}
-}
-
 // TestSplitSliceHelpers covers Resize retention, Zero and the interleave
 // round trip.
 func TestSplitSliceHelpers(t *testing.T) {
@@ -198,22 +142,30 @@ func TestSplitSliceHelpers(t *testing.T) {
 }
 
 // TestSplitTransformZeroAlloc is the planned-forward allocation gate: a
-// warm split transform (single and batched, forward and inverse, real and
-// complex) must not allocate.
+// warm split transform (the contiguous single-vector form and the bin-major
+// Many kernels the engine runs; forward and inverse, real and complex) must
+// not allocate.
 func TestSplitTransformZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
-	p := PlanFor(64)
-	s := randSplit(rng, 64*4)
-	dst := NewSplit(64 * 4)
-	rp := RealPlanFor(64)
-	x := randReal(rng, 64)
+	const n, count = 64, 4
+	rp := RealPlanFor(n)
+	p := rp.Complex()
+	s := randSplit(rng, p.Size())
+	dst := NewSplit(p.Size())
+	x := randReal(rng, n)
 	spec := NewSplit(rp.SpecLen())
 	z := NewSplit(rp.half)
+	zMany := randSplit(rng, rp.half*count)
+	specMany := NewSplit(rp.SpecLen() * count)
 	allocs := testing.AllocsPerRun(50, func() {
-		p.BatchForwardSplit(dst, s)
-		p.BatchInverseSplit(dst, dst)
+		p.ForwardSplit(dst, s)
+		p.InverseSplit(dst, dst)
 		rp.ForwardSplit(spec, x, z)
 		rp.InverseSplit(x, spec, z)
+		p.ForwardSplitManyRev(zMany, count, 0, count)
+		rp.UnpackSplitMany(specMany, zMany, count, 0, count)
+		rp.PreInverseSplitManyRev(zMany, specMany, count, 0, count)
+		p.InverseSplitManyRev(zMany, count, 0, count)
 	})
 	if allocs > 0 {
 		t.Errorf("warm split transforms allocate %.0f/op; want 0", allocs)

@@ -4,70 +4,62 @@ import "fmt"
 
 // Transposed (bin-major) batched split transforms: `count` same-size
 // transforms stored with bin k of transform m at index k·stride+m, m < count
-// ≤ stride. Where BatchForwardSplit walks one tiny transform at a time —
-// inner loops of length size/2, twiddle reloads per butterfly — the Many
-// kernels run every butterfly across all transforms at once: the twiddle
-// pair is hoisted out of the inner loop, which becomes a straight
+// ≤ stride. Where the contiguous transformSplit walks one tiny transform at
+// a time — inner loops of length size/2, twiddle reloads per butterfly — the
+// Many kernels run every butterfly across all transforms at once: the
+// twiddle pair is hoisted out of the inner loop, which becomes a straight
 // multiply-add sweep over contiguous count-long rows. For the block sizes
-// the circulant engine cares about (dozens of bins, dozens-to-hundreds of
-// transforms per batch) this is the difference between loop overhead
-// dominating and the FP pipes being the limit.
+// the circulant engine cares about (dozens of bins, one to hundreds of
+// transforms per pass) this is the difference between loop overhead
+// dominating and the FP pipes being the limit. They are the only transform
+// kernels on the serving path.
 //
 // The stride is the caller's row pitch: padding it away from high powers of
 // two (see circulant's rowPitch) avoids cache-set aliasing between rows.
 //
+// The kernels are the Rev forms only: they expect their input rows already
+// in bit-reversed order (natural bin j at row BitReversal()[j]). Both
+// producers in the engine — the input pack and PreInverseSplitManyRev — are
+// scatters anyway, so they write through the permutation for free and the
+// transform skips its permutation pass, a full extra memory round trip over
+// the data.
+//
 // All Many kernels operate on the column range [m0, m1): columns are
 // independent (butterflies mix rows, never columns), so callers can
 // partition [0, count) across workers and get results identical to a
-// single-threaded pass. Per transform the butterfly order and twiddle
-// values match ForwardSplit/InverseSplit exactly, so results are
-// bit-identical to the per-vector kernels.
+// single-threaded pass, and a column's result does not depend on which
+// other columns share the pass. Per transform the butterfly order and
+// twiddle values match Plan.Forward/Inverse exactly, so results are
+// bit-identical to the per-vector complex128 kernels (asserted by
+// TestSplitManyRevMatchesPlan).
 
 // BitReversal returns the plan's bit-reversal permutation: natural bin j
-// belongs at row BitReversal()[j] of a pre-permuted (Rev-kernel) layout.
-// The permutation is an involution, so the same table maps both ways.
-// Callers must treat the returned slice as read-only.
+// belongs at row BitReversal()[j] of the Rev kernels' layout. The
+// permutation is an involution, so the same table maps both ways. Callers
+// must treat the returned slice as read-only.
 //
 //repro:noalloc
 func (p *Plan) BitReversal() []int32 { return p.perm }
 
-// ForwardSplitMany computes the DFT of each column transform in place.
+// ForwardSplitManyRev computes the DFT of each column transform in place,
+// reading rows in bit-reversed order and leaving them in natural order.
 // d must hold p.Size()·stride elements per plane.
 //
 //repro:noalloc
-func (p *Plan) ForwardSplitMany(d SplitSlice, stride, m0, m1 int) {
-	p.transformSplitMany(d, stride, m0, m1, false, false)
-}
-
-// InverseSplitMany computes the inverse DFT (with the 1/n factor) of each
-// column transform in place.
-//
-//repro:noalloc
-func (p *Plan) InverseSplitMany(d SplitSlice, stride, m0, m1 int) {
-	p.transformSplitMany(d, stride, m0, m1, true, false)
-}
-
-// ForwardSplitManyRev is ForwardSplitMany for data whose rows the producer
-// already wrote in bit-reversed order (natural bin j at row
-// BitReversal()[j]): the permutation pass — a full extra memory round trip
-// over the data — is skipped. Results are identical to writing rows
-// naturally and calling ForwardSplitMany.
-//
-//repro:noalloc
 func (p *Plan) ForwardSplitManyRev(d SplitSlice, stride, m0, m1 int) {
-	p.transformSplitMany(d, stride, m0, m1, false, true)
+	p.transformSplitMany(d, stride, m0, m1, false)
 }
 
-// InverseSplitManyRev is InverseSplitMany for pre-permuted rows; see
-// ForwardSplitManyRev.
+// InverseSplitManyRev computes the inverse DFT (with the 1/n factor) of each
+// column transform in place; see ForwardSplitManyRev.
 //
 //repro:noalloc
 func (p *Plan) InverseSplitManyRev(d SplitSlice, stride, m0, m1 int) {
-	p.transformSplitMany(d, stride, m0, m1, true, true)
+	p.transformSplitMany(d, stride, m0, m1, true)
 }
 
 //repro:noalloc
-func (p *Plan) transformSplitMany(d SplitSlice, stride, m0, m1 int, inverse, permuted bool) {
+func (p *Plan) transformSplitMany(d SplitSlice, stride, m0, m1 int, inverse bool) {
 	n := p.n
 	if d.Len() != n*stride || m0 < 0 || m1 > stride || m0 > m1 {
 		panic(fmt.Sprintf("fft: plan size %d SplitMany: data %d, stride %d, columns [%d,%d)",
@@ -77,24 +69,6 @@ func (p *Plan) transformSplitMany(d SplitSlice, stride, m0, m1 int, inverse, per
 		return
 	}
 	re, im := d.Re, d.Im
-	// Bit-reversal permutation as row swaps, unless the producer already
-	// wrote the rows permuted.
-	if !permuted {
-		for i, j := range p.perm {
-			if i < int(j) {
-				ra := re[i*stride : i*stride+m1]
-				rb := re[int(j)*stride : int(j)*stride+m1]
-				for m := m0; m < m1; m++ {
-					ra[m], rb[m] = rb[m], ra[m]
-				}
-				ra = im[i*stride : i*stride+m1]
-				rb = im[int(j)*stride : int(j)*stride+m1]
-				for m := m0; m < m1; m++ {
-					ra[m], rb[m] = rb[m], ra[m]
-				}
-			}
-		}
-	}
 	sign := 1.0
 	if inverse {
 		sign = -1.0
@@ -283,9 +257,9 @@ func (p *Plan) transformSplitMany(d SplitSlice, stride, m0, m1 int, inverse, per
 }
 
 // UnpackSplitMany untangles count packed transforms (bin-major, rows of
-// length stride) into their half spectra: the Many form of UnpackSplit.
-// zf holds n/2 rows, spec n/2+1 rows; both share the stride and column
-// range semantics of ForwardSplitMany.
+// length stride, natural order) into their half spectra: the Many form of
+// UnpackSplit. zf holds n/2 rows, spec n/2+1 rows; both share the stride and
+// column range semantics of ForwardSplitManyRev.
 //
 //repro:noalloc
 func (rp *RealPlan) UnpackSplitMany(spec, zf SplitSlice, stride, m0, m1 int) {
@@ -324,28 +298,15 @@ func (rp *RealPlan) UnpackSplitMany(spec, zf SplitSlice, stride, m0, m1 int) {
 	}
 }
 
-// PreInverseSplitMany converts count half spectra (bin-major) into their
-// packed inverse-transform inputs: the Many form of PreInverseSplit.
-//
-//repro:noalloc
-func (rp *RealPlan) PreInverseSplitMany(z, spec SplitSlice, stride, m0, m1 int) {
-	rp.preInverseSplitMany(z, spec, stride, m0, m1, false)
-}
-
-// PreInverseSplitManyRev is PreInverseSplitMany writing z's rows in
-// bit-reversed order, so the following inverse transform can run as
-// InverseSplitManyRev and skip its permutation pass.
+// PreInverseSplitManyRev converts count half spectra (bin-major) into their
+// packed inverse-transform inputs, the Many form of PreInverseSplit, writing
+// z's rows in bit-reversed order for InverseSplitManyRev.
 //
 //repro:noalloc
 func (rp *RealPlan) PreInverseSplitManyRev(z, spec SplitSlice, stride, m0, m1 int) {
-	rp.preInverseSplitMany(z, spec, stride, m0, m1, true)
-}
-
-//repro:noalloc
-func (rp *RealPlan) preInverseSplitMany(z, spec SplitSlice, stride, m0, m1 int, rev bool) {
 	h := rp.half
 	if z.Len() != h*stride || spec.Len() != (h+1)*stride || m0 < 0 || m1 > stride || m0 > m1 {
-		panic(fmt.Sprintf("fft: RealPlan(%d).PreInverseSplitMany z %d, spec %d, stride %d, columns [%d,%d)",
+		panic(fmt.Sprintf("fft: RealPlan(%d).PreInverseSplitManyRev z %d, spec %d, stride %d, columns [%d,%d)",
 			rp.n, z.Len(), spec.Len(), stride, m0, m1))
 	}
 	perm := rp.cplx.perm
@@ -355,10 +316,7 @@ func (rp *RealPlan) preInverseSplitMany(z, spec SplitSlice, stride, m0, m1 int, 
 		ski := spec.Im[k*stride : k*stride+m1]
 		srr := spec.Re[(h-k)*stride : (h-k)*stride+m1]
 		sri := spec.Im[(h-k)*stride : (h-k)*stride+m1]
-		zrow := k
-		if rev {
-			zrow = int(perm[k])
-		}
+		zrow := int(perm[k])
 		zkr := z.Re[zrow*stride : zrow*stride+m1]
 		zki := z.Im[zrow*stride : zrow*stride+m1]
 		for m := m0; m < m1; m++ {

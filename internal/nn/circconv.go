@@ -108,16 +108,16 @@ func (l *CircConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.forward(nil, x, train)
 }
 
-// ForwardWS implements WorkspaceForwarder: Forward drawing all scratch from
-// the caller-owned workspace. The OutH·OutW output pixels of one sample are
-// a natural batch — per kernel position the workspace path gathers every
-// pixel's segment and runs one batched spectral pass (r² passes per sample)
-// instead of r²·OutH·OutW per-pixel products. Results agree with the
-// per-pixel path within 1e-12 per element.
+// ForwardWS implements WorkspaceForwarder: Forward drawing its scratch from
+// the caller-owned workspace instead of allocating it per call.
 func (l *CircConv2D) ForwardWS(ws *Workspace, x *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.forward(ws, x, train)
 }
 
+// forward treats the OutH·OutW output pixels of one sample as the natural
+// batch they are: per kernel position it gathers every pixel's segment and
+// runs one pass of the spectral engine (r² passes per sample, in training
+// as in inference) instead of r²·OutH·OutW per-pixel products.
 func (l *CircConv2D) forward(ws *Workspace, x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := l.Geom
 	if x.Rank() != 4 || x.Dim(1) != g.H || x.Dim(2) != g.W || x.Dim(3) != g.C {
@@ -135,14 +135,14 @@ func (l *CircConv2D) forward(ws *Workspace, x *tensor.Tensor, train bool) *tenso
 	nseg := g.R * g.R
 	npix := oh * ow
 
-	var ybuf, segs, prods []float64
-	if ws != nil {
-		segs = growFloats(ws.seg, npix*g.C)
-		prods = growFloats(ws.prod, npix*g.P)
-		ws.seg, ws.prod = segs, prods
-	} else {
-		ybuf = make([]float64, g.P)
+	if ws == nil {
+		// Per-call scratch; its nil BatchWorkspace makes each pass borrow
+		// from circulant's pool.
+		ws = &Workspace{}
 	}
+	segs := growFloats(ws.seg, npix*g.C)
+	prods := growFloats(ws.prod, npix*g.P)
+	ws.seg, ws.prod = segs, prods
 	for i := 0; i < batch; i++ {
 		img := tensor.FromSlice(x.Data[i*sl:(i+1)*sl], g.H, g.W, g.C)
 		cols := tensor.Im2Col(img, g)
@@ -150,32 +150,16 @@ func (l *CircConv2D) forward(ws *Workspace, x *tensor.Tensor, train bool) *tenso
 			l.lastCols[i] = cols
 		}
 		dst := out.Data[i*ol : (i+1)*ol]
-		if ws != nil {
-			// Pixel-batched spectral pass per kernel position.
-			for r := 0; r < npix; r++ {
-				copy(dst[r*g.P:(r+1)*g.P], l.bParam.Value.Data)
-			}
-			for s := 0; s < nseg; s++ {
-				for r := 0; r < npix; r++ {
-					copy(segs[r*g.C:(r+1)*g.C], cols.Row(r)[s*g.C:(s+1)*g.C])
-				}
-				l.pos[s].TransMulBatchInto(prods, segs, npix, ws.batch)
-				for t := 0; t < npix*g.P; t++ {
-					dst[t] += prods[t]
-				}
-			}
-			continue
-		}
 		for r := 0; r < npix; r++ {
-			row := cols.Row(r)
-			acc := dst[r*g.P : (r+1)*g.P]
-			copy(acc, l.bParam.Value.Data)
-			for s := 0; s < nseg; s++ {
-				seg := row[s*g.C : (s+1)*g.C]
-				l.pos[s].TransMulVecInto(ybuf, seg, nil)
-				for p := 0; p < g.P; p++ {
-					acc[p] += ybuf[p]
-				}
+			copy(dst[r*g.P:(r+1)*g.P], l.bParam.Value.Data)
+		}
+		for s := 0; s < nseg; s++ {
+			for r := 0; r < npix; r++ {
+				copy(segs[r*g.C:(r+1)*g.C], cols.Row(r)[s*g.C:(s+1)*g.C])
+			}
+			l.pos[s].TransMulBatchInto(prods, segs, npix, ws.batch)
+			for t := 0; t < npix*g.P; t++ {
+				dst[t] += prods[t]
 			}
 		}
 	}

@@ -64,17 +64,19 @@ func (l *CircDense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.forward(nil, x, train)
 }
 
-// ForwardWS implements WorkspaceForwarder: Forward with the FFT scratch
-// drawn from the caller-owned workspace instead of the per-matrix pool.
-// Multi-row inputs take the batched spectral engine — one planned pass over
-// the whole batch, with the bias add fused into the inverse transform's
-// store — which agrees with the per-row path within 1e-12 (see
-// circulant.TransMulBatchInto). In inference mode the output lives in the
-// workspace arena, so the steady state allocates nothing.
+// ForwardWS implements WorkspaceForwarder: Forward with the spectral scratch
+// drawn from the caller-owned workspace instead of the package pool, and —
+// in inference mode — the output placed in the workspace arena, so the
+// steady state allocates nothing.
 func (l *CircDense) ForwardWS(ws *Workspace, x *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.forward(ws, x, train)
 }
 
+// forward is one pass of the spectral engine over the whole input, with the
+// bias add fused into the inverse transform's store, whatever ws, train and
+// the batch size are: a row's output does not depend on how it was batched
+// (see circulant.TransMulBatchFusedInto). ws only decides where the scratch
+// and the output live.
 func (l *CircDense) forward(ws *Workspace, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: %s got input shape %v", l.Name(), x.Shape()))
@@ -84,27 +86,16 @@ func (l *CircDense) forward(ws *Workspace, x *tensor.Tensor, train bool) *tensor
 	}
 	batch := batchOf(x)
 	var y *tensor.Tensor
+	var bws *circulant.BatchWorkspace
+	if ws != nil {
+		bws = ws.batch
+	}
 	if ws != nil && !train {
 		y = ws.actTensor(batch, l.Out)
 	} else {
 		y = tensor.New(batch, l.Out)
 	}
-	bias := l.bParam.Value.Data
-	if ws != nil && batch > 1 {
-		l.W.TransMulBatchFusedInto(y.Data, x.Data, batch, ws.batch, bias, false)
-		return y
-	}
-	var cws *circulant.Workspace
-	if ws != nil {
-		cws = ws.circ
-	}
-	for i := 0; i < batch; i++ {
-		row := y.Row(i)
-		l.W.TransMulVecInto(row, x.Row(i), cws)
-		for j := 0; j < l.Out; j++ {
-			row[j] += bias[j]
-		}
-	}
+	l.W.TransMulBatchFusedInto(y.Data, x.Data, batch, bws, l.bParam.Value.Data, false)
 	return y
 }
 

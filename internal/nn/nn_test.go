@@ -284,6 +284,32 @@ func TestSaveLoadArch3Structure(t *testing.T) {
 	}
 }
 
+func TestCloneIsIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	net := Arch2(rng)
+	clone, err := net.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(3, 121).Randn(rng, 1)
+	want := net.Forward(x, false)
+	got := clone.Forward(x, false)
+	if !got.AllClose(want, 1e-12) {
+		t.Fatal("clone computes different outputs")
+	}
+	// Mutating the clone must not touch the original.
+	clone.Params()[0].Value.Data[0] += 1
+	for _, p := range clone.Params() {
+		if p.OnUpdate != nil {
+			p.OnUpdate()
+		}
+	}
+	after := net.Forward(x, false)
+	if !after.AllClose(want, 0) {
+		t.Error("mutating the clone changed the original network")
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte{1, 2, 3}), rand.New(rand.NewSource(1))); err == nil {
 		t.Error("expected error on truncated model")

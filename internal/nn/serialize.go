@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -179,6 +180,20 @@ func Load(r io.Reader, rng *rand.Rand) (*Network, error) {
 		net.Add(l)
 	}
 	return net, nil
+}
+
+// Clone deep-copies the network (architecture, parameters, BatchNorm
+// running statistics) through the serialisation round trip. Clones share no
+// mutable state: model.Replicate hands one to each serving replica whose
+// program still interprets a layer with per-call state.
+func (n *Network) Clone() (*Network, error) {
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		return nil, fmt.Errorf("nn: cloning network: %w", err)
+	}
+	// Stochastic layers are reseeded deterministically; inference does not
+	// consume randomness.
+	return Load(&buf, rand.New(rand.NewSource(0)))
 }
 
 func loadLayer(r io.Reader, rng *rand.Rand) (Layer, error) {

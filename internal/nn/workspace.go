@@ -5,24 +5,22 @@ import (
 	"repro/internal/tensor"
 )
 
-// Caller-owned forward-pass scratch. The block-circulant layers' FFT
-// products are the inference bottleneck, and their generic entry points
-// draw scratch buffers from per-matrix sync.Pools. A long-lived inference
-// worker — one replica in the serving subsystem's pool — does better by
-// owning its scratch outright: one Workspace threaded through every layer
-// of every forward pass, so the steady state allocates nothing per request
-// beyond the activations themselves.
+// Caller-owned forward-pass scratch. The block-circulant layers' spectral
+// products are the inference bottleneck, and a forward pass that is handed
+// no workspace borrows their scratch from circulant's pool and allocates
+// every activation. A long-lived inference worker does better by owning its
+// scratch outright: one Workspace threaded through every layer of every
+// forward pass, so the steady state allocates nothing per request.
 
 // Workspace is reusable scratch for a network forward pass. It grows to
 // the largest layer it has served and is retained across calls. A
 // Workspace must not be shared by concurrent forward passes; give each
 // inference worker its own.
 //
-// Beyond per-vector FFT scratch, a Workspace carries a
-// circulant.BatchWorkspace: layers that see more than one row at a time
-// (a coalesced serving batch through CircDense, the output pixels of
-// CircConv2D) run one batched spectral pass per layer instead of one
-// product per row.
+// It carries the circulant.BatchWorkspace every block-circulant layer's
+// product runs in — the rows of a CircDense input, the output pixels of a
+// CircConv2D sample: one pass of the spectral engine per layer, at any
+// batch size — and the gather buffers of the pixel-batched CircConv2D.
 //
 // A Workspace is also the inference arena: two ping-pong activation
 // buffers, sized at plan time (the first pass through a network) and
@@ -35,8 +33,7 @@ import (
 // which never touches the arena. See DESIGN.md §3 for the plan/workspace
 // lifecycle.
 type Workspace struct {
-	circ  *circulant.Workspace      // per-vector FFT scratch (fallbacks, batch of 1)
-	batch *circulant.BatchWorkspace // batched spectral-pass scratch
+	batch *circulant.BatchWorkspace // spectral-pass scratch
 	seg   []float64                 // gathered im2col segments for pixel-batched CircConv2D
 	prod  []float64                 // batched product output for pixel-batched CircConv2D
 
@@ -47,8 +44,7 @@ type Workspace struct {
 
 // NewWorkspace returns an empty Workspace ready for reuse.
 func NewWorkspace() *Workspace {
-	bw := circulant.NewBatchWorkspace()
-	return &Workspace{circ: bw.Vec(), batch: bw}
+	return &Workspace{batch: circulant.NewBatchWorkspace()}
 }
 
 // actTensor returns a [d0, d1] tensor backed by the next arena slot,
@@ -115,13 +111,6 @@ func (n *Network) ForwardWS(ws *Workspace, x *tensor.Tensor, train bool) *tensor
 		}
 	}
 	return x
-}
-
-// PredictWS is Predict running through ForwardWS: argmax class per sample
-// with all layer scratch drawn from ws.
-func (n *Network) PredictWS(ws *Workspace, x *tensor.Tensor) []int {
-	out := n.ForwardWS(ws, x, false)
-	return argmaxRows(out)
 }
 
 // Argmax returns the index of the largest value in scores — the predicted

@@ -56,20 +56,6 @@ func TestForwardWSMatchesForward(t *testing.T) {
 	}
 }
 
-// PredictWS must agree with Predict.
-func TestPredictWSMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net := Arch1(rng)
-	x := tensor.New(5, 256).Randn(rng, 1)
-	want := net.Predict(x)
-	got := net.PredictWS(NewWorkspace(), x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: PredictWS %d, Predict %d", i, got[i], want[i])
-		}
-	}
-}
-
 // TestForwardWSZeroAlloc is the planned-forward allocation gate: a warm
 // workspace forward pass of a circulant FC architecture (Arch-1: fused
 // CircDense→ReLU pairs and a Dense head, all arena-backed) must allocate

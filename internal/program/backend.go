@@ -22,10 +22,13 @@ type Backend interface {
 }
 
 // float64Split is the default backend: typed ops execute directly on the
-// split-complex spectral kernels (circulant.TransMulBatch*Into) and the
-// dense MatMulInto path — exactly the kernel set the interpreted
-// Network.ForwardWS uses, so compiled programs agree with it within
-// 1e-12.
+// spectral engine (circulant.TransMulBatch*Into — the one product of a
+// power-of-two block-circulant matrix at every batch size, batch 1
+// included) and the dense MatMulInto path. Every kernel is row-independent,
+// so a sample's scores are the same bits alone and inside any batch
+// (TestRunBatchInvariantBits); the interpreted Network.ForwardWS runs the
+// same engine and is the oracle compiled programs are held within 1e-12
+// of.
 type float64Split struct{}
 
 // Float64Split returns the default float backend over the split-complex

@@ -387,32 +387,59 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestServedMatchesReference runs every test input through the server and
-// the original network and requires identical scores — batching and
-// workspace reuse must not change the numerics.
+// TestServedMatchesReference requires a served score to be exactly the
+// original network's score for that input alone — batching and workspace
+// reuse must not change the numerics. The inputs are fired concurrently at
+// one worker whose batch cap admits all of them, so they really are served
+// coalesced (a serial sender never forms a batch, and a batch is where a
+// co-traffic-dependent kernel would show).
 func TestServedMatchesReference(t *testing.T) {
 	net := testModel(9)
+	inputs, _ := testInputs(net, 8, 64)
 	srv, err := newNetServer(net, []int{64}, Options{
-		Workers:  3,
-		MaxBatch: 5,
-		MaxDelay: time.Millisecond,
+		Workers:  1,
+		MaxBatch: len(inputs),
+		MaxDelay: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	inputs, _ := testInputs(net, 8, 64)
-	for k, in := range inputs {
-		res, err := srv.Infer(context.Background(), in)
-		if err != nil {
-			t.Fatal(err)
+	// The scheduler dispatches early once nothing is queued, so how many
+	// requests coalesce is up to the Go scheduler: release all senders at
+	// once, and repeat the round until some batch held more than one.
+	largest := 0
+	for round := 0; round < 20 && largest < 2; round++ {
+		start := make(chan struct{})
+		results := make([]Result, len(inputs))
+		errs := make([]error, len(inputs))
+		var wg sync.WaitGroup
+		for k := range inputs {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				<-start
+				results[k], errs[k] = srv.Infer(context.Background(), inputs[k])
+			}(k)
 		}
-		ref := net.Forward(tensor.FromSlice(in, 1, 64), false).Row(0)
-		for j := range ref {
-			if res.Scores[j] != ref[j] {
-				t.Fatalf("input %d class %d: served score %g, reference %g", k, j, res.Scores[j], ref[j])
+		close(start)
+		wg.Wait()
+		for k, in := range inputs {
+			if errs[k] != nil {
+				t.Fatal(errs[k])
+			}
+			largest = max(largest, results[k].BatchSize)
+			ref := net.Forward(tensor.FromSlice(in, 1, 64), false).Row(0)
+			for j := range ref {
+				if results[k].Scores[j] != ref[j] {
+					t.Fatalf("input %d class %d in a batch of %d: served score %v, reference %v",
+						k, j, results[k].BatchSize, results[k].Scores[j], ref[j])
+				}
 			}
 		}
+	}
+	if largest < 2 {
+		t.Fatal("no two requests were served in one batch: the test never exercised batching")
 	}
 }

@@ -73,7 +73,8 @@ func TestReprolintClean(t *testing.T) {
 
 // TestNoallocCoverage pins the hot paths the PR contract names: serving
 // InferInto, the stream frame codec, compiled-program Run, and the
-// split-FFT batch kernels must stay in the verified noalloc tier.
+// spectral engine with the four split-FFT kernels it runs must stay in the
+// verified noalloc tier.
 func TestNoallocCoverage(t *testing.T) {
 	tl := tree(t)
 	facts := gatherMarks(tl.ld, tl.pkgs)
@@ -84,8 +85,11 @@ func TestNoallocCoverage(t *testing.T) {
 		"repro/internal/serve/stream.DecodeFrame",
 		"(*repro/internal/serve/stream.Client).DoInto",
 		"(*repro/internal/program.Program).Run",
-		"(*repro/internal/fft.Plan).BatchForwardSplit",
-		"(*repro/internal/fft.Plan).BatchInverseSplit",
+		"(*repro/internal/fft.Plan).ForwardSplitManyRev",
+		"(*repro/internal/fft.Plan).InverseSplitManyRev",
+		"(*repro/internal/fft.RealPlan).UnpackSplitMany",
+		"(*repro/internal/fft.RealPlan).PreInverseSplitManyRev",
+		"(*repro/internal/circulant.BlockCirculant).batchCore",
 		"(*repro/internal/circulant.BlockCirculant).TransMulBatchFusedInto",
 		"(*repro/internal/metrics.Histogram).Observe",
 		"(*repro/internal/serve/admission.Controller).Admit",
