@@ -48,7 +48,7 @@ bench:
 # regression on hot-path benchmarks fails, and ANY allocs/op increase on
 # the steady-state serving/spectral benchmarks fails:
 #   make bench-compare BASE=BENCH_base.json HEAD=BENCH_head.json
-GATE ?= BenchmarkBatchedSpectralForward|BenchmarkFig2_CirculantMatvec|BenchmarkAblationSpectralCache|BenchmarkAblationAccumulateSpectral|BenchmarkCompiledForward|BenchmarkVectorSearch
+GATE ?= BenchmarkBatchedSpectralForward|BenchmarkFig2_CirculantMatvec|BenchmarkAblationSpectralCache|BenchmarkAblationAccumulateSpectral|BenchmarkCompiledForward|BenchmarkQuantizedForward|BenchmarkVectorSearch
 # Serving acceptance benchmarks, gated at a wide catastrophic-only
 # threshold (2.5x) because closed-loop per-op medians are scheduler-shaped.
 SERVEGATE ?= BenchmarkRegistryRoutedInfer|BenchmarkStreamInfer|BenchmarkRouterRoutedInfer|BenchmarkEmbed
@@ -88,9 +88,11 @@ chaos:
 
 # Coverage-guided fuzzing of the decoders, one target per decoder: the
 # wire row codec (RPI1/RQE1/RSE1), the RPO1 results codec, RPS2 stream
-# frames, the artifact-store index. `go test` accepts one -fuzz pattern per
-# invocation, so each target gets its own run. CI runs the same loop as a short smoke;
-# raise the budget locally, e.g. `make fuzz FUZZTIME=5m`.
+# frames, the artifact-store index — and of the Goldilocks field multiply
+# under the fixed-point build's transform, against math/big. `go test`
+# accepts one -fuzz pattern per invocation, so each target gets its own run.
+# CI runs the same loop as a short smoke; raise the budget locally, e.g.
+# `make fuzz FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -98,3 +100,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzParseWireResults$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeStreamFrame$$' -fuzztime $(FUZZTIME) ./internal/serve/stream/
 	$(GO) test -run xxx -fuzz 'FuzzParseStoreIndex$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run xxx -fuzz 'FuzzNTTMul$$' -fuzztime $(FUZZTIME) ./internal/fft/

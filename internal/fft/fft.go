@@ -14,7 +14,10 @@
 //     bin-major many-transform kernels the block-circulant engine runs;
 //   - 2-D transforms and circular convolution, the primitive behind the
 //     paper's "FFT → component-wise multiplication → IFFT" procedure
-//     (Fig. 2).
+//     (Fig. 2);
+//   - a number-theoretic transform over the prime 2⁶⁴ − 2³² + 1 (ntt.go),
+//     the exact integer counterpart the fixed-point build runs the same
+//     procedure on.
 //
 // All transforms use the engineering sign convention: the forward transform
 // is X[k] = Σ_j x[j]·e^{-2πi·jk/n} and the inverse includes the 1/n factor.

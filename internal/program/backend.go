@@ -3,6 +3,8 @@ package program
 import (
 	"fmt"
 
+	"repro/internal/circulant"
+	"repro/internal/fft"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -66,12 +68,22 @@ func (denseRef) lower(p *Program) error {
 }
 
 // int16Spectral is the paper's fixed-point deployment: every product op
-// runs on int16 weights and activations with int64 accumulation,
+// runs on int16 weights and activations with int64 accumulators,
 // generalising quant.FixedPointDense to block-circulant layers and whole
 // batches. Weights are quantised once at compile time (a frozen
 // snapshot); activations are quantised per sample by an explicit
 // KindQuantize node, and a KindDequantize node applies the combined
 // per-layer rescale with the fused bias and rectifier.
+//
+// Block-circulant products keep the paper's procedure — transform, multiply
+// bin by bin against stored weight spectra, accumulate in the transform
+// domain, one inverse per output block — in exact integer arithmetic: the
+// transform is number-theoretic (fft.NTTPlan, modulo 2⁶⁴ − 2³² + 1), each
+// layer stores k·l·n 64-bit spectrum words derived from its quantised
+// defining vectors (circSpectra), and because no accumulator can reach the
+// modulus the result is the time-domain integer product itself, bit for
+// bit, at every supported precision — exact by range, with no error bound
+// to check and nothing to fall back to.
 type int16Spectral struct {
 	weightBits, actBits int
 }
@@ -142,6 +154,9 @@ func (b int16Spectral) lower(p *Program) error {
 		mul := o
 		mul.quantized = true
 		mul.qw = qw
+		if o.kind != KindMatMul {
+			mul.ntt, mul.qspec = circSpectra(o.circ, qw)
+		}
 		mul.in = q.out
 		mul.out = next
 		mul.bias = nil
@@ -163,6 +178,41 @@ func (b int16Spectral) lower(p *Program) error {
 	}
 	p.ops = out
 	return nil
+}
+
+// circSpectra derives the run-time operand of the integer circulant
+// product (execQCirc) from the quantised defining vectors: the plan of the
+// transform length n and, for each of the k·l blocks, n words of weight
+// spectrum, laid out output-block-major ([l][k][n]) so one output block
+// reads its k spectra contiguously.
+//
+// The transpose product is a correlation, (Cᵀx)_t = Σ_s w[(s−t) mod b]·x_s,
+// i.e. the cyclic convolution of x with the index-reversed vector
+// w⁻[t] = w[(b−t) mod b] — so w⁻ is what gets transformed, scaled by n⁻¹
+// on the way in so the run-time inverse needs no scaling pass. n is b when
+// b is a power of two; otherwise the next power of two ≥ 2b−1, long enough
+// that the zero-padded cyclic product is the linear convolution execQCirc
+// folds back to length b.
+func circSpectra(m *circulant.BlockCirculant, qw *quant.QTensor) (*fft.NTTPlan, []uint64) {
+	k, l := m.Grid()
+	b := m.BlockSize()
+	n := b
+	if !fft.IsPow2(b) {
+		n = fft.NextPow2(2*b - 1)
+	}
+	plan := fft.NTTPlanFor(n)
+	spec := make([]uint64, k*l*n)
+	for i := 0; i < k; i++ {
+		for j := 0; j < l; j++ {
+			w := qw.Data[(i*l+j)*b : (i*l+j+1)*b]
+			s := spec[(j*k+i)*n : (j*k+i+1)*n]
+			for t, wt := range w {
+				s[(b-t)%b] = fft.NTTMul(fft.NTTFromInt64(int64(wt)), plan.InvN())
+			}
+			plan.Forward(s)
+		}
+	}
+	return plan, spec
 }
 
 func maxInt(a, b int) int {

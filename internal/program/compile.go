@@ -53,6 +53,8 @@ type Program struct {
 	qacc    []int64 // integer accumulators (quantised product output)
 	qaccMax int
 	qscale  []float64 // per-sample activation scales of the last Quantize
+	qntt    []uint64  // one sample's transform-domain scratch (execQCirc)
+	qnttMax int
 
 	bws    *circulant.BatchWorkspace // spectral scratch for typed circ ops
 	fws    *nn.Workspace             // scratch for KindLayer fallbacks
@@ -367,6 +369,11 @@ func (p *Program) planArena() error {
 				o.slot = slotI64
 				if n := flatLen(o.outShape); n > p.qaccMax {
 					p.qaccMax = n
+				}
+				if o.ntt != nil {
+					// k activation spectra plus one accumulator block.
+					k, _ := o.circ.Grid()
+					p.qnttMax = max(p.qnttMax, (k+1)*o.ntt.Size())
 				}
 			} else {
 				o.slot = 1 - max(curFloat, 0)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/fft"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -27,6 +28,9 @@ func (p *Program) ensure(batch int) {
 	}
 	if p.qxMax > 0 && cap(p.qscale) < batch {
 		p.qscale = make([]float64, batch)
+	}
+	if cap(p.qntt) < p.qnttMax {
+		p.qntt = make([]uint64, p.qnttMax)
 	}
 }
 
@@ -225,6 +229,11 @@ func softmaxRow(src, dst []float64) {
 // requests the scheduler happened to coalesce around it (determinism,
 // and result-cache correctness, under batched serving).
 //
+// A row holding a NaN or an infinity has no fixed-point image (the max-abs
+// scan cannot see a NaN, and int16(NaN) is implementation-defined): it
+// quantises to zeros with scale NaN, so that sample — and only that
+// sample — dequantises to NaN scores, as it would on the float build.
+//
 //repro:noalloc
 func (p *Program) quantizeActivations(o *op, x *tensor.Tensor, batch int) {
 	n := flatLen(o.inShape)
@@ -232,11 +241,19 @@ func (p *Program) quantizeActivations(o *op, x *tensor.Tensor, batch int) {
 	for v := 0; v < batch; v++ {
 		src := x.Data[v*n : (v+1)*n]
 		q := p.qx[v*n : (v+1)*n]
-		maxAbs := 0.0
+		maxAbs, nonFinite := 0.0, 0.0
 		for _, s := range src {
 			if a := math.Abs(s); a > maxAbs {
 				maxAbs = a
 			}
+			nonFinite += s - s // 0 for a finite s, NaN for NaN and ±Inf
+		}
+		if nonFinite != 0 {
+			for i := range q {
+				q[i] = 0
+			}
+			p.qscale[v] = math.NaN()
+			continue
 		}
 		scale := 1.0
 		if maxAbs > 0 {
@@ -283,12 +300,24 @@ func (p *Program) execQMatMul(o *op, batch int) {
 	}
 }
 
-// execQCirc is the integer block-circulant transpose product: the
-// correlation form (Cᵀx)_t = Σ_s w[(s−t) mod b]·x_s evaluated directly on
-// the quantised defining vectors with int64 accumulation, per block and
-// per sample — the embedded deployment arithmetic, keeping only the
-// compressed k·l·b weight words. Ragged edges follow the float path's
-// implicit zero padding.
+// execQCirc is the integer block-circulant transpose product, Algorithm 1
+// in exact integer arithmetic: per sample, the k int16 activation segments
+// are transformed once (fft.NTTPlan, the DFT over the Goldilocks field);
+// each of the l output blocks accumulates Σ_i Ŵ_ij ∘ X̂_i in the transform
+// domain against the weight spectra stored at compile time (circSpectra)
+// and pays one inverse. A ragged last segment is zero-padded and a ragged
+// last block truncated, as on the float path.
+//
+// The result is exact by range, not by tolerance: every accumulator
+// (Cᵀx)_t = Σ_s w[(s−t) mod b]·x_s is bounded by rows·2³⁰ in magnitude,
+// far inside the field's ±(2⁶³ − 2³¹), so nothing wraps and qacc holds the
+// very int64 values a time-domain MAC over the defining vectors produces
+// (TestQCircExact evaluates that definition as the oracle).
+//
+// A block size that is not a power of two runs the same schedule at a
+// padded length n ≥ 2b: the cyclic product of length n is then the linear
+// convolution, and adding its tail back (y[t] = z[t] + z[t+b]) wraps it to
+// length b.
 //
 //repro:noalloc
 func (p *Program) execQCirc(o *op, batch int) {
@@ -296,33 +325,45 @@ func (p *Program) execQCirc(o *op, batch int) {
 	k, l := m.Grid()
 	b := m.BlockSize()
 	rows, cols := m.Rows(), m.Cols()
+	n := o.ntt.Size()
+	xs, acc := p.qntt[:k*n], p.qntt[k*n:(k+1)*n]
 	for v := 0; v < batch; v++ {
 		qrow := p.qx[v*rows : (v+1)*rows]
 		arow := p.qacc[v*cols : (v+1)*cols]
-		for j := range arow {
-			arow[j] = 0
+		for i := 0; i < k; i++ {
+			xh := xs[i*n : (i+1)*n]
+			seg := qrow[i*b : min((i+1)*b, rows)]
+			for t, q := range seg {
+				xh[t] = fft.NTTFromInt64(int64(q))
+			}
+			for t := len(seg); t < n; t++ {
+				xh[t] = 0
+			}
+			o.ntt.Forward(xh)
 		}
 		for j := 0; j < l; j++ {
-			colLo, colHi := j*b, minInt((j+1)*b, cols)
 			for i := 0; i < k; i++ {
-				base := o.qw.Data[(i*l+j)*b : (i*l+j+1)*b]
-				rowLo := i * b
-				blen := minInt((i+1)*b, rows) - rowLo
-				xseg := qrow[rowLo : rowLo+blen]
-				for t := colLo; t < colHi; t++ {
-					tt := t - colLo
-					var acc int64
-					// Weight index (idx−tt) mod b, split at the wrap so the
-					// inner loops stay modulo-free.
-					hi := minInt(tt, blen)
-					for idx := 0; idx < hi; idx++ {
-						acc += int64(base[idx+b-tt]) * int64(xseg[idx])
+				w := o.qspec[(j*k+i)*n : (j*k+i+1)*n][:len(acc)]
+				xh := xs[i*n : (i+1)*n][:len(acc)]
+				if i == 0 {
+					for t := range acc {
+						acc[t] = fft.NTTMul(w[t], xh[t])
 					}
-					for idx := tt; idx < blen; idx++ {
-						acc += int64(base[idx-tt]) * int64(xseg[idx])
-					}
-					arow[t] += acc
+					continue
 				}
+				for t := range acc {
+					acc[t] = fft.NTTAdd(acc[t], fft.NTTMul(w[t], xh[t]))
+				}
+			}
+			o.ntt.Inverse(acc)
+			if n != b {
+				for t := 0; t < b; t++ {
+					acc[t] = fft.NTTAdd(acc[t], acc[t+b])
+				}
+			}
+			out := arow[j*b : min((j+1)*b, cols)]
+			for t := range out {
+				out[t] = fft.NTTToInt64(acc[t])
 			}
 		}
 	}
@@ -352,12 +393,4 @@ func (p *Program) execDequant(o *op, batch int) *tensor.Tensor {
 		}
 	}
 	return y
-}
-
-//repro:noalloc
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -11,9 +11,11 @@
 //   - DenseRef — every structured product expanded to an explicit dense
 //     matmul, the uncompressed reference arm;
 //   - Int16Spectral — the paper's embedded fixed-point deployment:
-//     int16 weights and activations, int64 accumulation, per-layer
+//     int16 weights and activations, int64 accumulators, per-layer
 //     rescale, generalising quant.FixedPointDense to block-circulant
-//     layers and whole batches.
+//     layers and whole batches; circulant products run Algorithm 1 over an
+//     exact integer transform (fft.NTTPlan) and return the time-domain
+//     integer product bit for bit.
 //
 // A compiled Program owns its execution state (a ping-pong float arena,
 // integer scratch, FFT batch workspaces), so a warm Run allocates
@@ -27,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/circulant"
+	"repro/internal/fft"
 	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -144,6 +147,12 @@ type op struct {
 	quantized bool
 	qw        *quant.QTensor // int16 weights (dense matrix or circulant base)
 	actBits   int            // Quantize precision
+	// Integer circulant products run in the transform domain (execQCirc):
+	// ntt is the plan of the block's transform length n, qspec the k·l
+	// weight spectra of n words each, output-block-major ([l][k][n]),
+	// derived from qw once by circSpectra and immutable afterwards.
+	ntt   *fft.NTTPlan
+	qspec []uint64
 
 	dead bool // marked by fusion / DCE, swept before binding
 

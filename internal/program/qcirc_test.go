@@ -1,0 +1,226 @@
+package program
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
+
+// qcircDefinition is the oracle of the integer block-circulant product: the
+// time-domain definition (Cᵀx)_t = Σ_s w[(s−t) mod b]·x_s over the quantised
+// defining vectors, block by block, with the ragged edges' implicit zero
+// padding — what execQCirc computed directly before it moved to the
+// transform domain, and what it must still return bit for bit.
+func qcircDefinition(o *op, qx []int16, batch int) []int64 {
+	m := o.circ
+	_, l := m.Grid()
+	b := m.BlockSize()
+	rows, cols := m.Rows(), m.Cols()
+	out := make([]int64, batch*cols)
+	for v := 0; v < batch; v++ {
+		x := qx[v*rows : (v+1)*rows]
+		for t := 0; t < cols; t++ {
+			j, tt := t/b, t%b
+			var acc int64
+			for s, xs := range x {
+				i, ss := s/b, s%b
+				acc += int64(o.qw.Data[(i*l+j)*b+(ss-tt+b)%b]) * int64(xs)
+			}
+			out[v*cols+t] = acc
+		}
+	}
+	return out
+}
+
+// TestQCircExact: after Run, the accumulators of the integer circulant
+// product equal the time-domain definition evaluated on the same quantised
+// activations and weights — exactly, not within a tolerance. The cases
+// cover power-of-two blocks, pad-and-fold blocks (b = 10, 3, 12), ragged
+// rows and columns, block 1, a 2-bit build and Arch-3's widest FC layer;
+// every batch holds one row saturated to ±max, and every case is repeated
+// with the weights saturated too, the largest accumulators the precision
+// can produce.
+func TestQCircExact(t *testing.T) {
+	for _, tc := range []struct{ in, out, b, bits int }{
+		{256, 128, 64, 12},
+		{121, 64, 32, 12},
+		{64, 64, 64, 16},
+		{100, 50, 10, 16},
+		{7, 5, 3, 8},
+		{8, 8, 1, 12},
+		{3200, 512, 128, 16},
+		{30, 20, 12, 16},
+		{16, 16, 2, 2},
+	} {
+		for _, saturateW := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(tc.in*1000 + tc.b)))
+			layer := nn.NewCircDense(tc.in, tc.out, tc.b, rng)
+			if saturateW {
+				for i := range layer.W.Base.Data {
+					layer.W.Base.Data[i] = float64(1 - 2*rng.Intn(2))
+				}
+				layer.W.Refresh()
+			}
+			prog, err := Compile(nn.NewNetwork(layer), CompileOptions{InShape: []int{tc.in}, Backend: Int16Spectral(tc.bits, tc.bits)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const batch = 3
+			x := tensor.New(batch, tc.in).Randn(rng, 1)
+			for i, row := 0, x.Row(1); i < len(row); i++ {
+				row[i] = float64(1 - 2*rng.Intn(2)) // every activation quantises to ±(2^(bits−1) − 1)
+			}
+			prog.Run(x)
+			mul := &prog.ops[1]
+			if !mul.quantized || mul.circ == nil || len(prog.ops) != 3 {
+				t.Fatalf("%v: compiled to %v, want Quantize → integer circulant product → Dequantize", tc, prog.Ops())
+			}
+			want := qcircDefinition(mul, prog.qx, batch)
+			var peak int64
+			for i, w := range want {
+				if got := prog.qacc[i]; got != w {
+					t.Fatalf("%v saturated weights %v: accumulator %d (sample %d, output %d) = %d, definition gives %d",
+						tc, saturateW, i, i/tc.out, i%tc.out, got, w)
+				}
+				peak = max(peak, w, -w)
+			}
+			if peak == 0 {
+				t.Errorf("%v: every accumulator is zero; the comparison is vacuous", tc)
+			}
+		}
+	}
+}
+
+// TestInt16GoldenScores pins the fixed-point build's scores across commits:
+// FNV-64a over the little-endian Float64bits of a batch-64 Run, recorded at
+// the last commit whose integer circulant product was the time-domain MAC.
+// The integer accumulators are exact on every architecture (TestQCircExact);
+// the float64 epilogue is only pinned on amd64, since other targets may fuse
+// the dequantise multiply-add.
+func TestInt16GoldenScores(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("score bits are pinned on amd64 only; TestQCircExact covers the integer kernel everywhere")
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*rand.Rand) *nn.Network
+		in    int
+		bits  int
+		want  uint64
+	}{
+		{"arch1 q12", nn.Arch1, 256, 12, 0x2edfb52d28affd5b},
+		{"arch2 q12", nn.Arch2, 121, 12, 0x796937148a1c5fc5},
+		{"arch1 q16", nn.Arch1, 256, 16, 0x7688ac048d378fd2},
+		{"arch2 q8", nn.Arch2, 121, 8, 0x347f47ed5c644ddb},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		prog, err := Compile(tc.build(rng), CompileOptions{InShape: []int{tc.in}, Backend: Int16Spectral(tc.bits, tc.bits)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range prog.Run(tensor.New(64, tc.in).Randn(rng, 1)).Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: score checksum %#x, want %#x — the fixed-point build's answers changed", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestNonFiniteRowsAnswerNaN: a sample holding a NaN or an infinite feature
+// is answered with NaN scores on both builds, and its neighbours in the
+// batch are answered as if it were not there. The fixed-point build used to
+// convert int16(NaN) — implementation-defined — and returned confident
+// finite scores for a NaN feature and all-zero accumulators for an infinite
+// one.
+func TestNonFiniteRowsAnswerNaN(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+	}{
+		{"float64split", Float64Split()},
+		{"int16spectral", Int16Spectral(12, 12)},
+	} {
+		rng := rand.New(rand.NewSource(41))
+		net := nn.NewNetwork(
+			nn.NewCircDense(256, 128, 64, rng),
+			nn.NewReLU(),
+			nn.NewCircDense(128, 60, 12, rng),
+			nn.NewReLU(),
+			nn.NewDense(60, 10, rng),
+			nn.NewSoftmax(),
+		)
+		prog, err := Compile(net, CompileOptions{InShape: []int{256}, Backend: tc.backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.New(5, 256).Randn(rng, 1)
+		x.Row(1)[17] = math.NaN()
+		x.Row(2)[200] = math.Inf(1)
+		x.Row(3)[0] = math.Inf(-1)
+		out := append([]float64(nil), prog.Run(x).Data...)
+		for _, v := range []int{1, 2, 3} {
+			for j, s := range out[v*10 : (v+1)*10] {
+				if !math.IsNaN(s) {
+					t.Errorf("%s: non-finite sample %d score %d = %v, want NaN", tc.name, v, j, s)
+				}
+			}
+		}
+		for _, v := range []int{0, 4} {
+			alone := prog.Run(tensor.FromSlice(x.Row(v), 1, 256))
+			for j, s := range alone.Data {
+				if math.IsNaN(s) || math.Float64bits(s) != math.Float64bits(out[v*10+j]) {
+					t.Errorf("%s: clean sample %d score %d = %v beside non-finite rows, %v alone", tc.name, v, j, out[v*10+j], s)
+				}
+			}
+		}
+	}
+}
+
+// TestInt16ConcurrentCompileRun: replicas of a fixed-point model are
+// compiled and run concurrently (model.Replicate recompiles per replica),
+// all through the one cached transform plan of their block size. Run under
+// -race; every replica must return the same bits.
+func TestInt16ConcurrentCompileRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	// Block sizes no other test in the package uses, so the goroutines
+	// usually race to create the plans (b = 48 pads to n = 128).
+	net := nn.NewNetwork(nn.NewCircDense(1024, 512, 512, rng), nn.NewReLU(), nn.NewCircDense(512, 96, 48, rng))
+	x := tensor.New(2, 1024).Randn(rng, 1)
+	const replicas = 8
+	outs := make([][]float64, replicas)
+	var wg sync.WaitGroup
+	for g := 0; g < replicas; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prog, err := Compile(net, CompileOptions{InShape: []int{1024}, Backend: Int16Spectral(12, 12)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			outs[g] = append([]float64(nil), prog.Run(x).Data...)
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < replicas; g++ {
+		if len(outs[g]) != len(outs[0]) {
+			t.Fatalf("replica %d returned %d scores, replica 0 %d", g, len(outs[g]), len(outs[0]))
+		}
+		for i := range outs[0] {
+			if math.Float64bits(outs[g][i]) != math.Float64bits(outs[0][i]) {
+				t.Fatalf("replica %d score %d = %v, replica 0 = %v", g, i, outs[g][i], outs[0][i])
+			}
+		}
+	}
+}

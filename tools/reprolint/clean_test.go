@@ -73,8 +73,9 @@ func TestReprolintClean(t *testing.T) {
 
 // TestNoallocCoverage pins the hot paths the PR contract names: serving
 // InferInto, the stream frame codec, compiled-program Run, and the
-// spectral engine with the four split-FFT kernels it runs must stay in the
-// verified noalloc tier.
+// spectral engine with the four split-FFT kernels it runs, and the integer
+// circulant product with its two number-theoretic transforms must stay in
+// the verified noalloc tier.
 func TestNoallocCoverage(t *testing.T) {
 	tl := tree(t)
 	facts := gatherMarks(tl.ld, tl.pkgs)
@@ -85,6 +86,9 @@ func TestNoallocCoverage(t *testing.T) {
 		"repro/internal/serve/stream.DecodeFrame",
 		"(*repro/internal/serve/stream.Client).DoInto",
 		"(*repro/internal/program.Program).Run",
+		"(*repro/internal/program.Program).execQCirc",
+		"(*repro/internal/fft.NTTPlan).Forward",
+		"(*repro/internal/fft.NTTPlan).Inverse",
 		"(*repro/internal/fft.Plan).ForwardSplitManyRev",
 		"(*repro/internal/fft.Plan).InverseSplitManyRev",
 		"(*repro/internal/fft.RealPlan).UnpackSplitMany",
