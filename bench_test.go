@@ -716,10 +716,13 @@ func BenchmarkRegistryRoutedInfer(b *testing.B) {
 // benchmark: a coalesced batch of B vectors through one block-circulant
 // weight as B passes of the engine at batch 1 (perVector: what serving pays
 // when nothing coalesces) versus one pass over the whole batch (batched:
-// weight spectra streamed across the batch, transforms swept bin-major over
-// every column, block-row parallelism). Same engine, same bits per vector
-// (batch_test.go asserts it); the "vec/s" metric reports vectors retired
-// per second, so the ratio is what coalescing buys.
+// transforms swept bin-major over every column of the batch, column-range
+// parallelism). Same engine, same bits per vector (batch_test.go asserts
+// it); the "vec/s" metric reports vectors retired per second, so the ratio
+// is what coalescing buys. On this 512×512 layer (8 + 8 block columns per
+// vector — a lone vector already fills the sweeps) that is ≈ 1.0 on the
+// 2-vCPU bench host; it was ≈ 1.7–2.5 while the output side transformed one
+// block at a time, a tax the engine imposed on itself at batch 1.
 func BenchmarkBatchedSpectralForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 512

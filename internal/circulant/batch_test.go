@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -120,9 +121,176 @@ func TestBatchAgainstDense(t *testing.T) {
 	}
 }
 
+// TestOutputColumnsAnyPartition pins the output stage's contract: every
+// (vector, output block) column is computed independently, so however the
+// column range [0, batch·outBlks) is cut — one sweep at GOMAXPROCS 1, the
+// parallel arm's ranges at GOMAXPROCS 3, or any two-way split made by hand —
+// every output has the same bits, and a sweep over a range writes nothing
+// outside it. The shapes cover a wide layer whose batch-1 product fans out
+// (8192×320), the benchmark shape, ragged tails with odd block counts, and
+// the plain product's stride-k weight reads.
+func TestOutputColumnsAnyPartition(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	rng := rand.New(rand.NewSource(57))
+	for _, sh := range []struct{ rows, cols, block int }{
+		{8192, 320, 64}, {512, 512, 64}, {100, 60, 16}, {64, 128, 32},
+	} {
+		m := MustNewBlockCirculant(sh.rows, sh.cols, sh.block).InitRandom(rng)
+		for _, batch := range []int{1, 2, 5, 33} {
+			xT, xM := randVec(rng, batch*sh.rows), randVec(rng, batch*sh.cols)
+			runtime.GOMAXPROCS(1)
+			wantT := m.TransMulBatchInto(nil, xT, batch, nil)
+			wantM := m.MulBatchInto(nil, xM, batch, nil)
+			runtime.GOMAXPROCS(3)
+			if !sameBits(m.TransMulBatchInto(nil, xT, batch, nil), wantT) {
+				t.Errorf("%+v batch %d: transpose product differs between GOMAXPROCS 1 and 3", sh, batch)
+			}
+			if !sameBits(m.MulBatchInto(nil, xM, batch, nil), wantM) {
+				t.Errorf("%+v batch %d: plain product differs between GOMAXPROCS 1 and 3", sh, batch)
+			}
+		}
+	}
+
+	// The stage called directly: ragged 100×60 at batch 3, both products,
+	// every split [0,c) ∪ [c,n) against the single sweep.
+	const sentinel = -12345.678
+	m := MustNewBlockCirculant(100, 60, 16).InitRandom(rng)
+	const batch = 3
+	for _, trans := range []bool{true, false} {
+		inBlks, outBlks, inLen, outLen := m.l, m.k, m.cols, m.rows
+		if trans {
+			inBlks, outBlks, inLen, outLen = m.k, m.l, m.rows, m.cols
+		}
+		x := randVec(rng, batch*inLen)
+		bias := randVec(rng, outLen)
+		half, count, n := m.block/2, batch*inBlks, batch*outBlks
+		pitch, opitch := rowPitch(count), rowPitch(n)
+		ws := NewBatchWorkspace()
+		ws.ensure(half+1, half, pitch, opitch)
+		for v := 0; v < batch; v++ {
+			m.packColumns(ws, x, inBlks, inLen, pitch, v)
+		}
+		m.rplan.Complex().ForwardSplitManyRev(ws.zAll, pitch, 0, count)
+		m.rplan.UnpackSplitMany(ws.specs, ws.zAll, pitch, 0, count)
+		sweep := func(ranges ...[2]int) (dst []float64) {
+			dst = make([]float64, batch*outLen)
+			for _, buf := range [][]float64{dst, ws.acc.Re, ws.acc.Im, ws.z.Re, ws.z.Im} {
+				for i := range buf {
+					buf[i] = sentinel
+				}
+			}
+			for _, r := range ranges {
+				m.outputColumns(ws, dst, inBlks, outBlks, outLen, pitch, opitch, trans, bias, true, r[0], r[1])
+			}
+			return dst
+		}
+		want := sweep([2]int{0, n})
+		for c := 0; c <= n; c++ {
+			if got := sweep([2]int{c, n}, [2]int{0, c}); !sameBits(got, want) {
+				t.Errorf("trans=%v: split at column %d of %d differs in bits from the single sweep", trans, c, n)
+			}
+			// A lone [0,c) sweep must leave columns c… alone: in the
+			// scratch rows and in the output segments those columns own.
+			got := sweep([2]int{0, c})
+			for col := c; col < n; col++ {
+				for _, buf := range [][]float64{ws.acc.Re, ws.acc.Im, ws.z.Re, ws.z.Im} {
+					for r := 0; r*opitch+col < len(buf); r++ {
+						if buf[r*opitch+col] != sentinel {
+							t.Fatalf("trans=%v: sweep of [0,%d) wrote scratch column %d", trans, c, col)
+						}
+					}
+				}
+				v, o := col/outBlks, col%outBlks
+				for j := v*outLen + o*m.block; j < v*outLen+min((o+1)*m.block, outLen); j++ {
+					if got[j] != sentinel {
+						t.Fatalf("trans=%v: sweep of [0,%d) wrote output %d of column %d", trans, c, j, col)
+					}
+				}
+			}
+		}
+	}
+}
+
+// scaleBy returns x with every element multiplied by f.
+func scaleBy(x []float64, f float64) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = v * f
+	}
+	return out
+}
+
+// TestProductIsExactlyHomogeneous: scaling the input — or the weights — by
+// a power of two scales every output by exactly that power, bit for bit,
+// because every factor between the weight table and the store is either
+// data or an exact power of two and nothing on the way adds a constant,
+// clamps or flushes. It is the property that lets Refresh fold the
+// transforms' 2·2·(b/2) into the table as 1/(2b); the scores themselves are
+// pinned against the previous engine by program.TestFloatGoldenScores.
+//
+// The guarantee ends where the table's extra 1/(2b) pushes an entry into the
+// subnormal range: weights near 2⁻¹⁰¹² keep a normal spectrum but a
+// subnormal table, whose lost low bits show in the outputs (still to
+// ≈ 1e-13 relative). No initialised or trained network is within 300
+// orders of magnitude of that.
+func TestProductIsExactlyHomogeneous(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	const rows, cols, block, batch = 256, 128, 64, 3
+	m := MustNewBlockCirculant(rows, cols, block).InitRandom(rng)
+	xT, xM := randVec(rng, batch*rows), randVec(rng, batch*cols)
+	refT := m.TransMulBatchInto(nil, xT, batch, nil)
+	refM := m.MulBatchInto(nil, xM, batch, nil)
+	for _, s := range []int{-60, -7, -1, 1, 9, 60} {
+		f := math.Ldexp(1, s)
+		if !sameBits(m.TransMulBatchInto(nil, scaleBy(xT, f), batch, nil), scaleBy(refT, f)) {
+			t.Errorf("TransMulBatchInto(2^%d·x) is not 2^%d·TransMulBatchInto(x) bit for bit", s, s)
+		}
+		if !sameBits(m.MulBatchInto(nil, scaleBy(xM, f), batch, nil), scaleBy(refM, f)) {
+			t.Errorf("MulBatchInto(2^%d·x) is not 2^%d·MulBatchInto(x) bit for bit", s, s)
+		}
+	}
+
+	scaled := MustNewBlockCirculant(rows, cols, block)
+	for _, s := range []int{-900, -40, 40} {
+		f := math.Ldexp(1, s)
+		copy(scaled.Base.Data, scaleBy(m.Base.Data, f))
+		scaled.Refresh()
+		if !sameBits(scaled.TransMulBatchInto(nil, xT, batch, nil), scaleBy(refT, f)) {
+			t.Errorf("weights × 2^%d: transpose product is not 2^%d × the reference bit for bit", s, s)
+		}
+		if !sameBits(scaled.MulBatchInto(nil, xM, batch, nil), scaleBy(refM, f)) {
+			t.Errorf("weights × 2^%d: plain product is not 2^%d × the reference bit for bit", s, s)
+		}
+	}
+
+	// Where the guarantee ends. The inputs are scaled up so the outputs
+	// themselves stay normal and only the table entries underflow.
+	copy(scaled.Base.Data, scaleBy(m.Base.Data, math.Ldexp(1, -1012)))
+	scaled.Refresh()
+	got := scaled.TransMulBatchInto(nil, scaleBy(xT, math.Ldexp(1, 500)), batch, nil)
+	want := scaleBy(refT, math.Ldexp(1, -512))
+	differ, scale := 0, 0.0
+	for i := range want {
+		scale = max(scale, math.Abs(want[i]))
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			differ++
+		}
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12*scale {
+			t.Fatalf("weights × 2^-1012, output %d: %g, want %g within 1e-12 of the largest output", i, got[i], want[i])
+		}
+	}
+	t.Logf("weights × 2^-1012 (table entries subnormal): %d of %d outputs differ in their low bits", differ, len(want))
+}
+
 // TestBatchWorkspaceReuse checks a workspace reused across products of
-// different shapes and batch sizes yields the same results as fresh
-// scratch, and that reuse stops allocating once warm.
+// different shapes and batch sizes — two matrices whose output sides differ
+// (3 and 13 output blocks in the transpose product, 4 and 4 of different
+// size in the plain one), so the output buffers are re-pitched on every
+// call — yields the same results as fresh scratch, and that reuse stops
+// allocating once warm.
 func TestBatchWorkspaceReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	a := MustNewBlockCirculant(128, 96, 32).InitRandom(rng)
@@ -134,12 +302,12 @@ func TestBatchWorkspaceReuse(t *testing.T) {
 			batch int
 		}{{a, 8}, {b, 3}, {a, 1}, {b, 17}} {
 			x := randVec(rng, tc.batch*tc.m.Rows())
-			got := tc.m.TransMulBatchInto(nil, x, tc.batch, ws)
-			want := tc.m.TransMulBatchInto(nil, x, tc.batch, NewBatchWorkspace())
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: reused workspace diverged at %d: %g != %g", trial, i, got[i], want[i])
-				}
+			if !sameBits(tc.m.TransMulBatchInto(nil, x, tc.batch, ws), tc.m.TransMulBatchInto(nil, x, tc.batch, NewBatchWorkspace())) {
+				t.Fatalf("trial %d: transpose product on a reused workspace diverged", trial)
+			}
+			x = randVec(rng, tc.batch*tc.m.Cols())
+			if !sameBits(tc.m.MulBatchInto(nil, x, tc.batch, ws), tc.m.MulBatchInto(nil, x, tc.batch, NewBatchWorkspace())) {
+				t.Fatalf("trial %d: plain product on a reused workspace diverged", trial)
 			}
 		}
 	}
@@ -205,18 +373,24 @@ func TestTransMulBatchFusedValidatesBias(t *testing.T) {
 }
 
 // TestBatchMulZeroAlloc is the spectral-product allocation gate: once a
-// workspace is warm, the full split spectral pass (forward, fused
-// transpose, plain transpose) must not allocate — at batch 1, the paper's
-// one-image-at-a-time deployment, as at batch 4. The shape stays below
-// parallelThreshold so the deterministic serial path runs on every host —
-// the parallel path's pfor closures heap-allocate by design.
+// workspace is warm, the full split spectral pass (plain, transpose, fused
+// transpose) must not allocate — at batch 1, the paper's one-image-at-a-time
+// deployment, as at larger batches — and one workspace walked through the
+// batch sequence 1 → 16 → 1 → 7 must keep the buffers it grew at 16 on the
+// way down (a smaller product re-slices, it never regrows). The shape stays
+// below parallelThreshold so the deterministic serial path runs on every
+// host — the parallel path's pfor closures heap-allocate by design.
 func TestBatchMulZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	const rows, cols, block = 256, 192, 32
 	m := MustNewBlockCirculant(rows, cols, block).InitRandom(rng)
 	bias := randVec(rng, cols)
 	ws := NewBatchWorkspace()
-	for _, batch := range []int{1, 4} {
+	caps := func() [4]int {
+		return [4]int{cap(ws.zAll.Re), cap(ws.specs.Re), cap(ws.acc.Re), cap(ws.z.Re)}
+	}
+	var peak [4]int
+	for _, batch := range []int{1, 16, 1, 7} {
 		xM := randVec(rng, batch*cols)
 		xT := randVec(rng, batch*rows)
 		dstM := make([]float64, batch*rows)
@@ -227,6 +401,11 @@ func TestBatchMulZeroAlloc(t *testing.T) {
 			m.TransMulBatchFusedInto(dstT, xT, batch, ws, bias, true)
 		}
 		pass()
+		if batch == 16 {
+			peak = caps()
+		} else if peak != [4]int{} && caps() != peak {
+			t.Errorf("batch %d after 16: workspace capacities %v, want the %v grown at batch 16", batch, caps(), peak)
+		}
 		if allocs := testing.AllocsPerRun(20, pass); allocs > 0 {
 			t.Errorf("batch %d: warm spectral pass allocates %.0f/op; want 0", batch, allocs)
 		}

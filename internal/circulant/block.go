@@ -41,12 +41,16 @@ type BlockCirculant struct {
 	// selects the engine; nil selects the generic body.
 	rplan *fft.RealPlan
 
-	// sspec holds the cached spectra the engine streams, in split
-	// (structure-of-arrays) half form: k·l·(block/2+1) bins per plane, laid
-	// out like Base. It is derived once per Refresh — plan time, not product
-	// time — so the hot loops never touch interleaved complex128 weight
-	// data. Populated only when rplan is non-nil.
-	sspec fft.SplitSlice
+	// wspec holds the cached spectra the engine streams, in split
+	// (structure-of-arrays) half form, k·l·(block/2+1) bins per plane, in the
+	// order the bin product consumes them: bin t of block (i, j) at
+	// t·k·l + j·k + i. The transpose product (inference) reads one contiguous
+	// k-run per (bin, output block), the plain product the same table at
+	// stride k. Every entry carries the factor 1/(2·block) that fft's Many
+	// kernels leave out (see Refresh). It is derived once per Refresh — plan
+	// time, not product time — so the hot loops never touch interleaved
+	// complex128 weight data. Populated only when rplan is non-nil.
+	wspec fft.SplitSlice
 
 	// spec holds the full complex spectra, k·l·block laid out like Base,
 	// for the generic body. Populated only when rplan is nil: a matrix keeps
@@ -74,7 +78,7 @@ func NewBlockCirculant(rows, cols, block int) (*BlockCirculant, error) {
 	m.Base = tensor.New(m.k, m.l, block)
 	if fft.IsPow2(block) && block >= 2 {
 		m.rplan = fft.RealPlanFor(block)
-		m.sspec = fft.NewSplit(m.k * m.l * m.rplan.SpecLen())
+		m.wspec = fft.NewSplit(m.k * m.l * m.rplan.SpecLen())
 	} else {
 		m.spec = make([]complex128, m.k*m.l*block)
 	}
@@ -147,8 +151,18 @@ func (m *BlockCirculant) blockSpec(i, j int) []complex128 {
 // Call after any in-place parameter update (e.g. an optimiser step); it is
 // the only method that writes the matrix, so it must not run concurrently
 // with a product.
+//
+// The engine's table entries are the spectrum values times 1/(2·block): the
+// product of the factors fft's Many kernels omit (2 from the unpack, 2 from
+// the pre-inverse, block/2 from the inverse). It is a power of two, so the
+// multiplication is exact and every product keeps the bits it would have
+// had with the factors applied inside the transforms — unless a spectrum
+// value lies within a factor 2·block of the subnormal range (below ≈ 1e-305),
+// where the scaled entry loses low bits; no trained or initialised network
+// holds such weights.
 func (m *BlockCirculant) Refresh() {
-	specLen := m.block/2 + 1
+	kl := m.k * m.l
+	scale := 1 / float64(2*m.block)
 	for i := 0; i < m.k; i++ {
 		for j := 0; j < m.l; j++ {
 			full := fft.FFTReal(m.baseVec(i, j))
@@ -156,10 +170,10 @@ func (m *BlockCirculant) Refresh() {
 				copy(m.blockSpec(i, j), full)
 				continue
 			}
-			off := (i*m.l + j) * specLen
-			for t := 0; t < specLen; t++ {
-				m.sspec.Re[off+t] = real(full[t])
-				m.sspec.Im[off+t] = imag(full[t])
+			off := j*m.k + i
+			for t := 0; t <= m.block/2; t++ {
+				m.wspec.Re[t*kl+off] = scale * real(full[t])
+				m.wspec.Im[t*kl+off] = scale * imag(full[t])
 			}
 		}
 	}

@@ -32,6 +32,15 @@ import "fmt"
 // twiddle values match Plan.Forward/Inverse exactly, so results are
 // bit-identical to the per-vector complex128 kernels (asserted by
 // TestSplitManyRevMatchesPlan).
+//
+// Scale contract: the kernels leave out every power-of-two factor of the
+// transforms they stand for — UnpackSplitMany returns 2 × RFFT,
+// InverseSplitManyRev n × Plan.Inverse, and PreInverseSplitManyRev +
+// InverseSplitManyRev together n × IRFFT (n the real size). Each omitted
+// factor would have been an exact multiplication, so the caller folds their
+// product, 1/(2n), into whatever constant it multiplies by anyway (the
+// circulant engine: its weight table) and gets the same bits with three
+// fewer sweeps of multiplies.
 
 // BitReversal returns the plan's bit-reversal permutation: natural bin j
 // belongs at row BitReversal()[j] of the Rev kernels' layout. The
@@ -50,8 +59,9 @@ func (p *Plan) ForwardSplitManyRev(d SplitSlice, stride, m0, m1 int) {
 	p.transformSplitMany(d, stride, m0, m1, false)
 }
 
-// InverseSplitManyRev computes the inverse DFT (with the 1/n factor) of each
-// column transform in place; see ForwardSplitManyRev.
+// InverseSplitManyRev computes n × the inverse DFT of each column transform
+// in place — the butterflies of Plan.Inverse without its trailing 1/n sweep;
+// see ForwardSplitManyRev.
 //
 //repro:noalloc
 func (p *Plan) InverseSplitManyRev(d SplitSlice, stride, m0, m1 int) {
@@ -243,23 +253,13 @@ func (p *Plan) transformSplitMany(d SplitSlice, stride, m0, m1 int, inverse bool
 			}
 		}
 	}
-	if inverse {
-		inv := 1 / float64(n)
-		for r := 0; r < n; r++ {
-			rr := re[r*stride : r*stride+m1]
-			ri := im[r*stride : r*stride+m1]
-			for m := m0; m < m1; m++ {
-				rr[m] *= inv
-				ri[m] *= inv
-			}
-		}
-	}
 }
 
 // UnpackSplitMany untangles count packed transforms (bin-major, rows of
-// length stride, natural order) into their half spectra: the Many form of
-// UnpackSplit. zf holds n/2 rows, spec n/2+1 rows; both share the stride and
-// column range semantics of ForwardSplitManyRev.
+// length stride, natural order) into twice their half spectra: the Many form
+// of UnpackSplit without its 0.5 factors. zf holds n/2 rows, spec n/2+1
+// rows; both share the stride and column range semantics of
+// ForwardSplitManyRev.
 //
 //repro:noalloc
 func (rp *RealPlan) UnpackSplitMany(spec, zf SplitSlice, stride, m0, m1 int) {
@@ -273,9 +273,9 @@ func (rp *RealPlan) UnpackSplitMany(spec, zf SplitSlice, stride, m0, m1 int) {
 	shr := spec.Re[h*stride : h*stride+m1]
 	shi := spec.Im[h*stride : h*stride+m1]
 	for m := m0; m < m1; m++ {
-		zr, zi := z0r[m], z0i[m]
-		s0r[m], s0i[m] = zr+zi, 0
-		shr[m], shi[m] = zr-zi, 0
+		s, d := z0r[m]+z0i[m], z0r[m]-z0i[m]
+		s0r[m], s0i[m] = s+s, 0
+		shr[m], shi[m] = d+d, 0
 	}
 	for k := 1; k < h; k++ {
 		wr, wi := rp.wRe[k], rp.wIm[k]
@@ -288,19 +288,20 @@ func (rp *RealPlan) UnpackSplitMany(spec, zf SplitSlice, stride, m0, m1 int) {
 		for m := m0; m < m1; m++ {
 			akr, aki := zkr[m], zki[m]
 			arr, ari := zrr[m], zri[m]
-			feRe := 0.5 * (akr + arr)
-			feIm := 0.5 * (aki - ari)
-			foRe := 0.5 * (aki + ari)
-			foIm := 0.5 * (arr - akr)
+			feRe := akr + arr
+			feIm := aki - ari
+			foRe := aki + ari
+			foIm := arr - akr
 			skr[m] = feRe + wr*foRe - wi*foIm
 			ski[m] = feIm + wr*foIm + wi*foRe
 		}
 	}
 }
 
-// PreInverseSplitManyRev converts count half spectra (bin-major) into their
-// packed inverse-transform inputs, the Many form of PreInverseSplit, writing
-// z's rows in bit-reversed order for InverseSplitManyRev.
+// PreInverseSplitManyRev converts count half spectra (bin-major) into twice
+// their packed inverse-transform inputs — the Many form of PreInverseSplit
+// without its 0.5 factors — writing z's rows in bit-reversed order for
+// InverseSplitManyRev.
 //
 //repro:noalloc
 func (rp *RealPlan) PreInverseSplitManyRev(z, spec SplitSlice, stride, m0, m1 int) {
@@ -322,10 +323,10 @@ func (rp *RealPlan) PreInverseSplitManyRev(z, spec SplitSlice, stride, m0, m1 in
 		for m := m0; m < m1; m++ {
 			akr, aki := skr[m], ski[m]
 			arr, ari := srr[m], sri[m]
-			xeRe := 0.5 * (akr + arr)
-			xeIm := 0.5 * (aki - ari)
-			dRe := 0.5 * (akr - arr)
-			dIm := 0.5 * (aki + ari)
+			xeRe := akr + arr
+			xeIm := aki - ari
+			dRe := akr - arr
+			dIm := aki + ari
 			xoRe := dRe*wr - dIm*wi
 			xoIm := dRe*wi + dIm*wr
 			zkr[m] = xeRe - xoIm

@@ -33,9 +33,11 @@ func manyCases() []manyCase {
 
 // TestSplitManyRevMatchesPlan pins the claim in splitmany.go's header:
 // ForwardSplitManyRev/InverseSplitManyRev compute, for every column, exactly
-// the bits Plan.Forward/Inverse compute for that column's vector — at sizes
-// 1 to 256, with rows written through BitReversal(), at padded strides and
-// on column sub-ranges, which must leave every other column untouched.
+// the bits Plan.Forward/Inverse compute for that column's vector — the
+// inverse times n, an exact power of two, since the Many kernel leaves the
+// 1/n sweep to its caller — at sizes 1 to 256, with rows written through
+// BitReversal(), at padded strides and on column sub-ranges, which must
+// leave every other column untouched.
 func TestSplitManyRevMatchesPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for n := 1; n <= 256; n <<= 1 {
@@ -75,6 +77,9 @@ func TestSplitManyRevMatchesPlan(t *testing.T) {
 					}
 					if inverse {
 						p.Inverse(want, cols[m])
+						for k := range want {
+							want[k] *= complex(float64(n), 0)
+						}
 					} else {
 						p.Forward(want, cols[m])
 					}
@@ -94,8 +99,9 @@ func TestSplitManyRevMatchesPlan(t *testing.T) {
 
 // TestSplitManyRevRealPhases round-trips the real-input phases the engine
 // wraps around those kernels — pack through BitReversal, ForwardSplitManyRev,
-// UnpackSplitMany against RFFT; PreInverseSplitManyRev, InverseSplitManyRev
-// against IRFFT — within 1e-12, on the same layouts.
+// UnpackSplitMany against 2 × RFFT; PreInverseSplitManyRev,
+// InverseSplitManyRev against n × IRFFT, the scale contract of splitmany.go's
+// header — within 1e-12 of the unscaled values, on the same layouts.
 func TestSplitManyRevRealPhases(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	for n := 2; n <= 256; n <<= 1 {
@@ -130,7 +136,7 @@ func TestSplitManyRevRealPhases(t *testing.T) {
 				want := RFFT(xs[m])
 				for k := 0; k <= h; k++ {
 					i := k*tc.stride + m
-					if d := math.Abs(spec.Re[i]-real(want[k])) + math.Abs(spec.Im[i]-imag(want[k])); d > 1e-12 {
+					if d := math.Abs(spec.Re[i]/2-real(want[k])) + math.Abs(spec.Im[i]/2-imag(want[k])); d > 1e-12 {
 						t.Fatalf("n=%d %+v column %d bin %d: unpacked (%g,%g), RFFT %v", n, tc, m, k, spec.Re[i], spec.Im[i], want[k])
 					}
 				}
@@ -162,7 +168,7 @@ func TestSplitManyRevRealPhases(t *testing.T) {
 				want := IRFFT(halves[m], n)
 				for j := 0; j < h; j++ {
 					i := j*tc.stride + m
-					if d := math.Abs(z.Re[i]-want[2*j]) + math.Abs(z.Im[i]-want[2*j+1]); d > 1e-12 {
+					if d := math.Abs(z.Re[i]/float64(n)-want[2*j]) + math.Abs(z.Im[i]/float64(n)-want[2*j+1]); d > 1e-12 {
 						t.Fatalf("n=%d %+v column %d sample %d: inverse (%g,%g), IRFFT (%g,%g)",
 							n, tc, m, 2*j, z.Re[i], z.Im[i], want[2*j], want[2*j+1])
 					}

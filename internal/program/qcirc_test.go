@@ -125,14 +125,60 @@ func TestInt16GoldenScores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
-		var b [8]byte
-		for _, v := range prog.Run(tensor.New(64, tc.in).Randn(rng, 1)).Data {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
-		if got := h.Sum64(); got != tc.want {
+		if got := scoreChecksum(prog.Run(tensor.New(64, tc.in).Randn(rng, 1))); got != tc.want {
 			t.Errorf("%s: score checksum %#x, want %#x — the fixed-point build's answers changed", tc.name, got, tc.want)
+		}
+	}
+}
+
+// scoreChecksum is FNV-64a over the little-endian Float64bits of a score
+// tensor: the golden tests' fingerprint of "every bit of every score".
+func scoreChecksum(scores *tensor.Tensor) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range scores.Data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestFloatGoldenScores pins the float build's scores across commits the
+// way TestInt16GoldenScores pins the fixed-point build's: a batch-64 Run
+// (the parallel arm included) of Arch-1 and Arch-2, at unit input scale and
+// with the inputs scaled towards the bottom of the exponent range, where a
+// factor that is not an exact power of two anywhere between the weight
+// table and the store would show. The values were recorded at the last
+// commit whose engine inverse-transformed one output block at a time over
+// an [i][j][t] weight table with the 0.5 and 1/n factors inside the
+// transforms. amd64 only: other targets may fuse multiply-adds.
+func TestFloatGoldenScores(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("score bits are pinned on amd64 only; the batch-invariance and homogeneity tests run everywhere")
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*rand.Rand) *nn.Network
+		in    int
+		want  [3]uint64 // inputs × 1, × 1e-150, × 1e-300
+	}{
+		{"arch1", nn.Arch1, 256, [3]uint64{0xcaf78a11c3034443, 0xd46dceb4fd9dcb25, 0xc1378ac52cfc20e6}},
+		{"arch2", nn.Arch2, 121, [3]uint64{0x58a1093caf3fd601, 0x34b48ffcd9c6be85, 0x631c853e3df90942}},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		prog, err := Compile(tc.build(rng), CompileOptions{InShape: []int{tc.in}, BatchHint: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.New(64, tc.in).Randn(rng, 1)
+		for i, scale := range []float64{1, 1e-150, 1e-300} {
+			xs := x.Clone()
+			for j := range xs.Data {
+				xs.Data[j] *= scale
+			}
+			if got := scoreChecksum(prog.Run(xs)); got != tc.want[i] {
+				t.Errorf("%s, inputs × %g: score checksum %#x, want %#x — the float build's answers changed", tc.name, scale, got, tc.want[i])
+			}
 		}
 	}
 }

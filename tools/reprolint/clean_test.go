@@ -94,6 +94,7 @@ func TestNoallocCoverage(t *testing.T) {
 		"(*repro/internal/fft.RealPlan).UnpackSplitMany",
 		"(*repro/internal/fft.RealPlan).PreInverseSplitManyRev",
 		"(*repro/internal/circulant.BlockCirculant).batchCore",
+		"(*repro/internal/circulant.BlockCirculant).outputColumns",
 		"(*repro/internal/circulant.BlockCirculant).TransMulBatchFusedInto",
 		"(*repro/internal/metrics.Histogram).Observe",
 		"(*repro/internal/serve/admission.Controller).Admit",
