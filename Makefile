@@ -1,11 +1,11 @@
 # Developer entry points. CI runs the same commands (see
-# .github/workflows/ci.yml), and `make bench` emits the same BENCH_<date>.json
-# schema the CI perf job uploads, so local and CI perf numbers accumulate in
-# one comparable format.
+# .github/workflows/ci.yml). Performance has one record: `make bench` runs
+# the end-to-end benchmark (bench/, bounds in BENCHMARK.json), and
+# `make alloc-gate` pins the steady-state hot paths at zero allocations.
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-compare alloc-gate check-gates chaos fuzz
+.PHONY: all build test race lint bench alloc-gate chaos fuzz
 
 all: build test
 
@@ -24,50 +24,19 @@ race:
 
 # gofmt -s (simplify) covers the tree including the reprolint testdata
 # corpus; reprolint is the project-native analyzer suite (noalloc,
-# atomicmix, nopanic, errcheck, lockbalance — see DESIGN.md §9); and
-# check-gates pins the benchmark gate lists against CI plus the
-# ALLOCGATE↔noalloc benchcover cross-check.
+# atomicmix, nopanic, errcheck, lockbalance — see DESIGN.md §9).
 lint:
 	@unformatted="$$(gofmt -s -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -s needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet -tests=true ./...
 	$(GO) run ./tools/reprolint ./...
-	$(GO) run ./tools/benchjson checkgates
 
-# Run the full benchmark suite (root package) and write BENCH_<YYYYMMDD>.json.
-# Override the selection or budget, e.g.:
-#   make bench BENCH=BenchmarkBatchedSpectralForward COUNT=3
-BENCH ?= .
-BENCHTIME ?= 3x
-COUNT ?= 5
-
+# The end-to-end benchmark: every workload in BENCHMARK.json against the
+# real binaries. For one workload, a traced run with the per-layer ladder or
+# a parent/change comparison, call it directly, e.g.
+# `go run ./bench -workload edge_float_b1 -trace 1` (see bench/README.md).
 bench:
-	$(GO) run ./tools/benchjson run -bench '$(BENCH)' -benchtime $(BENCHTIME) -count $(COUNT)
-
-# Compare two benchmark artifacts with the CI gates: >15% median ns/op
-# regression on hot-path benchmarks fails, and ANY allocs/op increase on
-# the steady-state serving/spectral benchmarks fails:
-#   make bench-compare BASE=BENCH_base.json HEAD=BENCH_head.json
-GATE ?= BenchmarkBatchedSpectralForward|BenchmarkFig2_CirculantMatvec|BenchmarkAblationSpectralCache|BenchmarkAblationAccumulateSpectral|BenchmarkCompiledForward|BenchmarkQuantizedForward|BenchmarkVectorSearch
-# Serving acceptance benchmarks, gated at a wide catastrophic-only
-# threshold (2.5x) because closed-loop per-op medians are scheduler-shaped.
-SERVEGATE ?= BenchmarkRegistryRoutedInfer|BenchmarkStreamInfer|BenchmarkRouterRoutedInfer|BenchmarkEmbed
-# Alloc-gate only benchmarks whose hot path is deterministically serial
-# (above the spectral engine's parallel threshold the worker fan-out heap-
-# allocates its closures by design, and the closed-loop serving benches
-# spawn client goroutines); the hard `alloc-gate` test target below covers
-# the full set of steady-state paths exactly.
-ALLOCGATE ?= BenchmarkBatchedSpectralForward/arch1Batched|BenchmarkCompiledForward|BenchmarkQuantizedForward|BenchmarkStreamInfer/serial|BenchmarkEmbed|BenchmarkVectorSearch
-
-bench-compare:
-	$(GO) run ./tools/benchjson compare -threshold 1.15 -gate '$(GATE)' -allocgate '$(ALLOCGATE)' $(BASE) $(HEAD)
-	$(GO) run ./tools/benchjson compare -threshold 2.5 -gate '$(SERVEGATE)' $(BASE) $(HEAD)
-
-# Fail if the benchmark gate lists above have drifted from the CI
-# workflow's copies (.github/workflows/ci.yml env block). Runs in the CI
-# lint job too, so a PR that updates one file but not the other is caught.
-check-gates:
-	$(GO) run ./tools/benchjson checkgates
+	$(GO) run ./bench
 
 # Hard zero-allocation gate on the steady-state hot paths (planned split
 # transforms, batched circulant multiply, workspace forward, compiled

@@ -14,33 +14,22 @@ package repro
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/circulant"
 	"repro/internal/dataset"
-	"repro/internal/embed"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/fft"
-	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/ops"
 	"repro/internal/platform"
 	"repro/internal/program"
 	"repro/internal/prune"
 	"repro/internal/quant"
-	"repro/internal/router"
-	"repro/internal/serve"
-	"repro/internal/serve/admission"
-	"repro/internal/serve/stream"
 	"repro/internal/tensor"
 	"repro/internal/vector"
 )
@@ -550,168 +539,6 @@ func BenchmarkTraining(b *testing.B) {
 	})
 }
 
-// BenchmarkServingThroughput is the serving subsystem's acceptance
-// benchmark: batched serving against sequential single-request inference
-// on the same Arch-1 model.
-//
-//   - sequential: the pre-serve deployment — one request per forward pass,
-//     one at a time, the cmd/infer code path.
-//   - serverUnbatched: the serving stack with batching disabled
-//     (MaxBatch=1) under the same concurrent load as serverBatched, so the
-//     scheduler's own overhead is visible.
-//   - serverBatched: concurrent requests coalesced into shared forward
-//     passes across the replica pool.
-//
-// The result cache is disabled throughout so the comparison measures
-// batching, not memoisation. The "batch" metric reports the mean
-// dispatched batch size, "p95us" the windowed P95 request latency.
-func BenchmarkServingThroughput(b *testing.B) {
-	rng := rand.New(rand.NewSource(16))
-	net := nn.Arch1(rng)
-	const features = 256
-	inputs := make([][]float64, 64)
-	for i := range inputs {
-		inputs[i] = make([]float64, features)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.NormFloat64()
-		}
-	}
-
-	b.Run("sequential", func(b *testing.B) {
-		x := tensor.New(1, features)
-		for i := 0; i < b.N; i++ {
-			copy(x.Data, inputs[i%len(inputs)])
-			net.Forward(x, false)
-		}
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	})
-
-	served := func(b *testing.B, maxBatch int) {
-		m, err := model.New("arch1", "v1", net, program.CompileOptions{InShape: []int{features}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv, err := serve.NewModel(m, serve.Options{
-			MaxBatch: maxBatch,
-			MaxDelay: 500 * time.Microsecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		// Many closed-loop clients per core, so the scheduler has real
-		// concurrency to coalesce even on small hosts.
-		b.SetParallelism(32)
-		b.ResetTimer()
-		var n atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			ctx := context.Background()
-			for pb.Next() {
-				k := int(n.Add(1)) % len(inputs)
-				if _, err := srv.Infer(ctx, inputs[k]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-		st := srv.Stats()
-		b.ReportMetric(st.MeanBatch, "batch")
-		b.ReportMetric(st.P95LatencyUS, "p95us")
-	}
-	b.Run("serverUnbatched", func(b *testing.B) { served(b, 1) })
-	b.Run("serverBatched", func(b *testing.B) { served(b, 32) })
-}
-
-// BenchmarkRegistryRoutedInfer is the multi-model API's acceptance
-// benchmark: the same Arch-1 model under the same concurrent load at
-// MaxBatch=16, served directly by one Server (the PR 2 single-model
-// batched path) versus addressed through a Registry holding two models —
-// name resolution, latest-alias routing and the per-model dispatch are
-// the only difference, so routed must stay within ~10% of direct. The
-// result cache is disabled so the comparison measures routing, not
-// memoisation; "batch" reports the mean dispatched batch size.
-func BenchmarkRegistryRoutedInfer(b *testing.B) {
-	rng := rand.New(rand.NewSource(18))
-	net := nn.Arch1(rng)
-	const features = 256
-	inputs := make([][]float64, 64)
-	for i := range inputs {
-		inputs[i] = make([]float64, features)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.NormFloat64()
-		}
-	}
-	// Clients drive the allocation-free InferInto form with one reused
-	// scores buffer per goroutine — the steady-state hot path whose
-	// allocs/op the CI alloc gate pins at zero.
-	opts := serve.Options{MaxBatch: 16, MaxDelay: 500 * time.Microsecond}
-	load := func(b *testing.B, infer func(ctx context.Context, in, scores []float64) (serve.Result, error), stats func() serve.Stats) {
-		b.SetParallelism(32)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var n atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			ctx := context.Background()
-			var scores []float64
-			for pb.Next() {
-				k := int(n.Add(1)) % len(inputs)
-				res, err := infer(ctx, inputs[k], scores)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				scores = res.Scores
-			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-		b.ReportMetric(stats().MeanBatch, "batch")
-	}
-
-	b.Run("direct", func(b *testing.B) {
-		m, err := model.New("arch1", "v1", net, program.CompileOptions{InShape: []int{features}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv, err := serve.NewModel(m, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		load(b, srv.InferInto, srv.Stats)
-	})
-	b.Run("routed", func(b *testing.B) {
-		reg := serve.NewRegistry(opts)
-		defer reg.Close()
-		m, err := model.New("arch1", "v1", net, program.CompileOptions{InShape: []int{features}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := reg.Register(m); err != nil {
-			b.Fatal(err)
-		}
-		// A second registered model makes the name lookup non-trivial.
-		other, err := model.New("cifar", "v1", nn.Arch2(rand.New(rand.NewSource(19))), program.CompileOptions{InShape: []int{121}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := reg.Register(other); err != nil {
-			b.Fatal(err)
-		}
-		load(b, func(ctx context.Context, in, scores []float64) (serve.Result, error) {
-			return reg.InferInto(ctx, "arch1", "", in, scores)
-		}, func() serve.Stats {
-			st, err := reg.Stats("arch1", "")
-			if err != nil {
-				b.Fatal(err)
-			}
-			return st
-		})
-	})
-}
-
 // BenchmarkBatchedSpectralForward is the spectral engine's batching
 // benchmark: a coalesced batch of B vectors through one block-circulant
 // weight as B passes of the engine at batch 1 (perVector: what serving pays
@@ -868,50 +695,6 @@ func BenchmarkQuantizedForward(b *testing.B) {
 	}
 }
 
-// BenchmarkEmbed is the embedding tier's acceptance benchmark: the
-// penultimate-activation build (classifier head cut off after lowering)
-// served through the registry-routed path — the /embed endpoint's hot
-// path minus HTTP. Warm serial iterations are allocation-free, pinned by
-// the CI alloc gate: the derived ".embed" model runs the same compiled
-// zero-alloc executor as its scoring sibling.
-func BenchmarkEmbed(b *testing.B) {
-	rng := rand.New(rand.NewSource(29))
-	const features = 256
-	m, err := embed.NewModel("arch1", "v1", nn.Arch1(rng), []int{features})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := serve.NewRegistry(serve.Options{Workers: 1, MaxBatch: 16})
-	defer reg.Close()
-	if err := reg.Register(m); err != nil {
-		b.Fatal(err)
-	}
-	input := make([]float64, features)
-	for i := range input {
-		input[i] = rng.NormFloat64()
-	}
-	ctx := context.Background()
-	name := embed.ModelName("arch1")
-	var scores []float64
-	for k := 0; k < 20; k++ { // warm the request pool and score buffers
-		res, err := reg.InferInto(ctx, name, "", input, scores)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scores = res.Scores
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := reg.InferInto(ctx, name, "", input, scores)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scores = res.Scores
-	}
-	b.ReportMetric(float64(len(scores)), "dim")
-}
-
 // BenchmarkVectorSearch measures the top-k engine over a 4096-vector
 // clustered corpus (dim 64, k=10): exact brute force against the IVF ANN
 // index (32 lists, nprobe 4), float32 kernels against the int8 quantised
@@ -980,258 +763,6 @@ func BenchmarkVectorSearch(b *testing.B) {
 	}
 }
 
-// streamBench stands up an Arch-1 registry behind an RPS2 listener on
-// loopback and returns a dialed client plus teardown.
-func streamBench(b *testing.B, admit *admission.Controller) (*stream.Client, [][]float64, func()) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(25))
-	const features = 256
-	m, err := model.New("arch1", "v1", nn.Arch1(rng), program.CompileOptions{InShape: []int{features}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := serve.NewRegistry(serve.Options{MaxBatch: 16, MaxDelay: 500 * time.Microsecond})
-	if err := reg.Register(m); err != nil {
-		b.Fatal(err)
-	}
-	srv := stream.NewServer(reg, stream.Options{Window: 128, Admission: admit})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(ln)
-	cl, err := stream.Dial(ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := make([][]float64, 64)
-	for i := range inputs {
-		inputs[i] = make([]float64, features)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.NormFloat64()
-		}
-	}
-	return cl, inputs, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		cl.Close(ctx)
-		srv.Shutdown(ctx)
-		reg.Close()
-	}
-}
-
-// BenchmarkStreamInfer is the streaming protocol's acceptance benchmark:
-// the PR 4/5 serving hot path addressed over a persistent RPS2 TCP
-// connection instead of in-process calls. "pipelined" multiplexes many
-// closed-loop client goroutines over the one connection — the deployment
-// shape, where the pipelining window keeps the batching scheduler fed
-// from a single socket. "serial" is one strictly sequential client: the
-// per-frame floor (encode + TCP round trip + decode), and the sub-bench
-// whose allocs/op the CI alloc gate pins at zero.
-func BenchmarkStreamInfer(b *testing.B) {
-	b.Run("pipelined", func(b *testing.B) {
-		cl, inputs, done := streamBench(b, nil)
-		defer done()
-		b.SetParallelism(32)
-		b.ReportAllocs()
-		b.ResetTimer()
-		var n atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			ctx := context.Background()
-			var out []serve.Result
-			for pb.Next() {
-				k := int(n.Add(1)) % len(inputs)
-				res, err := cl.DoInto(ctx, "arch1", inputs[k:k+1], out)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				out = res
-			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	})
-	b.Run("serial", func(b *testing.B) {
-		cl, inputs, done := streamBench(b, nil)
-		defer done()
-		ctx := context.Background()
-		var out []serve.Result
-		// Warm the pools so the measured loop is the steady state.
-		for k := 0; k < 50; k++ {
-			res, err := cl.DoInto(ctx, "arch1", inputs[k%len(inputs):k%len(inputs)+1], out)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out = res
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := cl.DoInto(ctx, "arch1", inputs[i%len(inputs):i%len(inputs)+1], out)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out = res
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-	})
-}
-
-// routerBench stands up n single-model fleet backends (an Arch-1
-// registry behind an RPS2 listener each, the cmd/serve shape without the
-// HTTP side) behind a Router with background health traffic parked, and
-// returns the router plus inputs and teardown.
-func routerBench(b *testing.B, n int) (*router.Router, [][]float64, func()) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(26))
-	const features = 256
-	cfgs := make([]router.BackendConfig, 0, n)
-	closers := make([]func(), 0, n)
-	for i := 0; i < n; i++ {
-		m, err := model.New("arch1", "v1", nn.Arch1(rand.New(rand.NewSource(26))), program.CompileOptions{InShape: []int{features}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg := serve.NewRegistry(serve.Options{MaxBatch: 16, MaxDelay: 500 * time.Microsecond})
-		if err := reg.Register(m); err != nil {
-			b.Fatal(err)
-		}
-		srv := stream.NewServer(reg, stream.Options{Window: 128})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go srv.Serve(ln)
-		cfgs = append(cfgs, router.BackendConfig{Addr: ln.Addr().String()})
-		closers = append(closers, func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-			reg.Close()
-		})
-	}
-	// No HTTPURL ⇒ every backend optimistically holds every route, and
-	// hour-scale intervals keep scrapes and probes out of the measured
-	// window — the benchmark times the routed data path alone.
-	rt, err := router.New(router.Options{
-		Backends:        cfgs,
-		RefreshInterval: time.Hour,
-		ProbeInterval:   time.Hour,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := make([][]float64, 64)
-	for i := range inputs {
-		inputs[i] = make([]float64, features)
-		for j := range inputs[i] {
-			inputs[i][j] = rng.NormFloat64()
-		}
-	}
-	return rt, inputs, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		rt.Close(ctx)
-		for _, c := range closers {
-			c()
-		}
-	}
-}
-
-// BenchmarkRouterRoutedInfer is the fleet tier's acceptance benchmark:
-// the PR 6 streaming hot path addressed through the router's pick →
-// persistent-client DoInto data path instead of one dialed connection.
-// Sub-benches scale the backend count under the same closed-loop
-// concurrent load, so the scaling claim the chaos suite asserts
-// (backends=2 ≥ 1.6× backends=1 on saturated CPU-bound models) is
-// recorded alongside the absolute routed-hop cost.
-func BenchmarkRouterRoutedInfer(b *testing.B) {
-	for _, n := range []int{1, 2} {
-		b.Run(fmt.Sprintf("backends=%d", n), func(b *testing.B) {
-			rt, inputs, done := routerBench(b, n)
-			defer done()
-			b.SetParallelism(32)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var idx atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				ctx := context.Background()
-				var scores []float64
-				for pb.Next() {
-					k := int(idx.Add(1)) % len(inputs)
-					res, err := rt.InferInto(ctx, "arch1", "", inputs[k], scores)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					scores = res.Scores
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			st := rt.Stats()
-			b.ReportMetric(float64(st.Retries), "retries")
-		})
-	}
-}
-
-// BenchmarkStreamSaturation measures the overload story the README's
-// saturation table records: closed-loop client counts at ~1×, 2× and 10×
-// the admission cap (MaxInflight 8). req/s counts completed inferences
-// only; "shed/s" is the typed-429 rate — at 10× most offered load is
-// refused in microseconds while completed throughput holds, which is the
-// point of admission control.
-func BenchmarkStreamSaturation(b *testing.B) {
-	for _, mult := range []int{1, 2, 10} {
-		b.Run(fmt.Sprintf("load%dx", mult), func(b *testing.B) {
-			ctrl := admission.New(admission.Config{MaxInflight: 8, RetryAfter: 5 * time.Millisecond})
-			cl, inputs, done := streamBench(b, ctrl)
-			defer done()
-			clients := 4 * mult
-			var wg sync.WaitGroup
-			var idx, shed atomic.Int64
-			work := make(chan struct{}, clients)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for g := 0; g < clients; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					ctx := context.Background()
-					var out []serve.Result
-					for range work {
-						for {
-							k := int(idx.Add(1)) % len(inputs)
-							res, err := cl.DoInto(ctx, "arch1", inputs[k:k+1], out)
-							if err == nil {
-								out = res
-								break
-							}
-							var oe *admission.OverloadError
-							if !errors.As(err, &oe) {
-								b.Error(err)
-								return
-							}
-							shed.Add(1)
-							time.Sleep(oe.RetryAfter / 10)
-						}
-					}
-				}(g)
-			}
-			for i := 0; i < b.N; i++ {
-				work <- struct{}{}
-			}
-			close(work)
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-			b.ReportMetric(float64(shed.Load())/b.Elapsed().Seconds(), "shed/s")
-		})
-	}
-}
-
 func report(b *testing.B, l nn.Layer) {
 	var c ops.Counts
 	l.CountOps(&c)
@@ -1252,11 +783,4 @@ func short(name string) string {
 		return "Ours"
 	}
 	return name
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -133,8 +133,7 @@ func TestWireGoldenBytes(t *testing.T) {
 // TestEmbedRoutedZeroAlloc extends the serving-path allocation gate to the
 // embedding workload: the penultimate-activation model registered under
 // "<name>.embed" rides the same InferInto path, so a warm registry-routed
-// embed must also allocate nothing (the PR 10 acceptance criterion;
-// BenchmarkEmbed pins the same property in the ALLOC_GATE tier).
+// embed must also allocate nothing.
 func TestEmbedRoutedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the alloc gate runs without -race")

@@ -56,7 +56,7 @@ func (denseRef) Name() string { return "dense" }
 func (denseRef) lower(p *Program) error {
 	for i := range p.ops {
 		o := &p.ops[i]
-		if o.kind == KindCircMul || o.kind == KindBlockCircMul {
+		if o.kind == KindBlockCircMul {
 			// y = Wᵀx equals the row-vector product x·W, so the expanded
 			// rows×cols matrix drops into the MatMul kernel unchanged.
 			o.w = o.circ.Dense()
@@ -113,7 +113,7 @@ func (b int16Spectral) lower(p *Program) error {
 	for i := range p.ops {
 		o := p.ops[i]
 		switch o.kind {
-		case KindCircMul, KindBlockCircMul, KindMatMul:
+		case KindBlockCircMul, KindMatMul:
 		default:
 			out = append(out, o)
 			continue

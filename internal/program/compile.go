@@ -145,11 +145,7 @@ func (p *Program) lower(net *nn.Network) {
 	for _, l := range net.Layers {
 		switch l := l.(type) {
 		case *nn.CircDense:
-			kind := KindBlockCircMul
-			if k, gl := l.W.Grid(); k == 1 && gl == 1 {
-				kind = KindCircMul
-			}
-			emit(op{kind: kind, circ: l.W})
+			emit(op{kind: KindBlockCircMul, circ: l.W})
 			emit(op{kind: KindBiasAdd, bias: l.Bias()})
 		case *nn.Dense:
 			emit(op{kind: KindMatMul, w: l.Weight()})
@@ -177,7 +173,7 @@ func (p *Program) tapPenultimate() error {
 	last := -1
 	for i := range p.ops {
 		switch p.ops[i].kind {
-		case KindCircMul, KindBlockCircMul, KindMatMul:
+		case KindBlockCircMul, KindMatMul:
 			last = i
 		}
 	}
@@ -203,7 +199,7 @@ func (p *Program) inferShapes() error {
 		o.inShape = append([]int(nil), shape...)
 		flat := flatLen(shape)
 		switch o.kind {
-		case KindCircMul, KindBlockCircMul:
+		case KindBlockCircMul:
 			if len(shape) != 1 {
 				return fmt.Errorf("program: op %d %s needs a flat input, got shape %v", i, o.kind, shape)
 			}
@@ -265,7 +261,7 @@ func probeLayer(l nn.Layer, inShape []int) (outShape []int, err error) {
 
 // fuseEpilogues is the general epilogue-fusion pass, subsuming the
 // hand-rolled CircDense→ReLU peephole the interpreter used to carry: any
-// product op (CircMul, BlockCircMul, MatMul) followed by a BiasAdd
+// product op (BlockCircMul, MatMul) followed by a BiasAdd
 // absorbs it, and either may then absorb a following ReLU, so the whole
 // y = ψ(Wᵀx + θ) epilogue rides along with the kernel's store and the
 // activations are written exactly once. Absorbed ops are marked dead for
@@ -277,7 +273,7 @@ func (p *Program) fuseEpilogues() {
 			continue
 		}
 		switch o.kind {
-		case KindCircMul, KindBlockCircMul, KindMatMul:
+		case KindBlockCircMul, KindMatMul:
 		default:
 			continue
 		}
@@ -364,7 +360,7 @@ func (p *Program) planArena() error {
 			if n := flatLen(o.outShape); n > p.qxMax {
 				p.qxMax = n
 			}
-		case KindCircMul, KindBlockCircMul, KindMatMul:
+		case KindBlockCircMul, KindMatMul:
 			if o.quantized {
 				o.slot = slotI64
 				if n := flatLen(o.outShape); n > p.qaccMax {

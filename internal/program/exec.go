@@ -114,7 +114,7 @@ func (p *Program) exec(o *op, x *tensor.Tensor, batch int) *tensor.Tensor {
 		//repro:lint-ignore noalloc KindLayer is the documented allocating fallback for conv/pool ops outside the typed-op set
 		return o.layer.Forward(x, false)
 
-	case KindCircMul, KindBlockCircMul:
+	case KindBlockCircMul:
 		if o.quantized {
 			p.execQCirc(o, batch)
 			return x

@@ -41,12 +41,9 @@ type Kind uint8
 const (
 	// KindInvalid is the zero Kind; no compiled op carries it.
 	KindInvalid Kind = iota
-	// KindCircMul is a transpose product against a single circulant block
-	// (a BlockCirculant with a 1×1 grid) — the Cheng et al. full-circulant
-	// special case, typed separately so listings show the structure.
-	KindCircMul
 	// KindBlockCircMul is the paper's FFT-based block-circulant transpose
-	// product y = Wᵀx, the FC bottleneck.
+	// product y = Wᵀx, the FC bottleneck. A 1×1 grid (the Cheng et al.
+	// full-circulant case) is the same op; its listing shows the grid.
 	KindBlockCircMul
 	// KindMatMul is a dense product y = x·W (the uncompressed head and
 	// the DenseRef lowering of the structured kinds).
@@ -88,8 +85,6 @@ const (
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {
-	case KindCircMul:
-		return "CircMul"
 	case KindBlockCircMul:
 		return "BlockCircMul"
 	case KindMatMul:
@@ -134,7 +129,7 @@ type op struct {
 	outShape []int
 
 	// Payload, by kind.
-	circ  *circulant.BlockCirculant // CircMul / BlockCircMul
+	circ  *circulant.BlockCirculant // BlockCircMul
 	w     *tensor.Tensor            // MatMul weight (in×out)
 	bias  []float64                 // BiasAdd, or fused epilogue bias
 	layer nn.Layer                  // KindLayer fallback
@@ -222,7 +217,7 @@ func (p *Program) Ops() []OpInfo {
 			Quantized: o.quantized,
 		}
 		switch o.kind {
-		case KindCircMul, KindBlockCircMul:
+		case KindBlockCircMul:
 			info.Detail = fmt.Sprintf("%d×%d,b=%d", o.circ.Rows(), o.circ.Cols(), o.circ.BlockSize())
 		case KindMatMul:
 			info.Detail = fmt.Sprintf("%d×%d", o.w.Dim(0), o.w.Dim(1))

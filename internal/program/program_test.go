@@ -154,33 +154,69 @@ func TestFusionSubsumesPeephole(t *testing.T) {
 	}
 }
 
+// singleBlockNet is one CircDense whose weight is a single 64×64
+// circulant block (a 1×1 grid, the full-circulant case) behind a ReLU:
+// the smallest block-circulant product, lowered like any other.
+func singleBlockNet(rng *rand.Rand) *nn.Network {
+	return nn.NewNetwork(nn.NewCircDense(64, 64, 64, rng), nn.NewReLU())
+}
+
 // TestInt16LoweringInsertsBoundaries: the fixed-point backend must wrap
 // every product in Quantize/Dequantize nodes, move the fused epilogue to
-// the Dequantize, and leave non-product ops in float.
+// the Dequantize, and leave non-product ops in float — on Arch-1 and on
+// a 1×1-grid product, which the float build lists with its grid.
 func TestInt16LoweringInsertsBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	prog, err := Compile(nn.Arch1(rng), CompileOptions{
-		InShape: []int{256},
-		Backend: Int16Spectral(12, 12),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	for _, o := range prog.Ops() {
-		kinds = append(kinds, o.Kind.String())
-		if o.Kind == KindBlockCircMul || o.Kind == KindMatMul {
-			if !o.Quantized {
-				t.Errorf("product op %s not quantized under Int16Spectral", o)
+	for _, tc := range []struct {
+		name  string
+		net   *nn.Network
+		in    int
+		float string // Float64Split listing
+		int16 string // Int16Spectral op kinds
+	}{
+		{"arch1", nn.Arch1(rng), 256,
+			"BlockCircMul(256×128,b=64)+bias+relu BlockCircMul(128×128,b=64)+bias+relu MatMul(128×10)+bias",
+			"Quantize BlockCircMul Dequantize Quantize BlockCircMul Dequantize Quantize MatMul Dequantize"},
+		{"1x1grid", singleBlockNet(rng), 64,
+			"BlockCircMul(64×64,b=64)+bias+relu",
+			"Quantize BlockCircMul Dequantize"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fp, err := Compile(tc.net, CompileOptions{InShape: []int{tc.in}})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if o.FusedBias || o.FusedReLU {
-				t.Errorf("product op %s kept the epilogue; it belongs to Dequantize", o)
+			var listing []string
+			for _, o := range fp.Ops() {
+				listing = append(listing, o.String())
 			}
-		}
-	}
-	want := "Quantize BlockCircMul Dequantize Quantize BlockCircMul Dequantize Quantize MatMul Dequantize"
-	if got := strings.Join(kinds, " "); got != want {
-		t.Errorf("op kinds:\n  got  %s\n  want %s", got, want)
+			if got := strings.Join(listing, " "); got != tc.float {
+				t.Errorf("Float64Split ops:\n  got  %s\n  want %s", got, tc.float)
+			}
+
+			prog, err := Compile(tc.net, CompileOptions{
+				InShape: []int{tc.in},
+				Backend: Int16Spectral(12, 12),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var kinds []string
+			for _, o := range prog.Ops() {
+				kinds = append(kinds, o.Kind.String())
+				if o.Kind == KindBlockCircMul || o.Kind == KindMatMul {
+					if !o.Quantized {
+						t.Errorf("product op %s not quantized under Int16Spectral", o)
+					}
+					if o.FusedBias || o.FusedReLU {
+						t.Errorf("product op %s kept the epilogue; it belongs to Dequantize", o)
+					}
+				}
+			}
+			if got := strings.Join(kinds, " "); got != tc.int16 {
+				t.Errorf("op kinds:\n  got  %s\n  want %s", got, tc.int16)
+			}
+		})
 	}
 }
 
@@ -215,26 +251,37 @@ func TestCompileErrors(t *testing.T) {
 }
 
 // TestDenseRefMatches: the dense reference backend expands every
-// structured product and must agree with the interpreter to float64
-// rounding of an O(n) dot-product reordering (the FFT path and the dense
-// path sum in different orders, so the bound is looser than eqTol).
+// structured product, 1×1 grids included, and must agree with the
+// interpreter to float64 rounding of an O(n) dot-product reordering (the
+// FFT path and the dense path sum in different orders, so the bound is
+// looser than eqTol).
 func TestDenseRefMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	net := nn.Arch2(rng)
-	prog, err := Compile(net, CompileOptions{InShape: []int{121}, Backend: DenseRef()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range prog.Ops() {
-		if o.Kind == KindCircMul || o.Kind == KindBlockCircMul {
-			t.Fatalf("DenseRef program kept structured op %s", o)
-		}
-	}
-	x := tensor.New(8, 121).Randn(rng, 1)
-	want := net.Forward(x, false)
-	got := prog.Run(x)
-	if d := maxAbsDiff(got.Data, want.Data); d > 1e-9 {
-		t.Errorf("dense-ref deviates from interpreted by %g", d)
+	for _, tc := range []struct {
+		name string
+		net  *nn.Network
+		in   int
+	}{
+		{"arch2", nn.Arch2(rng), 121},
+		{"1x1grid", singleBlockNet(rng), 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := Compile(tc.net, CompileOptions{InShape: []int{tc.in}, Backend: DenseRef()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range prog.Ops() {
+				if o.Kind == KindBlockCircMul {
+					t.Fatalf("DenseRef program kept structured op %s", o)
+				}
+			}
+			x := tensor.New(8, tc.in).Randn(rng, 1)
+			want := tc.net.Forward(x, false)
+			got := prog.Run(x)
+			if d := maxAbsDiff(got.Data, want.Data); d > 1e-9 {
+				t.Errorf("dense-ref deviates from interpreted by %g", d)
+			}
+		})
 	}
 }
 

@@ -205,8 +205,10 @@ func (c *Client) DoInto(ctx context.Context, route string, inputs [][]float64, o
 	}
 	var budget time.Duration
 	if dl, ok := ctx.Deadline(); ok {
+		// The frame carries whole microseconds: a budget below one has
+		// expired for the server before the frame could reach it.
 		budget = time.Until(dl)
-		if budget <= 0 {
+		if budget < time.Microsecond {
 			return out, context.DeadlineExceeded
 		}
 	}

@@ -166,7 +166,10 @@ func DecodeFrame(r io.Reader, f *Frame) error {
 }
 
 // appendRequestPayload appends a request frame's payload: route prefix,
-// deadline budget, then the encoded wire-v1 request.
+// deadline budget, then the encoded wire-v1 request. A positive budget is
+// encoded within the field's range: under 1 µs as 1 µs (0 would mean no
+// deadline), above 2³²−1 µs (≈ 71.6 min) as 2³²−1 µs — a budget that
+// long only ever lets the server shed later than the client gives up.
 //
 //repro:noalloc
 func appendRequestPayload(dst []byte, route string, deadline time.Duration, inputs [][]float64) ([]byte, error) {
@@ -175,10 +178,7 @@ func appendRequestPayload(dst []byte, route string, deadline time.Duration, inpu
 	}
 	us := int64(0)
 	if deadline > 0 {
-		us = deadline.Microseconds()
-		if us <= 0 || us > int64(^uint32(0)) {
-			return dst, fmt.Errorf("stream: deadline %v outside the uint32-microsecond range", deadline)
-		}
+		us = min(max(deadline.Microseconds(), 1), int64(^uint32(0)))
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(route)))
 	dst = append(dst, route...)

@@ -607,3 +607,47 @@ func TestStreamSLOShed(t *testing.T) {
 		t.Errorf("serve.Stats.Shed = 0 after %d client-visible sheds", shed.Load())
 	}
 }
+
+// budgetCtx reports a deadline a fixed budget after each Deadline call,
+// so a test can hand DoInto an exact remaining budget however long the
+// set-up took.
+type budgetCtx struct {
+	context.Context
+	budget time.Duration
+}
+
+func (c budgetCtx) Deadline() (time.Time, bool) { return time.Now().Add(c.budget), true }
+
+// TestStreamDeadlineBudgetRange pins the deadline field's range: a budget
+// beyond the uint32-microsecond field is answered under the largest
+// encodable one, a budget under one microsecond is the caller's expired
+// deadline, and the encoder accepts both ends.
+func TestStreamDeadlineBudgetRange(t *testing.T) {
+	reg, inputs := newArch2Registry(t, serve.Options{Workers: 1, MaxBatch: 4})
+	_, cl := startServer(t, reg, Options{})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Hour)
+	defer cancel()
+	res, err := cl.DoInto(ctx, "mnist", inputs[:1], nil)
+	if err != nil || len(res) != 1 {
+		t.Fatalf("under a 2h deadline: %d results, err %v", len(res), err)
+	}
+	if _, err := cl.DoInto(budgetCtx{context.Background(), 500 * time.Nanosecond}, "mnist", inputs[:1], nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("under a 500ns budget: %v, want context.DeadlineExceeded", err)
+	}
+
+	for _, tc := range []struct{ budget, want time.Duration }{
+		{2 * time.Hour, time.Duration(^uint32(0)) * time.Microsecond},
+		{500 * time.Nanosecond, time.Microsecond},
+		{0, 0},
+	} {
+		p, err := appendRequestPayload(nil, "mnist", tc.budget, inputs[:1])
+		if err != nil {
+			t.Fatalf("encode budget %v: %v", tc.budget, err)
+		}
+		_, got, _, err := parseRequestPayload(p)
+		if err != nil || got != tc.want {
+			t.Errorf("budget %v decodes as %v (err %v), want %v", tc.budget, got, err, tc.want)
+		}
+	}
+}

@@ -32,10 +32,6 @@
 // paper-versus-measured record of every table and figure.
 package repro
 
-// Regenerate the local benchmark artifact (BENCH_<date>.json, the same
-// schema the CI perf job uploads) with `go generate .` or `make bench`.
-//go:generate go run ./tools/benchjson run
-
 import (
 	"io"
 	"math/rand"

@@ -3,8 +3,6 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"regexp"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -40,7 +38,7 @@ var loadTree = sync.OnceValues(func() (*treeLoad, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := ld.packages(true)
+	pkgs, err := ld.packages()
 	if err != nil {
 		return nil, err
 	}
@@ -105,30 +103,5 @@ func TestNoallocCoverage(t *testing.T) {
 	}
 	if len(facts.Noalloc) < 50 {
 		t.Errorf("only %d noalloc functions verified; the annotated tier should exceed 50", len(facts.Noalloc))
-	}
-}
-
-// TestBenchcover checks the real ALLOCGATE list (read from the
-// Makefile, the source checkgates pins CI against) reaches marked
-// functions, and that the failure mode fires for a fabricated gate.
-func TestBenchcover(t *testing.T) {
-	tl := tree(t)
-	facts := gatherMarks(tl.ld, tl.pkgs)
-
-	data, err := os.ReadFile(filepath.Join(moduleRoot(t), "Makefile"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := regexp.MustCompile(`(?m)^ALLOCGATE \?= (.+)$`).FindStringSubmatch(string(data))
-	if m == nil {
-		t.Fatal("ALLOCGATE not found in Makefile")
-	}
-	if problems := runBenchcover(tl.pkgs, facts, m[1]); len(problems) != 0 {
-		t.Errorf("real ALLOCGATE list has coverage problems:\n  %s", strings.Join(problems, "\n  "))
-	}
-
-	problems := runBenchcover(tl.pkgs, facts, "BenchmarkDoesNotExist|BenchmarkCompiledForward")
-	if len(problems) != 1 || !strings.Contains(problems[0], "BenchmarkDoesNotExist") {
-		t.Errorf("fabricated gate entry not reported, got %v", problems)
 	}
 }

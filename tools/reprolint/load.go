@@ -22,18 +22,17 @@ import (
 // produces compiled export data for every import (stdlib included), so
 // each module package can be parsed from source and checked against
 // export data through importer.ForCompiler's lookup hook. Shelling to
-// the go toolchain follows the benchjson precedent (it runs `go test`);
-// what stays forbidden is importing anything outside the stdlib.
+// the go toolchain is allowed; what stays forbidden is importing anything
+// outside the stdlib.
 
 // listedPackage is the subset of `go list -json` output the loader uses.
 type listedPackage struct {
-	ImportPath  string
-	Dir         string
-	GoFiles     []string
-	TestGoFiles []string
-	Export      string
-	Standard    bool
-	Module      *struct{ Path string }
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+	Module     *struct{ Path string }
 }
 
 // Package is one type-checked module package plus its syntax.
@@ -41,7 +40,6 @@ type Package struct {
 	ImportPath string
 	Dir        string
 	Files      []*ast.File // non-test files, parsed with comments
-	TestFiles  []*ast.File // in-package _test.go files, AST only (never type-checked)
 	Types      *types.Package
 	Info       *types.Info
 }
@@ -69,7 +67,7 @@ var stdlibExtras = []string{
 func newLoader(dir string, patterns []string) (*loader, error) {
 	args := []string{
 		"list", "-e", "-export", "-deps", "-test=false",
-		"-json=ImportPath,Dir,GoFiles,TestGoFiles,Export,Standard,Module",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,Module",
 	}
 	args = append(args, patterns...)
 	args = append(args, stdlibExtras...)
@@ -120,10 +118,8 @@ func newInfo() *types.Info {
 	}
 }
 
-// packages parses and type-checks every target. withTests additionally
-// parses (but never type-checks) in-package _test.go files, for the
-// syntactic benchmark-coverage walk.
-func (ld *loader) packages(withTests bool) ([]*Package, error) {
+// packages parses and type-checks every target.
+func (ld *loader) packages() ([]*Package, error) {
 	var pkgs []*Package
 	var typeErrs []string
 	for _, lp := range ld.targets {
@@ -143,16 +139,6 @@ func (ld *loader) packages(withTests bool) ([]*Package, error) {
 			},
 		}
 		p.Types, _ = conf.Check(lp.ImportPath, ld.fset, p.Files, p.Info)
-		if withTests {
-			for _, name := range lp.TestGoFiles {
-				f, err := parser.ParseFile(ld.fset, filepath.Join(lp.Dir, name), nil,
-					parser.ParseComments|parser.SkipObjectResolution)
-				if err != nil {
-					return nil, err
-				}
-				p.TestFiles = append(p.TestFiles, f)
-			}
-		}
 		pkgs = append(pkgs, p)
 	}
 	if len(typeErrs) > 0 {

@@ -7,14 +7,13 @@
 //
 // Usage:
 //
-//	go run ./tools/reprolint [-json] [-benchcover 'BenchA|BenchB/sub'] [packages]
+//	go run ./tools/reprolint [-json] [packages]
 //
-// Packages default to ./... . Exit status is 1 when any diagnostic (or
-// uncovered benchmark gate) is found, 2 when the tree fails to load.
-// -json emits the diagnostics plus the full //repro:noalloc function
-// list, the machine-readable surface `benchjson checkgates` builds on.
-// It is dependency-free by the same rule as promcheck and benchjson:
-// stdlib only, shelling out to the go toolchain for export data.
+// Packages default to ./... . Exit status is 1 when any diagnostic is
+// found, 2 when the tree fails to load. -json emits the diagnostics plus
+// the full //repro:noalloc function list. It is dependency-free by the
+// same rule as promcheck: stdlib only, shelling out to the go toolchain
+// for export data.
 package main
 
 import (
@@ -28,16 +27,14 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics and the noalloc function list as JSON")
-	benchcover := flag.String("benchcover", "",
-		"'|'-separated benchmark gate list; verify each reaches a //repro:noalloc function")
 	flag.Parse()
-	if err := run(*jsonOut, *benchcover, flag.Args()); err != nil {
+	if err := run(*jsonOut, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "reprolint:", err)
 		os.Exit(2)
 	}
 }
 
-func run(jsonOut bool, benchcover string, patterns []string) error {
+func run(jsonOut bool, patterns []string) error {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -45,17 +42,12 @@ func run(jsonOut bool, benchcover string, patterns []string) error {
 	if err != nil {
 		return err
 	}
-	pkgs, err := ld.packages(benchcover != "")
+	pkgs, err := ld.packages()
 	if err != nil {
 		return err
 	}
 	diags := analyze(ld.fset, pkgs)
 	facts := gatherMarks(ld, pkgs)
-
-	var problems []string
-	if benchcover != "" {
-		problems = runBenchcover(pkgs, facts, benchcover)
-	}
 
 	if jsonOut {
 		noalloc := make([]string, 0, len(facts.Noalloc))
@@ -66,8 +58,7 @@ func run(jsonOut bool, benchcover string, patterns []string) error {
 		out := struct {
 			Diagnostics []Diagnostic `json:"diagnostics"`
 			Noalloc     []string     `json:"noalloc"`
-			Benchcover  []string     `json:"benchcover_problems,omitempty"`
-		}{Diagnostics: diags, Noalloc: noalloc, Benchcover: problems}
+		}{Diagnostics: diags, Noalloc: noalloc}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -77,13 +68,10 @@ func run(jsonOut bool, benchcover string, patterns []string) error {
 		for _, d := range diags {
 			fmt.Printf("%s: [%s] %s\n", d.Position, d.Analyzer, d.Message)
 		}
-		for _, p := range problems {
-			fmt.Printf("benchcover: %s\n", p)
-		}
 	}
-	if len(diags) > 0 || len(problems) > 0 {
+	if len(diags) > 0 {
 		if !jsonOut {
-			fmt.Printf("reprolint: %d problem(s)\n", len(diags)+len(problems))
+			fmt.Printf("reprolint: %d problem(s)\n", len(diags))
 		}
 		os.Exit(1)
 	}
