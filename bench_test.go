@@ -629,8 +629,7 @@ func BenchmarkBatchedSpectralForward(b *testing.B) {
 // BenchmarkCompiledForward measures compiled Float64Split programs on the
 // two FC evaluation architectures at batch 1 and a serving batch — the
 // executor model.New hands every serving replica. Warm runs
-// are allocation-free (alloc-gated in CI next to the batched-spectral
-// kernel gate).
+// are allocation-free (pinned by TestCompiledForwardZeroAlloc).
 func BenchmarkCompiledForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	archs := []struct {
@@ -665,10 +664,13 @@ func BenchmarkCompiledForward(b *testing.B) {
 // layers and whole batches — on Arch-1, beside BenchmarkCompiledForward's
 // float path. The integer path runs the same transform → bin product →
 // inverse schedule over an exact number-theoretic transform, whose 64-bit
-// modular butterflies cost more than float64 ones on a desktop host and
-// which works sample by sample where the float engine amortises its
-// transforms across the batch (measured ratios: DESIGN.md §5). It is in
-// GATE, so the fixed-point build is regression-gated like the float one.
+// modular butterflies cost more than float64 ones on a desktop host; where
+// the layer's range allows (every layer here) it packs two input segments
+// into each field word, halving the forward transforms and bin products,
+// while the float engine amortises its transforms across the batch
+// (measured ratios: DESIGN.md §5). Its end-to-end record is the
+// edge_fixed_b1 workload of `go run ./bench`, and TestCompiledForwardZeroAlloc
+// keeps its warm runs allocation-free.
 func BenchmarkQuantizedForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	net := nn.Arch1(rng)

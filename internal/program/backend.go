@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/circulant"
 	"repro/internal/fft"
@@ -79,11 +80,12 @@ func (denseRef) lower(p *Program) error {
 // bin by bin against stored weight spectra, accumulate in the transform
 // domain, one inverse per output block — in exact integer arithmetic: the
 // transform is number-theoretic (fft.NTTPlan, modulo 2⁶⁴ − 2³² + 1), each
-// layer stores k·l·n 64-bit spectrum words derived from its quantised
-// defining vectors (circSpectra), and because no accumulator can reach the
-// modulus the result is the time-domain integer product itself, bit for
-// bit, at every supported precision — exact by range, with no error bound
-// to check and nothing to fall back to.
+// layer stores 64-bit spectrum words derived from its quantised defining
+// vectors (circSpectra), and because no accumulator can reach the modulus
+// the result is the time-domain integer product itself, bit for bit, at
+// every supported precision — exact by range, with nothing to fall back
+// to. The compile-time range bound only decides how many activation
+// segments share one field word (segmentsPerWord), never exactness.
 type int16Spectral struct {
 	weightBits, actBits int
 }
@@ -155,7 +157,7 @@ func (b int16Spectral) lower(p *Program) error {
 		mul.quantized = true
 		mul.qw = qw
 		if o.kind != KindMatMul {
-			mul.ntt, mul.qspec = circSpectra(o.circ, qw)
+			mul.ntt, mul.qspec, mul.qgroup = circSpectra(o.circ, qw, b.actBits)
 		}
 		mul.in = q.out
 		mul.out = next
@@ -182,9 +184,10 @@ func (b int16Spectral) lower(p *Program) error {
 
 // circSpectra derives the run-time operand of the integer circulant
 // product (execQCirc) from the quantised defining vectors: the plan of the
-// transform length n and, for each of the k·l blocks, n words of weight
-// spectrum, laid out output-block-major ([l][k][n]) so one output block
-// reads its k spectra contiguously.
+// transform length n, the number g of input segments per field word
+// (segmentsPerWord) and, for each output block and each of the ⌈k/g⌉ words,
+// n words of weight spectrum, laid out [l][⌈k/g⌉][n] so one output block
+// reads its spectra contiguously.
 //
 // The transpose product is a correlation, (Cᵀx)_t = Σ_s w[(s−t) mod b]·x_s,
 // i.e. the cyclic convolution of x with the index-reversed vector
@@ -193,7 +196,14 @@ func (b int16Spectral) lower(p *Program) error {
 // b is a power of two; otherwise the next power of two ≥ 2b−1, long enough
 // that the zero-padded cyclic product is the linear convolution execQCirc
 // folds back to length b.
-func circSpectra(m *circulant.BlockCirculant, qw *quant.QTensor) (*fft.NTTPlan, []uint64) {
+//
+// With g = 2, word q of a sample carries segments a = 2q and c = 2q+1 as
+// x_a + s·x_c with s = 2³², and output block j stores the spectrum of
+// w_aj − s·w_cj. In this field s² = 2⁶⁴ ≡ s − 1, so their product is
+// w_aj∗x_a + w_cj∗x_c + s·(w_aj∗x_c − w_cj∗x_a − w_cj∗x_c): lane 0 is the
+// wanted accumulator and lane 1 a bounded remainder execQCirc discards. An
+// odd k leaves its last segment alone in lane 0.
+func circSpectra(m *circulant.BlockCirculant, qw *quant.QTensor, actBits int) (*fft.NTTPlan, []uint64, int) {
 	k, l := m.Grid()
 	b := m.BlockSize()
 	n := b
@@ -201,18 +211,62 @@ func circSpectra(m *circulant.BlockCirculant, qw *quant.QTensor) (*fft.NTTPlan, 
 		n = fft.NextPow2(2*b - 1)
 	}
 	plan := fft.NTTPlanFor(n)
-	spec := make([]uint64, k*l*n)
-	for i := 0; i < k; i++ {
-		for j := 0; j < l; j++ {
-			w := qw.Data[(i*l+j)*b : (i*l+j+1)*b]
-			s := spec[(j*k+i)*n : (j*k+i+1)*n]
-			for t, wt := range w {
-				s[(b-t)%b] = fft.NTTMul(fft.NTTFromInt64(int64(wt)), plan.InvN())
+	g := segmentsPerWord(qw, k, l, b, actBits)
+	kw := (k + g - 1) / g
+	lane := [2]int64{1, -1 << 32} // w_aj − s·w_cj
+	spec := make([]uint64, l*kw*n)
+	for j := 0; j < l; j++ {
+		for q := 0; q < kw; q++ {
+			s := spec[(j*kw+q)*n : (j*kw+q+1)*n]
+			for i := q * g; i < min((q+1)*g, k); i++ {
+				for t, wt := range qw.Data[(i*l+j)*b : (i*l+j+1)*b] {
+					s[(b-t)%b] += uint64(lane[i%g] * int64(wt))
+				}
+			}
+			for t, v := range s {
+				s[t] = fft.NTTMul(fft.NTTFromInt64(int64(v)), plan.InvN())
 			}
 			plan.Forward(s)
 		}
 	}
-	return plan, spec
+	return plan, spec, g
+}
+
+// segmentsPerWord is the pairing gate: 2 when, for every output block j and
+// any activations within ±Amax = 2^(actBits−1) − 1, both lanes of a paired
+// accumulator provably fit in int32 —
+//
+//	lane 0: Amax·Σ_i ‖w_ij‖₁ ≤ 2³¹ − 1
+//	lane 1: Amax·Σ_q (‖w_2q,j‖₁ + 2‖w_2q+1,j‖₁) ≤ 2³¹ − 1, over full pairs
+//
+// so |lane0 + 2³²·lane1| < (p−1)/2 and both the field value and its low 32
+// bits decode exactly; otherwise 1, one segment per word. The norms are
+// summed in int64, which no int16 layer can overflow, on 32-bit targets too.
+func segmentsPerWord(qw *quant.QTensor, k, l, b, actBits int) int {
+	if k < 2 { // nothing to pair
+		return 1
+	}
+	amax := int64(quant.Levels(actBits))
+	for j := 0; j < l; j++ {
+		var lane0, lane1 int64
+		for i := 0; i < k; i++ {
+			var norm int64
+			for _, w := range qw.Data[(i*l+j)*b : (i*l+j+1)*b] {
+				norm += max(int64(w), -int64(w))
+			}
+			lane0 += norm
+			switch {
+			case i%2 == 1: // w_cj meets both x_a and x_c in lane 1
+				lane1 += 2 * norm
+			case i+1 < k: // a lone last segment has no lane 1
+				lane1 += norm
+			}
+		}
+		if amax*max(lane0, lane1) > math.MaxInt32 {
+			return 1
+		}
+	}
+	return 2
 }
 
 func maxInt(a, b int) int {

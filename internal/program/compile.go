@@ -367,9 +367,9 @@ func (p *Program) planArena() error {
 					p.qaccMax = n
 				}
 				if o.ntt != nil {
-					// k activation spectra plus one accumulator block.
+					// ⌈k/qgroup⌉ activation spectra plus one accumulator block.
 					k, _ := o.circ.Grid()
-					p.qnttMax = max(p.qnttMax, (k+1)*o.ntt.Size())
+					p.qnttMax = max(p.qnttMax, ((k+o.qgroup-1)/o.qgroup+1)*o.ntt.Size())
 				}
 			} else {
 				o.slot = 1 - max(curFloat, 0)

@@ -302,22 +302,26 @@ func (p *Program) execQMatMul(o *op, batch int) {
 
 // execQCirc is the integer block-circulant transpose product, Algorithm 1
 // in exact integer arithmetic: per sample, the k int16 activation segments
-// are transformed once (fft.NTTPlan, the DFT over the Goldilocks field);
-// each of the l output blocks accumulates Σ_i Ŵ_ij ∘ X̂_i in the transform
-// domain against the weight spectra stored at compile time (circSpectra)
-// and pays one inverse. A ragged last segment is zero-padded and a ragged
-// last block truncated, as on the float path.
+// are packed qgroup to a field word (circSpectra) and each word is
+// transformed once (fft.NTTPlan, the DFT over the Goldilocks field); each of
+// the l output blocks accumulates Σ_q V̂_qj ∘ X̂_q in the transform domain
+// against the weight spectra stored at compile time and pays one inverse. A
+// ragged last segment is zero-padded and a ragged last block truncated, as
+// on the float path.
 //
 // The result is exact by range, not by tolerance: every accumulator
 // (Cᵀx)_t = Σ_s w[(s−t) mod b]·x_s is bounded by rows·2³⁰ in magnitude,
 // far inside the field's ±(2⁶³ − 2³¹), so nothing wraps and qacc holds the
 // very int64 values a time-domain MAC over the defining vectors produces
-// (TestQCircExact evaluates that definition as the oracle).
+// (TestQCircExact evaluates that definition as the oracle). With two
+// segments per word the field value is lane0 + 2³²·lane1, both lanes inside
+// int32 by the compile-time gate (segmentsPerWord), and the accumulator is
+// its low 32 bits, sign-extended.
 //
 // A block size that is not a power of two runs the same schedule at a
 // padded length n ≥ 2b: the cyclic product of length n is then the linear
-// convolution, and adding its tail back (y[t] = z[t] + z[t+b]) wraps it to
-// length b.
+// convolution, and adding its tail back (y[t] = z[t] + z[t+b]) in the field
+// wraps it to length b before decoding.
 //
 //repro:noalloc
 func (p *Program) execQCirc(o *op, batch int) {
@@ -326,26 +330,34 @@ func (p *Program) execQCirc(o *op, batch int) {
 	b := m.BlockSize()
 	rows, cols := m.Rows(), m.Cols()
 	n := o.ntt.Size()
-	xs, acc := p.qntt[:k*n], p.qntt[k*n:(k+1)*n]
+	g := o.qgroup
+	kw := (k + g - 1) / g
+	drop := uint(32 * (g - 1)) // bits above lane 0
+	xs, acc := p.qntt[:kw*n], p.qntt[kw*n:(kw+1)*n]
 	for v := 0; v < batch; v++ {
 		qrow := p.qx[v*rows : (v+1)*rows]
 		arow := p.qacc[v*cols : (v+1)*cols]
-		for i := 0; i < k; i++ {
-			xh := xs[i*n : (i+1)*n]
-			seg := qrow[i*b : min((i+1)*b, rows)]
-			for t, q := range seg {
-				xh[t] = fft.NTTFromInt64(int64(q))
-			}
-			for t := len(seg); t < n; t++ {
+		for q := 0; q < kw; q++ {
+			xh := xs[q*n : (q+1)*n]
+			for t := range xh {
 				xh[t] = 0
+			}
+			for i := q * g; i < min((q+1)*g, k); i++ {
+				lane := uint(32 * (i % g))
+				for t, x := range qrow[i*b : min((i+1)*b, rows)] {
+					xh[t] += uint64(int64(x)) << lane
+				}
+			}
+			for t, x := range xh {
+				xh[t] = fft.NTTFromInt64(int64(x))
 			}
 			o.ntt.Forward(xh)
 		}
 		for j := 0; j < l; j++ {
-			for i := 0; i < k; i++ {
-				w := o.qspec[(j*k+i)*n : (j*k+i+1)*n][:len(acc)]
-				xh := xs[i*n : (i+1)*n][:len(acc)]
-				if i == 0 {
+			for q := 0; q < kw; q++ {
+				w := o.qspec[(j*kw+q)*n : (j*kw+q+1)*n][:len(acc)]
+				xh := xs[q*n : (q+1)*n][:len(acc)]
+				if q == 0 {
 					for t := range acc {
 						acc[t] = fft.NTTMul(w[t], xh[t])
 					}
@@ -363,7 +375,7 @@ func (p *Program) execQCirc(o *op, batch int) {
 			}
 			out := arow[j*b : min((j+1)*b, cols)]
 			for t := range out {
-				out[t] = fft.NTTToInt64(acc[t])
+				out[t] = fft.NTTToInt64(acc[t]) << drop >> drop
 			}
 		}
 	}

@@ -143,11 +143,14 @@ type op struct {
 	qw        *quant.QTensor // int16 weights (dense matrix or circulant base)
 	actBits   int            // Quantize precision
 	// Integer circulant products run in the transform domain (execQCirc):
-	// ntt is the plan of the block's transform length n, qspec the k·l
-	// weight spectra of n words each, output-block-major ([l][k][n]),
-	// derived from qw once by circSpectra and immutable afterwards.
-	ntt   *fft.NTTPlan
-	qspec []uint64
+	// ntt is the plan of the block's transform length n, qgroup the input
+	// segments packed into one field word (1 or 2, segmentsPerWord), qspec
+	// the l·⌈k/qgroup⌉ weight spectra of n words each, output-block-major
+	// ([l][⌈k/qgroup⌉][n]), derived from qw once by circSpectra and
+	// immutable afterwards.
+	ntt    *fft.NTTPlan
+	qgroup int
+	qspec  []uint64
 
 	dead bool // marked by fusion / DCE, swept before binding
 
@@ -219,6 +222,9 @@ func (p *Program) Ops() []OpInfo {
 		switch o.kind {
 		case KindBlockCircMul:
 			info.Detail = fmt.Sprintf("%d×%d,b=%d", o.circ.Rows(), o.circ.Cols(), o.circ.BlockSize())
+			if o.quantized {
+				info.Detail += fmt.Sprintf(",%dseg/word", o.qgroup)
+			}
 		case KindMatMul:
 			info.Detail = fmt.Sprintf("%d×%d", o.w.Dim(0), o.w.Dim(1))
 		case KindLayer:

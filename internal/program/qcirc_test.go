@@ -2,10 +2,12 @@ package program
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,46 +43,86 @@ func qcircDefinition(o *op, qx []int16, batch int) []int64 {
 
 // TestQCircExact: after Run, the accumulators of the integer circulant
 // product equal the time-domain definition evaluated on the same quantised
-// activations and weights — exactly, not within a tolerance. The cases
-// cover power-of-two blocks, pad-and-fold blocks (b = 10, 3, 12), ragged
-// rows and columns, block 1, a 2-bit build and Arch-3's widest FC layer;
-// every batch holds one row saturated to ±max, and every case is repeated
-// with the weights saturated too, the largest accumulators the precision
-// can produce.
+// activations and weights — exactly, not within a tolerance — and the
+// listing shows the grouping the pairing gate chose. The cases cover
+// power-of-two blocks, pad-and-fold blocks (b = 10, 3, 12), ragged rows and
+// columns, odd segment counts, block 1, a 2-bit build and Arch-3's widest FC
+// layer; every random case is repeated with the weights saturated too.
+//
+// Row 1 of every batch is saturated to ±max with the signs of the weights
+// output 0 meets (lane 0), or of each pair's lane-0 weights (lane 1), so
+// that output reaches the driven lane's bound. The constructed rows set
+// integer weights of chosen L1 norms with alternating signs, negated on odd
+// segments, so that lane reaches 2³¹ − 512 against the 2³¹ − 1 gate in lane
+// 1 (and pairs), 2³¹ + 1535 (and must not pair), and 2³¹ − 512 in lane 0
+// beside a lone last segment.
 func TestQCircExact(t *testing.T) {
-	for _, tc := range []struct{ in, out, b, bits int }{
-		{256, 128, 64, 12},
-		{121, 64, 32, 12},
-		{64, 64, 64, 16},
-		{100, 50, 10, 16},
-		{7, 5, 3, 8},
-		{8, 8, 1, 12},
-		{3200, 512, 128, 16},
-		{30, 20, 12, 16},
-		{16, 16, 2, 2},
+	for _, tc := range []struct {
+		in, out, b, bits int
+		group            int   // input segments per field word in the listing
+		norms            []int // ‖w_i0‖₁ of constructed weights; nil draws them
+		lane             int   // the lane row 1 drives at output 0
+		peak             int64 // that lane's value there; 0 leaves it unchecked
+	}{
+		{256, 128, 64, 12, 2, nil, 0, 0},
+		{121, 64, 32, 12, 2, nil, 0, 0},
+		{64, 64, 64, 16, 1, nil, 0, 0},
+		{100, 50, 10, 16, 1, nil, 0, 0},
+		{7, 5, 3, 8, 2, nil, 0, 0},
+		{8, 8, 1, 12, 2, nil, 0, 0},
+		{9, 4, 1, 12, 2, nil, 0, 0},
+		{3200, 512, 128, 16, 1, nil, 0, 0},
+		{30, 20, 12, 16, 1, nil, 0, 0},
+		{30, 20, 12, 12, 2, nil, 0, 0},
+		{16, 16, 2, 2, 2, nil, 0, 0},
+		{512, 256, 256, 12, 2, []int{349696, 349696}, 1, 1<<31 - 512},
+		{512, 256, 256, 12, 1, []int{349697, 349696}, 1, 1<<31 + 1535},
+		{768, 256, 256, 12, 2, []int{524032, 1024, 524032}, 0, 1<<31 - 512},
 	} {
 		for _, saturateW := range []bool{false, true} {
+			if saturateW && tc.norms != nil {
+				continue
+			}
 			rng := rand.New(rand.NewSource(int64(tc.in*1000 + tc.b)))
 			layer := nn.NewCircDense(tc.in, tc.out, tc.b, rng)
+			base := layer.W.Base.Data
 			if saturateW {
-				for i := range layer.W.Base.Data {
-					layer.W.Base.Data[i] = float64(1 - 2*rng.Intn(2))
+				for i := range base {
+					base[i] = float64(1 - 2*rng.Intn(2))
 				}
-				layer.W.Refresh()
 			}
+			if tc.norms != nil { // l = 1: segment i's block is base[i·b:(i+1)·b]
+				clear(base)
+				for i, norm := range tc.norms {
+					for t := i * tc.b; norm > 0; t++ {
+						base[t] = float64(min(norm, 2047) * (1 - 2*(t%2)) * (1 - 2*(i%2)))
+						norm -= min(norm, 2047)
+					}
+				}
+			}
+			layer.W.Refresh()
 			prog, err := Compile(nn.NewNetwork(layer), CompileOptions{InShape: []int{tc.in}, Backend: Int16Spectral(tc.bits, tc.bits)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			const batch = 3
 			x := tensor.New(batch, tc.in).Randn(rng, 1)
-			for i, row := 0, x.Row(1); i < len(row); i++ {
-				row[i] = float64(1 - 2*rng.Intn(2)) // every activation quantises to ±(2^(bits−1) − 1)
+			_, l := layer.W.Grid()
+			for s, row := 0, x.Row(1); s < len(row); s++ {
+				i := s / tc.b
+				i -= i % 2 * tc.lane
+				row[s] = 1 // every activation quantises to ±(2^(bits−1) − 1)
+				if base[i*l*tc.b+s%tc.b] < 0 {
+					row[s] = -1
+				}
 			}
 			prog.Run(x)
 			mul := &prog.ops[1]
 			if !mul.quantized || mul.circ == nil || len(prog.ops) != 3 {
 				t.Fatalf("%v: compiled to %v, want Quantize → integer circulant product → Dequantize", tc, prog.Ops())
+			}
+			if got, want := prog.Ops()[1].Detail, fmt.Sprintf(",%dseg/word", tc.group); !strings.HasSuffix(got, want) {
+				t.Errorf("%v saturated weights %v: listing %q, want grouping %q", tc, saturateW, got, want)
 			}
 			want := qcircDefinition(mul, prog.qx, batch)
 			var peak int64
@@ -94,8 +136,34 @@ func TestQCircExact(t *testing.T) {
 			if peak == 0 {
 				t.Errorf("%v: every accumulator is zero; the comparison is vacuous", tc)
 			}
+			lane := want[tc.out] // output 0 of row 1
+			if tc.lane == 1 {
+				lane = qcircLane1(mul, prog.qx[tc.in:2*tc.in])
+			}
+			if tc.peak != 0 && lane != tc.peak {
+				t.Errorf("%v: lane %d of row 1, output 0 = %d, want %d", tc, tc.lane, lane, tc.peak)
+			}
 		}
 	}
+}
+
+// qcircLane1 is the lane-1 value of a paired accumulator at output 0 for
+// activations x: Σ over pairs (a, c) of w_a0·x_c − w_c0·x_a − w_c0·x_c,
+// each product a dot product at output 0.
+func qcircLane1(o *op, x []int16) int64 {
+	k, l := o.circ.Grid()
+	b := o.circ.BlockSize()
+	dot := func(wi, xi int) (d int64) {
+		for s := xi * b; s < min((xi+1)*b, len(x)); s++ {
+			d += int64(o.qw.Data[wi*l*b+s-xi*b]) * int64(x[s])
+		}
+		return d
+	}
+	var lane int64
+	for a := 0; a+1 < k; a += 2 {
+		lane += dot(a, a+1) - dot(a+1, a) - dot(a+1, a+1)
+	}
+	return lane
 }
 
 // TestInt16GoldenScores pins the fixed-point build's scores across commits:
@@ -103,7 +171,9 @@ func TestQCircExact(t *testing.T) {
 // the last commit whose integer circulant product was the time-domain MAC.
 // The integer accumulators are exact on every architecture (TestQCircExact);
 // the float64 epilogue is only pinned on amd64, since other targets may fuse
-// the dequantise multiply-add.
+// the dequantise multiply-add. Each build also pins the grouping its
+// circulant products list: at 8 and 12 bits every layer packs two input
+// segments per field word, at 16 bits none does.
 func TestInt16GoldenScores(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("score bits are pinned on amd64 only; TestQCircExact covers the integer kernel everywhere")
@@ -113,17 +183,23 @@ func TestInt16GoldenScores(t *testing.T) {
 		build func(*rand.Rand) *nn.Network
 		in    int
 		bits  int
+		group string
 		want  uint64
 	}{
-		{"arch1 q12", nn.Arch1, 256, 12, 0x2edfb52d28affd5b},
-		{"arch2 q12", nn.Arch2, 121, 12, 0x796937148a1c5fc5},
-		{"arch1 q16", nn.Arch1, 256, 16, 0x7688ac048d378fd2},
-		{"arch2 q8", nn.Arch2, 121, 8, 0x347f47ed5c644ddb},
+		{"arch1 q12", nn.Arch1, 256, 12, "2seg/word", 0x2edfb52d28affd5b},
+		{"arch2 q12", nn.Arch2, 121, 12, "2seg/word", 0x796937148a1c5fc5},
+		{"arch1 q16", nn.Arch1, 256, 16, "1seg/word", 0x7688ac048d378fd2},
+		{"arch2 q8", nn.Arch2, 121, 8, "2seg/word", 0x347f47ed5c644ddb},
 	} {
 		rng := rand.New(rand.NewSource(7))
 		prog, err := Compile(tc.build(rng), CompileOptions{InShape: []int{tc.in}, Backend: Int16Spectral(tc.bits, tc.bits)})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, o := range prog.Ops() {
+			if o.Kind == KindBlockCircMul && !strings.HasSuffix(o.Detail, ","+tc.group) {
+				t.Errorf("%s: %s, want %s", tc.name, o, tc.group)
+			}
 		}
 		if got := scoreChecksum(prog.Run(tensor.New(64, tc.in).Randn(rng, 1))); got != tc.want {
 			t.Errorf("%s: score checksum %#x, want %#x — the fixed-point build's answers changed", tc.name, got, tc.want)
