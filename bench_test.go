@@ -217,7 +217,11 @@ func BenchmarkFig4_EnginePipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if acc := e.Evaluate(d); acc < 0.5 {
+		acc, err := e.Evaluate(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if acc < 0.5 {
 			b.Fatalf("pipeline accuracy collapsed: %f", acc)
 		}
 	}

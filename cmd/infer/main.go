@@ -94,8 +94,7 @@ func main() {
 
 	// Module 4: inference engine, through a compiled program — one
 	// Compile, then allocation-free batched forward passes over the test
-	// set, instead of the allocating per-call Predict path (which also
-	// ran the whole set a second time for the accuracy number).
+	// set.
 	preds, err := e.PredictBatched(data, *batch)
 	if err != nil {
 		log.Fatal(err)

@@ -94,7 +94,10 @@ func main() {
 	}
 	fmt.Printf("module 3 (inputs parser): %d test images loaded\n", data.Len())
 
-	acc := eng.Evaluate(data)
+	acc, err := eng.Evaluate(data)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("module 4 (inference engine): accuracy %.1f%%\n\n", acc*100)
 
 	fmt.Println("modelled core runtime per image:")

@@ -9,16 +9,17 @@ import (
 	"repro/internal/fft"
 )
 
-// The spectral engine: the one product of a block-circulant matrix with a
-// power-of-two block size. A batch of vectors — a coalesced serving batch,
-// the output pixels of a CONV layer, or a single vector, which is a batch
-// of one — is pushed through the matrix in a single planned spectral pass.
+// The spectral engine: the one product, and the one weight gradient, of a
+// block-circulant matrix. A batch of vectors — a coalesced serving batch,
+// the output pixels of a CONV layer, a training mini-batch, or a single
+// vector, which is a batch of one — is pushed through the matrix in a
+// single planned spectral pass.
 //
 // Four things make the pass fast:
 //
 //   - Real-input half-spectrum transforms (fft.RealPlan): every block FFT
 //     and IFFT runs at half size by conjugate symmetry, and the spectral
-//     accumulation touches b/2+1 bins instead of b.
+//     accumulation touches n/2+1 bins instead of n.
 //   - Split-complex (SoA) storage end to end: input spectra, weight spectra
 //     and accumulators live as parallel Re/Im float64 planes
 //     (fft.SplitSlice), so every butterfly and every multiply-accumulate is
@@ -50,8 +51,12 @@ import (
 // answer. The engine is validated against the O(n²) Dense() expansion, the
 // numerically independent oracle.
 //
-// Block sizes the real plan does not cover (not a power of two, or 1) run
-// the generic complex128 body (mulGeneric) one vector at a time.
+// Every block size runs it. The transform length n is b for a power of two
+// b ≥ 2; otherwise each block is zero-padded to n = max(2, NextPow2(2b−1)),
+// where the cyclic product of two padded blocks is their linear product, and
+// the store folds element t+f back onto element t < b (foldColumn): f = b
+// for the convolution form W·x, f = n−b for the correlation forms Wᵀ·x and
+// the weight gradient. When n = b nothing is padded or folded.
 
 // workerSem is the process-wide bounded worker pool for column-range
 // parallelism: at most GOMAXPROCS−1 extra goroutines beyond the callers, no
@@ -212,10 +217,56 @@ func (m *BlockCirculant) TransMulBatchFusedInto(dst, x []float64, batch int, ws 
 	return m.mulBatch("TransMulBatchFusedInto", dst, x, batch, ws, true, bias, relu)
 }
 
+// TransMulBatchGradInto is Algorithm 2 over a batch: the gradients of the
+// FC-layer forward pass yᵥ = Wᵀ·xᵥ, given the forward inputs x (batch ×
+// Rows) and the upstream gradients g = ∂L/∂y (batch × Cols). It adds the
+// weight gradient Σᵥ ∂L/∂Base into dw (Base's [k][l][b] layout, which is
+// Param.Grad's) and writes the input gradients ∂L/∂xᵥ = W·gᵥ into dx
+// (batch × Rows). A nil ws borrows pooled scratch.
+//
+// ∂yᵥ/∂w_ij is itself circulant, so block (i, j)'s weight gradient is the
+// correlation of the gradient block g_vj with the input block x_vi, summed
+// over the batch: IFFT(Σᵥ conj(G_vj) ∘ X_vi). One pass transforms every
+// input and gradient block of the batch, accumulates the bin products
+// across the batch in the half spectrum, and runs one inverse per weight
+// block — the frequency-domain accumulation of Mathieu, Henaff & LeCun,
+// "Fast Training of Convolutional Networks through FFTs" (ICLR 2014). The
+// gradient spectra double as the plain product's input spectra for dx. The
+// pass runs on its caller alone.
+//
+//repro:noalloc
+func (m *BlockCirculant) TransMulBatchGradInto(dw, dx, x, g []float64, batch int, ws *BatchWorkspace) {
+	if batch < 1 || len(x) != batch*m.rows || len(g) != batch*m.cols || len(dx) != batch*m.rows || len(dw) != m.NumParams() {
+		panic(fmt.Sprintf("circulant: TransMulBatchGradInto batch %d: dw %d, dx %d, x %d, g %d; want %d, %d, %d, %d",
+			batch, len(dw), len(dx), len(x), len(g), m.NumParams(), batch*m.rows, batch*m.rows, batch*m.cols))
+	}
+	if ws == nil {
+		ws = wsPool.Get().(*BatchWorkspace)
+		defer wsPool.Put(ws)
+	}
+	// The batch·l gradient columns come first in ws.specs, where the plain
+	// product's output stage reads its input spectra, and the batch·k input
+	// columns follow them. The output side serves the batch·k columns of dx,
+	// then the k·l weight-gradient columns.
+	half, kl := m.n/2, m.k*m.l
+	gCount, dxCount := batch*m.l, batch*m.k
+	count := gCount + dxCount
+	pitch, opitch := rowPitch(count), rowPitch(max(dxCount, kl))
+	ws.ensure(half+1, half, pitch, opitch)
+
+	for v := 0; v < batch; v++ {
+		m.packColumns(ws, g[v*m.cols:(v+1)*m.cols], m.l, pitch, v*m.l)
+		m.packColumns(ws, x[v*m.rows:(v+1)*m.rows], m.k, pitch, gCount+v*m.k)
+	}
+	m.rplan.Complex().ForwardSplitManyRev(ws.zAll, pitch, 0, count)
+	m.rplan.UnpackSplitMany(ws.specs, ws.zAll, pitch, 0, count)
+	m.outputColumns(ws, dx, m.l, m.k, m.rows, pitch, opitch, false, nil, false, 0, dxCount)
+	m.gradColumns(ws, dw, batch, pitch, opitch)
+}
+
 // mulBatch is the one body behind every product entry point: it validates
-// the shapes, then runs the engine (batchCore) when the block size has a
-// real plan and the generic body vector by vector otherwise. trans, bias
-// and relu are batchCore's.
+// the shapes, then runs the engine (batchCore). trans, bias and relu are
+// batchCore's.
 //
 //repro:noalloc
 func (m *BlockCirculant) mulBatch(op string, dst, x []float64, batch int, ws *BatchWorkspace, trans bool, bias []float64, relu bool) []float64 {
@@ -227,24 +278,11 @@ func (m *BlockCirculant) mulBatch(op string, dst, x []float64, batch int, ws *Ba
 		panic(fmt.Sprintf("circulant: %s batch %d, input length %d, want %d", op, batch, len(x), batch*inLen))
 	}
 	dst = ensureDst(dst, batch*outLen, op)
-	switch {
-	case m.rplan == nil:
-		for v := 0; v < batch; v++ {
-			row := dst[v*outLen : (v+1)*outLen]
-			//repro:lint-ignore noalloc block sizes without a real plan (not a power of two, or 1) take the documented generic body, which allocates its scratch
-			m.mulGeneric(row, x[v*inLen:(v+1)*inLen], trans)
-			for j, b := range bias {
-				row[j] += b
-				if relu {
-					row[j] = max(row[j], 0)
-				}
-			}
-		}
-	case ws == nil:
+	if ws == nil {
 		ws = wsPool.Get().(*BatchWorkspace)
 		m.batchCore(dst, x, batch, ws, trans, bias, relu)
 		wsPool.Put(ws)
-	default:
+	} else {
 		m.batchCore(dst, x, batch, ws, trans, bias, relu)
 	}
 	return dst
@@ -271,8 +309,8 @@ func ensureDst(dst []float64, n int, op string) []float64 {
 //
 // Three stages, all on the transposed bin-major layout:
 //
-//  1. pack: every zero-padded input block of every vector becomes one
-//     column of ws.zAll (parallel over vectors);
+//  1. pack: every input block of every vector, zero-padded to n, becomes
+//     one column of ws.zAll (parallel over vectors);
 //  2. transform: one ForwardSplitManyRev + UnpackSplitMany over all
 //     batch·inBlks input columns (parallel over column ranges — columns are
 //     independent);
@@ -281,8 +319,7 @@ func ensureDst(dst []float64, n int, op string) []float64 {
 //
 //repro:noalloc
 func (m *BlockCirculant) batchCore(dst, x []float64, batch int, ws *BatchWorkspace, trans bool, bias []float64, relu bool) {
-	b := m.block
-	half := b / 2
+	half := m.n / 2
 
 	inBlks, outBlks, inLen, outLen := m.l, m.k, m.cols, m.rows
 	if trans {
@@ -293,7 +330,7 @@ func (m *BlockCirculant) batchCore(dst, x []float64, batch int, ws *BatchWorkspa
 	ws.ensure(half+1, half, pitch, opitch)
 
 	workers := 1
-	if count*b >= parallelThreshold {
+	if count*m.n >= parallelThreshold {
 		workers = poolWidth(max(count, outCount))
 	}
 	// The serial path calls the stage methods directly so the steady state
@@ -301,7 +338,7 @@ func (m *BlockCirculant) batchCore(dst, x []float64, batch int, ws *BatchWorkspa
 	rp := m.rplan
 	if workers == 1 {
 		for v := 0; v < batch; v++ {
-			m.packColumns(ws, x, inBlks, inLen, pitch, v)
+			m.packColumns(ws, x[v*inLen:(v+1)*inLen], inBlks, pitch, v*inBlks)
 		}
 		rp.Complex().ForwardSplitManyRev(ws.zAll, pitch, 0, count)
 		rp.UnpackSplitMany(ws.specs, ws.zAll, pitch, 0, count)
@@ -310,7 +347,7 @@ func (m *BlockCirculant) batchCore(dst, x []float64, batch int, ws *BatchWorkspa
 	}
 	//repro:lint-ignore noalloc the parallel fan-out heap-allocates its pfor closures by design; the serial serving path above stays allocation-free
 	pfor(batch, workers, func(v int) {
-		m.packColumns(ws, x, inBlks, inLen, pitch, v)
+		m.packColumns(ws, x[v*inLen:(v+1)*inLen], inBlks, pitch, v*inBlks)
 	})
 	//repro:lint-ignore noalloc the parallel fan-out heap-allocates its pfor closures by design; the serial serving path above stays allocation-free
 	pforRanges(count, workers, func(c0, c1 int) {
@@ -323,22 +360,21 @@ func (m *BlockCirculant) batchCore(dst, x []float64, batch int, ws *BatchWorkspa
 	})
 }
 
-// packColumns (stage 1) folds every zero-padded input block of vector v
-// into its column of the transposed packed buffer: block i of vector v is
-// column v·inBlks+i, with packed bin j (x[2j] + i·x[2j+1]) stored at the
+// packColumns (stage 1) writes every input block of one vector xv,
+// zero-padded to n, into its column of the transposed packed buffer: block
+// i is column col0+i, with packed bin j (x[2j] + i·x[2j+1]) stored at the
 // bit-reversed row perm[j] — the pack is a scatter anyway, so writing
 // through the permutation is free and lets the forward transform run as
 // ForwardSplitManyRev, skipping its permutation round trip.
 //
 //repro:noalloc
-func (m *BlockCirculant) packColumns(ws *BatchWorkspace, x []float64, inBlks, inLen, pitch, v int) {
+func (m *BlockCirculant) packColumns(ws *BatchWorkspace, xv []float64, inBlks, pitch, col0 int) {
 	b := m.block
-	half := b / 2
+	half := m.n / 2
 	perm := m.rplan.Complex().BitReversal()
 	zr, zi := ws.zAll.Re, ws.zAll.Im
-	xv := x[v*inLen : (v+1)*inLen]
-	col0 := v * inBlks
-	if inBlks*b == inLen {
+	inLen := len(xv)
+	if inBlks*b == inLen && m.n == b {
 		// Exact tiling (every serving architecture's FC layers): walk
 		// row-major so each packed row gets one inBlks-long sequential
 		// write run instead of a pitch-strided single-element scatter.
@@ -356,17 +392,14 @@ func (m *BlockCirculant) packColumns(ws *BatchWorkspace, x []float64, inBlks, in
 	for i := 0; i < inBlks; i++ {
 		col := col0 + i
 		lo := i * b
-		n := inLen - lo
-		if n > b {
-			n = b
-		}
+		cnt := min(inLen-lo, b)
 		j := 0
-		for ; 2*j+1 < n; j++ {
+		for ; 2*j+1 < cnt; j++ {
 			r := int(perm[j]) * pitch
 			zr[r+col] = xv[lo+2*j]
 			zi[r+col] = xv[lo+2*j+1]
 		}
-		if 2*j < n {
+		if 2*j < cnt {
 			r := int(perm[j]) * pitch
 			zr[r+col] = xv[lo+2*j]
 			zi[r+col] = 0
@@ -383,8 +416,9 @@ func (m *BlockCirculant) packColumns(ws *BatchWorkspace, x []float64, inBlks, in
 // outputColumns (stage 3) produces the output columns [c0, c1) — column
 // v·outBlks+o is output block o of vector v — in one sweep: the bin product
 // into ws.acc, one PreInverseSplitManyRev and one InverseSplitManyRev over
-// the whole range, then the store into dst with the fused epilogue (bias,
-// relu) applied as each column de-interleaves. Columns are independent, so
+// the whole range, then the store into dst — folded back to length b when
+// n ≠ b — with the fused epilogue (bias, relu) applied as each column
+// de-interleaves. Columns are independent, so
 // any partition of [0, batch·outBlks) into ranges gives the same bits.
 //
 // The bin product is, per bin row, a small matrix product: the weight of
@@ -398,7 +432,7 @@ func (m *BlockCirculant) packColumns(ws *BatchWorkspace, x []float64, inBlks, in
 //repro:noalloc
 func (m *BlockCirculant) outputColumns(ws *BatchWorkspace, dst []float64, inBlks, outBlks, outLen, pitch, opitch int, trans bool, bias []float64, relu bool, c0, c1 int) {
 	b, rp := m.block, m.rplan
-	half := b / 2
+	half := m.n / 2
 	kl := m.k * m.l
 	wi, wo := m.k, 1
 	if trans {
@@ -476,9 +510,16 @@ func (m *BlockCirculant) outputColumns(ws *BatchWorkspace, dst []float64, inBlks
 	}
 	rp.PreInverseSplitManyRev(ws.z, ws.acc, opitch, c0, c1)
 	rp.Complex().InverseSplitManyRev(ws.z, opitch, c0, c1)
+	fold := b
+	if trans {
+		fold = m.n - b
+	}
 	for c, v, o := c0, v0, o0; c < c1; c++ {
 		lo := o * b
 		hi := min(lo+b, outLen)
+		if m.n != b {
+			foldColumn(ws.z, opitch, c, hi-lo, fold)
+		}
 		var blockBias []float64
 		if bias != nil {
 			blockBias = bias[lo:hi]
@@ -487,6 +528,60 @@ func (m *BlockCirculant) outputColumns(ws *BatchWorkspace, dst []float64, inBlks
 		if o++; o == outBlks {
 			v, o = v+1, 0
 		}
+	}
+}
+
+// gradColumns is the weight gradient's output stage over its k·l columns —
+// column i·l+j is block (i, j), so its store lands on that block's run of
+// dw: per bin, Σᵥ conj(G_vj)·X_vi in batch order, times the exact 1/(4n)
+// that the two unpacks and the inverse leave out; then one
+// PreInverseSplitManyRev and one InverseSplitManyRev over all columns, and
+// the correlation-form fold and store, added into dw.
+//
+//repro:noalloc
+func (m *BlockCirculant) gradColumns(ws *BatchWorkspace, dw []float64, batch, pitch, opitch int) {
+	b, rp, kl := m.block, m.rplan, m.k*m.l
+	xCol := batch * m.l // first input-spectrum column
+	scale := 1 / float64(4*m.n)
+	for t := 0; t <= m.n/2; t++ {
+		sr, si := ws.specs.Re[t*pitch:(t+1)*pitch], ws.specs.Im[t*pitch:(t+1)*pitch]
+		ar, ai := ws.acc.Re[t*opitch:(t+1)*opitch], ws.acc.Im[t*opitch:(t+1)*opitch]
+		for c := 0; c < kl; c++ {
+			gc, xc := c%m.l, xCol+c/m.l
+			var re, im float64
+			for v := 0; v < batch; v++ {
+				gr, gi := sr[gc], si[gc]
+				xr, xi := sr[xc], si[xc]
+				re += gr*xr + gi*xi
+				im += gr*xi - gi*xr
+				gc, xc = gc+m.l, xc+m.k
+			}
+			ar[c], ai[c] = scale*re, scale*im
+		}
+	}
+	rp.PreInverseSplitManyRev(ws.z, ws.acc, opitch, 0, kl)
+	rp.Complex().InverseSplitManyRev(ws.z, opitch, 0, kl)
+	for c := 0; c < kl; c++ {
+		if m.n != b {
+			foldColumn(ws.z, opitch, c, b, m.n-b)
+		}
+		seg := dw[c*b : (c+1)*b]
+		storeColumn(seg, ws.z.Re, ws.z.Im, opitch, c, seg, false) // seg as the bias: dw += the column
+	}
+}
+
+// foldColumn adds element t+f of one inverse-transformed column of the
+// transposed packed buffer (element e at row e/2, in Re for even e, Im for
+// odd) onto element t, for t < cnt: the wrap-around that turns the linear
+// product of two zero-padded blocks back into their length-b circular one.
+// f ≥ b, so no element is read after it is written.
+//
+//repro:noalloc
+func foldColumn(z fft.SplitSlice, pitch, col, cnt, f int) {
+	planes := [2][]float64{z.Re, z.Im}
+	for t := 0; t < cnt; t++ {
+		s := t + f
+		planes[t&1][t/2*pitch+col] += planes[s&1][s/2*pitch+col]
 	}
 }
 

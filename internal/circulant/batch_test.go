@@ -24,7 +24,8 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestBatchMatchesPerVector pins batch invariance: over matrix shapes
-// (square, tall, wide, padded tails, tiny and non power-of-two blocks) and
+// (square, tall, wide, padded tails, tiny blocks, and non power-of-two
+// blocks run by pad-and-fold) and
 // batch sizes, row v of MulBatchInto/TransMulBatchInto equals the batch-of-1
 // product of vector v bit for bit — a vector's result does not depend on
 // what it was batched with or on its column in the batch (33 exercises the
@@ -40,8 +41,8 @@ func TestBatchMatchesPerVector(t *testing.T) {
 		{512, 512, 64}, // the benchmark shape
 		{16, 16, 2},    // smallest real-plan block
 		{12, 20, 4},    // padding with tiny blocks
-		{30, 42, 6},    // non power-of-two block: generic body
-		{9, 7, 1},      // block 1: generic body
+		{30, 42, 6},    // non power-of-two block: padded to 16 and folded
+		{9, 7, 1},      // block 1: padded to 2 and folded
 	}
 	for _, sh := range shapes {
 		m := MustNewBlockCirculant(sh.rows, sh.cols, sh.block).InitRandom(rng)
@@ -76,7 +77,8 @@ func TestBatchMatchesPerVector(t *testing.T) {
 // against the O(n²) dense expansion, which shares no code with any FFT
 // path. Batch 1 (rowPitch(1), and the accumulation's unpaired tail loop
 // alone), blocks 2 and 4 (the transforms' n = 1 and n = 2 heads) and the
-// ragged Arch-2 shape are here because nothing else reaches them.
+// ragged Arch-2 shape are here because nothing else reaches them; blocks 1,
+// 3, 6 and 12 run by pad-and-fold, which has no other numerical oracle.
 func TestBatchAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	shapes := []struct{ rows, cols, block int }{
@@ -88,6 +90,10 @@ func TestBatchAgainstDense(t *testing.T) {
 		{64, 121, 32},
 		{100, 60, 8},
 		{130, 70, 64},
+		{9, 7, 1},
+		{25, 20, 3}, // ragged on both sides, odd block
+		{30, 42, 6},
+		{60, 50, 12},
 	}
 	for _, sh := range shapes {
 		m := MustNewBlockCirculant(sh.rows, sh.cols, sh.block).InitRandom(rng)
@@ -128,13 +134,14 @@ func TestBatchAgainstDense(t *testing.T) {
 // every output has the same bits, and a sweep over a range writes nothing
 // outside it. The shapes cover a wide layer whose batch-1 product fans out
 // (8192×320), the benchmark shape, ragged tails with odd block counts, and
-// the plain product's stride-k weight reads.
+// the plain product's stride-k weight reads; 1200×720/b=12 runs pad-and-fold
+// on the parallel arm from batch 5 up.
 func TestOutputColumnsAnyPartition(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	rng := rand.New(rand.NewSource(57))
 	for _, sh := range []struct{ rows, cols, block int }{
-		{8192, 320, 64}, {512, 512, 64}, {100, 60, 16}, {64, 128, 32},
+		{8192, 320, 64}, {512, 512, 64}, {100, 60, 16}, {64, 128, 32}, {1200, 720, 12},
 	} {
 		m := MustNewBlockCirculant(sh.rows, sh.cols, sh.block).InitRandom(rng)
 		for _, batch := range []int{1, 2, 5, 33} {
@@ -153,23 +160,27 @@ func TestOutputColumnsAnyPartition(t *testing.T) {
 	}
 
 	// The stage called directly: ragged 100×60 at batch 3, both products,
-	// every split [0,c) ∪ [c,n) against the single sweep.
+	// every split [0,c) ∪ [c,n) against the single sweep, on a power-of-two
+	// block and on a folded one.
 	const sentinel = -12345.678
-	m := MustNewBlockCirculant(100, 60, 16).InitRandom(rng)
 	const batch = 3
-	for _, trans := range []bool{true, false} {
+	for _, tc := range []struct {
+		block int
+		trans bool
+	}{{16, true}, {16, false}, {6, true}, {6, false}} {
+		m, trans := MustNewBlockCirculant(100, 60, tc.block).InitRandom(rng), tc.trans
 		inBlks, outBlks, inLen, outLen := m.l, m.k, m.cols, m.rows
 		if trans {
 			inBlks, outBlks, inLen, outLen = m.k, m.l, m.rows, m.cols
 		}
 		x := randVec(rng, batch*inLen)
 		bias := randVec(rng, outLen)
-		half, count, n := m.block/2, batch*inBlks, batch*outBlks
+		half, count, n := m.n/2, batch*inBlks, batch*outBlks
 		pitch, opitch := rowPitch(count), rowPitch(n)
 		ws := NewBatchWorkspace()
 		ws.ensure(half+1, half, pitch, opitch)
 		for v := 0; v < batch; v++ {
-			m.packColumns(ws, x, inBlks, inLen, pitch, v)
+			m.packColumns(ws, x[v*inLen:(v+1)*inLen], inBlks, pitch, v*inBlks)
 		}
 		m.rplan.Complex().ForwardSplitManyRev(ws.zAll, pitch, 0, count)
 		m.rplan.UnpackSplitMany(ws.specs, ws.zAll, pitch, 0, count)
@@ -188,7 +199,7 @@ func TestOutputColumnsAnyPartition(t *testing.T) {
 		want := sweep([2]int{0, n})
 		for c := 0; c <= n; c++ {
 			if got := sweep([2]int{c, n}, [2]int{0, c}); !sameBits(got, want) {
-				t.Errorf("trans=%v: split at column %d of %d differs in bits from the single sweep", trans, c, n)
+				t.Errorf("b=%d trans=%v: split at column %d of %d differs in bits from the single sweep", tc.block, trans, c, n)
 			}
 			// A lone [0,c) sweep must leave columns c… alone: in the
 			// scratch rows and in the output segments those columns own.
@@ -197,14 +208,14 @@ func TestOutputColumnsAnyPartition(t *testing.T) {
 				for _, buf := range [][]float64{ws.acc.Re, ws.acc.Im, ws.z.Re, ws.z.Im} {
 					for r := 0; r*opitch+col < len(buf); r++ {
 						if buf[r*opitch+col] != sentinel {
-							t.Fatalf("trans=%v: sweep of [0,%d) wrote scratch column %d", trans, c, col)
+							t.Fatalf("b=%d trans=%v: sweep of [0,%d) wrote scratch column %d", tc.block, trans, c, col)
 						}
 					}
 				}
 				v, o := col/outBlks, col%outBlks
 				for j := v*outLen + o*m.block; j < v*outLen+min((o+1)*m.block, outLen); j++ {
 					if got[j] != sentinel {
-						t.Fatalf("trans=%v: sweep of [0,%d) wrote output %d of column %d", trans, c, j, col)
+						t.Fatalf("b=%d trans=%v: sweep of [0,%d) wrote output %d of column %d", tc.block, trans, c, j, col)
 					}
 				}
 			}
@@ -325,15 +336,18 @@ func TestBatchWorkspaceReuse(t *testing.T) {
 // TestTransMulBatchFusedMatchesSeparate requires the fused
 // inverse-transform + bias + ReLU epilogue to compute exactly what the
 // unfused product followed by a separate bias/ReLU sweep computes, across
-// the engine at batch 1 and above and the generic body (non power-of-two
-// block), with and without ReLU.
+// the engine at batch 1 and above, on power-of-two blocks and on folded
+// ones (blocks 1, 3, 6, 12), with and without ReLU.
 func TestTransMulBatchFusedMatchesSeparate(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	shapes := []struct{ rows, cols, block int }{
 		{128, 96, 32},  // the engine
 		{100, 60, 16},  // padded tails (odd tail handling in storeColumn)
-		{30, 42, 6},    // non power-of-two block: generic body
+		{30, 42, 6},    // non power-of-two block: pad-and-fold
 		{512, 512, 64}, // the benchmark shape
+		{9, 7, 1},
+		{25, 20, 3},
+		{60, 50, 12},
 	}
 	for _, sh := range shapes {
 		m := MustNewBlockCirculant(sh.rows, sh.cols, sh.block).InitRandom(rng)

@@ -18,19 +18,17 @@
 package circulant
 
 import (
-	"fmt"
-	"math/cmplx"
-
 	"repro/internal/fft"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
-// Circulant is a single n×n circulant matrix defined by its first column.
+// Circulant is a single n×n circulant matrix defined by its first column:
+// a 1×1 BlockCirculant with block size n, so its products run the one
+// spectral engine.
 type Circulant struct {
-	n    int
-	w    []float64
-	spec []complex128 // cached FFT(w)
+	m    *BlockCirculant
+	spec []complex128 // FFT(w), for Spectrum
 }
 
 // NewCirculant builds a circulant matrix from its defining vector (the first
@@ -39,55 +37,37 @@ func NewCirculant(w []float64) *Circulant {
 	if len(w) == 0 {
 		panic("circulant: empty defining vector")
 	}
-	c := &Circulant{n: len(w), w: append([]float64(nil), w...)}
-	c.refresh()
-	return c
+	m := MustNewBlockCirculant(len(w), len(w), len(w))
+	copy(m.Base.Data, w)
+	m.Refresh()
+	return &Circulant{m: m, spec: fft.FFTReal(w)}
 }
 
-func (c *Circulant) refresh() { c.spec = fft.FFTReal(c.w) }
-
 // Size returns n.
-func (c *Circulant) Size() int { return c.n }
+func (c *Circulant) Size() int { return c.m.block }
 
 // Base returns a copy of the defining vector.
-func (c *Circulant) Base() []float64 { return append([]float64(nil), c.w...) }
+func (c *Circulant) Base() []float64 { return append([]float64(nil), c.m.Base.Data...) }
 
-// Spectrum returns the cached FFT of the defining vector (not a copy; callers
-// must not modify it).
+// Spectrum returns the cached full FFT of the defining vector (not a copy;
+// callers must not modify it).
 func (c *Circulant) Spectrum() []complex128 { return c.spec }
 
 // MulVec returns C·x via FFT → ∘ → IFFT.
-func (c *Circulant) MulVec(x []float64) []float64 {
-	if len(x) != c.n {
-		panic(fmt.Sprintf("circulant: MulVec length %d, want %d", len(x), c.n))
-	}
-	xf := fft.FFTReal(x)
-	for i := range xf {
-		xf[i] *= c.spec[i]
-	}
-	return realParts(fft.IFFT(xf))
-}
+func (c *Circulant) MulVec(x []float64) []float64 { return c.m.MulVec(x) }
 
 // TransMulVec returns Cᵀ·x via the correlation form of the procedure.
-func (c *Circulant) TransMulVec(x []float64) []float64 {
-	if len(x) != c.n {
-		panic(fmt.Sprintf("circulant: TransMulVec length %d, want %d", len(x), c.n))
-	}
-	xf := fft.FFTReal(x)
-	for i := range xf {
-		xf[i] = cmplx.Conj(c.spec[i]) * xf[i]
-	}
-	return realParts(fft.IFFT(xf))
-}
+func (c *Circulant) TransMulVec(x []float64) []float64 { return c.m.TransMulVec(x) }
 
 // MulVecDirect returns C·x by the O(n²) definition; the baseline against
 // which the FFT path is validated and benchmarked (Fig. 2 experiment).
 func (c *Circulant) MulVecDirect(x []float64) []float64 {
-	out := make([]float64, c.n)
-	for a := 0; a < c.n; a++ {
+	n, w := c.m.block, c.m.Base.Data
+	out := make([]float64, n)
+	for a := 0; a < n; a++ {
 		var s float64
-		for b := 0; b < c.n; b++ {
-			s += c.w[((a-b)%c.n+c.n)%c.n] * x[b]
+		for b := 0; b < n; b++ {
+			s += w[((a-b)%n+n)%n] * x[b]
 		}
 		out[a] = s
 	}
@@ -95,23 +75,7 @@ func (c *Circulant) MulVecDirect(x []float64) []float64 {
 }
 
 // Dense expands the circulant matrix to an explicit n×n tensor.
-func (c *Circulant) Dense() *tensor.Tensor {
-	d := tensor.New(c.n, c.n)
-	for a := 0; a < c.n; a++ {
-		for b := 0; b < c.n; b++ {
-			d.Set(c.w[((a-b)%c.n+c.n)%c.n], a, b)
-		}
-	}
-	return d
-}
+func (c *Circulant) Dense() *tensor.Tensor { return c.m.Dense() }
 
 // MulVecOps returns the analytical cost of one FFT-based MulVec/TransMulVec.
-func (c *Circulant) MulVecOps() ops.Counts { return ops.CirculantMatVec(c.n) }
-
-func realParts(c []complex128) []float64 {
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
-	}
-	return out
-}
+func (c *Circulant) MulVecOps() ops.Counts { return ops.CirculantMatVec(c.m.block) }

@@ -161,20 +161,21 @@ func TestBlockCirculantProperty(t *testing.T) {
 	}
 }
 
-// finiteDiffBaseGrad differentiates the quadratic probe loss L = Σ g·y of
-// y = Wᵀx for fixed "upstream" weights g, so that ∂L/∂y = g exactly; this
-// turns finite differences of L into direct checks of the analytic gradients.
-func finiteDiffBaseGrad(m *BlockCirculant, x, g []float64, eps float64) *tensor.Tensor {
+// finiteDiffBaseGrad differentiates the probe loss L = Σᵥ gᵥ·yᵥ of
+// yᵥ = Wᵀxᵥ for fixed "upstream" weights g, so that ∂L/∂yᵥ = gᵥ exactly;
+// this turns finite differences of L into direct checks of the analytic
+// weight gradient.
+func finiteDiffBaseGrad(m *BlockCirculant, x, g []float64, batch int, eps float64) []float64 {
 	loss := func() float64 {
 		m.Refresh()
-		y := m.TransMulVec(x)
+		y := m.TransMulBatchInto(nil, x, batch, nil)
 		s := 0.0
 		for i := range y {
 			s += g[i] * y[i]
 		}
 		return s
 	}
-	grad := tensor.New(m.Base.Shape()...)
+	grad := make([]float64, len(m.Base.Data))
 	for i := range m.Base.Data {
 		orig := m.Base.Data[i]
 		m.Base.Data[i] = orig + eps
@@ -182,30 +183,91 @@ func finiteDiffBaseGrad(m *BlockCirculant, x, g []float64, eps float64) *tensor.
 		m.Base.Data[i] = orig - eps
 		lm := loss()
 		m.Base.Data[i] = orig
-		grad.Data[i] = (lp - lm) / (2 * eps)
+		grad[i] = (lp - lm) / (2 * eps)
 	}
 	m.Refresh()
 	return grad
 }
 
-func TestTransMulVecGradMatchesFiniteDifference(t *testing.T) {
+// denseStructureGrad is the weight-gradient oracle that uses no FFT: the
+// dense gradient Σᵥ xᵥgᵥᵀ of L = Σᵥ gᵥ·(Wᵀxᵥ), summed along each block's
+// circulant diagonals — W[i·b+a][j·b+c] is w_ij[(a−c) mod b], so
+// ∂L/∂w_ij[d] collects every (a, c) with (a−c) mod b = d.
+func denseStructureGrad(m *BlockCirculant, x, g []float64, batch int) []float64 {
+	b := m.block
+	out := make([]float64, len(m.Base.Data))
+	for v := 0; v < batch; v++ {
+		for r := 0; r < m.rows; r++ {
+			for c := 0; c < m.cols; c++ {
+				i, a, j, cc := r/b, r%b, c/b, c%b
+				out[(i*m.l+j)*b+((a-cc)%b+b)%b] += x[v*m.rows+r] * g[v*m.cols+c]
+			}
+		}
+	}
+	return out
+}
+
+// TestTransMulBatchGradMatchesOracles pins Algorithm 2 on the engine: over
+// power-of-two and padded-and-folded block sizes, the batch-accumulated
+// weight gradient matches the dense-structure oracle, the input gradient
+// matches Dense()·gᵥ, a second call adds exactly as much again into dw
+// while dx is overwritten, and one row is also held to finite differences.
+// 256×128/b=64 at batch 5 is Arch-1's first layer.
+func TestTransMulBatchGradMatchesOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for _, tc := range []struct{ rows, cols, block int }{
-		{8, 8, 4}, {12, 8, 4}, {8, 12, 4}, {10, 6, 4},
+	for _, tc := range []struct {
+		rows, cols, block, batch int
+		finiteDiff               bool
+	}{
+		{8, 8, 4, 1, false}, {10, 6, 4, 3, true}, {9, 12, 3, 4, false}, {24, 36, 12, 2, false},
+		{6, 6, 1, 2, false}, {256, 128, 64, 5, false}, {12, 8, 4, 2, false}, {30, 42, 6, 3, false},
 	} {
 		m := MustNewBlockCirculant(tc.rows, tc.cols, tc.block).InitRandom(rng)
-		x := randVec(rng, tc.rows)
-		g := randVec(rng, tc.cols)
-		gotBase, gotX := m.TransMulVecGrad(x, g)
-		wantBase := finiteDiffBaseGrad(m, x, g, 1e-6)
-		if !gotBase.AllClose(wantBase, 1e-5) {
-			t.Errorf("%+v: base gradient mismatch", tc)
+		x := randVec(rng, tc.batch*tc.rows)
+		g := randVec(rng, tc.batch*tc.cols)
+		dw := make([]float64, m.NumParams())
+		dx := make([]float64, tc.batch*tc.rows)
+		m.TransMulBatchGradInto(dw, dx, x, g, tc.batch, nil)
+		if d := maxAbsDiff(dw, denseStructureGrad(m, x, g, tc.batch)); d > 1e-10 {
+			t.Errorf("%+v: weight gradient differs from the dense-structure oracle by %g", tc, d)
 		}
-		// ∂L/∂x = W·g
-		wantX := tensor.MatVec(m.Dense(), g)
-		if d := maxAbsDiff(gotX, wantX); d > 1e-8 {
-			t.Errorf("%+v: input gradient differs by %g", tc, d)
+		dense := m.Dense()
+		for v := 0; v < tc.batch; v++ {
+			want := tensor.MatVec(dense, g[v*tc.cols:(v+1)*tc.cols])
+			if d := maxAbsDiff(dx[v*tc.rows:(v+1)*tc.rows], want); d > 1e-10 {
+				t.Errorf("%+v vec %d: input gradient differs from Dense()·g by %g", tc, v, d)
+			}
 		}
+		if tc.finiteDiff {
+			if d := maxAbsDiff(dw, finiteDiffBaseGrad(m, x, g, tc.batch, 1e-6)); d > 1e-5 {
+				t.Errorf("%+v: weight gradient differs from finite differences by %g", tc, d)
+			}
+		}
+		first := append([]float64(nil), dx...)
+		twice := scaleBy(dw, 2)
+		m.TransMulBatchGradInto(dw, dx, x, g, tc.batch, NewBatchWorkspace())
+		if !sameBits(dw, twice) {
+			t.Errorf("%+v: a second call did not add exactly the same weight gradient again", tc)
+		}
+		if !sameBits(dx, first) {
+			t.Errorf("%+v: a second call changed the input gradient", tc)
+		}
+	}
+}
+
+// TestTransMulBatchGradZeroAlloc: once its workspace is warm, the serial
+// gradient pass — Arch-1's 256×128/b=64 layer at batch 16, below
+// parallelThreshold — allocates nothing.
+func TestTransMulBatchGradZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const rows, cols, block, batch = 256, 128, 64, 16
+	m := MustNewBlockCirculant(rows, cols, block).InitRandom(rng)
+	x, g := randVec(rng, batch*rows), randVec(rng, batch*cols)
+	dw, dx := make([]float64, m.NumParams()), make([]float64, batch*rows)
+	ws := NewBatchWorkspace()
+	m.TransMulBatchGradInto(dw, dx, x, g, batch, ws)
+	if allocs := testing.AllocsPerRun(20, func() { m.TransMulBatchGradInto(dw, dx, x, g, batch, ws) }); allocs > 0 {
+		t.Errorf("warm gradient pass allocates %.0f/op; want 0", allocs)
 	}
 }
 

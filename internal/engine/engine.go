@@ -114,15 +114,21 @@ func (e *Engine) LoadInputs(images, labels io.Reader, channels int) (*dataset.Da
 	return d, nil
 }
 
-// Predict runs inference (module 4 of Fig. 4) and returns the predicted
-// class per sample.
-func (e *Engine) Predict(d *dataset.Dataset) []int {
-	return e.Net.Predict(d.X)
-}
-
-// Evaluate returns classification accuracy over the dataset.
-func (e *Engine) Evaluate(d *dataset.Dataset) float64 {
-	return e.Net.Accuracy(d.X, d.Labels)
+// Evaluate returns classification accuracy over the dataset, from the
+// compiled forward of PredictBatched. The batch size only sets the speed: a
+// compiled program's scores are the same bits at any batch.
+func (e *Engine) Evaluate(d *dataset.Dataset) (float64, error) {
+	preds, err := e.PredictBatched(d, 64)
+	if err != nil {
+		return 0, err
+	}
+	correct := 0
+	for i, p := range preds {
+		if p == d.Labels[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(preds)), nil
 }
 
 // InferenceCost returns the per-image op counts of the parsed network.

@@ -177,7 +177,10 @@ func TestLoadInputsEndToEnd(t *testing.T) {
 	if d.Len() != 20 {
 		t.Fatalf("%d samples loaded", d.Len())
 	}
-	preds := e.Predict(d)
+	preds, err := e.PredictBatched(d, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(preds) != 20 {
 		t.Fatalf("%d predictions", len(preds))
 	}
@@ -186,7 +189,10 @@ func TestLoadInputsEndToEnd(t *testing.T) {
 			t.Fatalf("prediction %d outside class range", p)
 		}
 	}
-	acc := e.Evaluate(d)
+	acc, err := e.Evaluate(d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %g", acc)
 	}

@@ -20,8 +20,7 @@ func (e *Engine) Model(name, version string) (model.Model, error) {
 // PredictBatched runs inference over a whole dataset through a compiled
 // program in batches of the given size (module 4 of Fig. 4 in its
 // deployed form): one compile, then allocation-free batched forward
-// passes, instead of the per-call allocating Predict path. It returns
-// the predicted class per sample.
+// passes. It returns the predicted class per sample.
 func (e *Engine) PredictBatched(d *dataset.Dataset, batch int) ([]int, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("engine: non-positive batch %d", batch)

@@ -166,35 +166,39 @@ func (l *CircConv2D) forward(ws *Workspace, x *tensor.Tensor, train bool) *tenso
 	return out
 }
 
-// Backward implements Layer, using the spectral gradient rules per kernel
-// position and Col2Im to fold patch gradients back to image space.
+// Backward implements Layer. Like forward, it treats a sample's OutH·OutW
+// output pixels as one batch: per kernel position, one pass of the spectral
+// engine (circulant.TransMulBatchGradInto) over the gathered segments
+// accumulates that position's weight gradient and yields the segment
+// gradients, which Col2Im folds back to image space.
 func (l *CircConv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastCols == nil {
 		panic("nn: CircConv2D.Backward before Forward(train=true)")
 	}
 	g := l.Geom
 	batch := batchOf(grad)
-	oh, ow := g.OutH(), g.OutW()
-	ol := oh * ow * g.P
+	npix := g.OutH() * g.OutW()
+	ol := npix * g.P
 	sl := g.H * g.W * g.C
-	nseg := g.R * g.R
 	dx := tensor.New(batch, g.H, g.W, g.C)
-	dcols := tensor.New(oh*ow, g.C*g.R*g.R)
+	dcols := tensor.New(npix, g.C*g.R*g.R)
+	segs := make([]float64, npix*g.C)
+	dsegs := make([]float64, npix*g.C)
 	for i := 0; i < batch; i++ {
-		dcols.Zero()
 		cols := l.lastCols[i]
-		for r := 0; r < oh*ow; r++ {
-			gr := grad.Data[i*ol+r*g.P : i*ol+(r+1)*g.P]
-			crow := cols.Row(r)
-			drow := dcols.Row(r)
-			for s := 0; s < nseg; s++ {
-				seg := crow[s*g.C : (s+1)*g.C]
-				gradBase, gradSeg := l.pos[s].TransMulVecGrad(seg, gr)
-				l.wParam[s].Grad.AddInPlace(gradBase)
-				copy(drow[s*g.C:(s+1)*g.C], gradSeg)
+		gi := grad.Data[i*ol : (i+1)*ol]
+		for s := 0; s < g.R*g.R; s++ {
+			for r := 0; r < npix; r++ {
+				copy(segs[r*g.C:(r+1)*g.C], cols.Row(r)[s*g.C:(s+1)*g.C])
 			}
-			for p := 0; p < g.P; p++ {
-				l.bParam.Grad.Data[p] += gr[p]
+			l.pos[s].TransMulBatchGradInto(l.wParam[s].Grad.Data, dsegs, segs, gi, npix, nil)
+			for r := 0; r < npix; r++ {
+				copy(dcols.Row(r)[s*g.C:(s+1)*g.C], dsegs[r*g.C:(r+1)*g.C])
+			}
+		}
+		for r := 0; r < npix; r++ {
+			for p, v := range gi[r*g.P : (r+1)*g.P] {
+				l.bParam.Grad.Data[p] += v
 			}
 		}
 		dimg := tensor.Col2Im(dcols, g)

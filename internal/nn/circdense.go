@@ -99,21 +99,20 @@ func (l *CircDense) forward(ws *Workspace, x *tensor.Tensor, train bool) *tensor
 	return y
 }
 
-// Backward implements Layer, accumulating the spectral-domain weight
-// gradient of Algorithm 2 across the batch.
+// Backward implements Layer: Algorithm 2 in one pass of the spectral engine
+// over the whole batch, accumulating the spectral-domain weight gradient
+// across the batch before one inverse per weight block
+// (circulant.TransMulBatchGradInto).
 func (l *CircDense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if l.lastX == nil {
 		panic("nn: CircDense.Backward before Forward(train=true)")
 	}
 	batch := batchOf(grad)
 	dx := tensor.New(batch, l.In)
+	l.W.TransMulBatchGradInto(l.wParam.Grad.Data, dx.Data, l.lastX.Data, grad.Data, batch, nil)
 	for i := 0; i < batch; i++ {
-		g := grad.Row(i)
-		gradBase, gradX := l.W.TransMulVecGrad(l.lastX.Row(i), g)
-		l.wParam.Grad.AddInPlace(gradBase)
-		copy(dx.Row(i), gradX)
-		for j := 0; j < l.Out; j++ {
-			l.bParam.Grad.Data[j] += g[j]
+		for j, g := range grad.Row(i) {
+			l.bParam.Grad.Data[j] += g
 		}
 	}
 	return dx

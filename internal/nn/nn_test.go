@@ -71,6 +71,11 @@ func TestCircDenseGradients(t *testing.T) {
 	net := NewNetwork(NewCircDense(6, 8, 4, rng), NewTanh(), NewCircDense(8, 3, 4, rng))
 	x := tensor.New(3, 6).Randn(rng, 1)
 	checkGradients(t, net, x, []int{0, 1, 2}, SoftmaxCrossEntropy{}, 1e-6, 1e-4)
+
+	// Block 3: the engine's pad-and-fold path.
+	net3 := NewNetwork(NewCircDense(7, 5, 3, rng), NewTanh(), NewCircDense(5, 3, 3, rng))
+	x3 := tensor.New(3, 7).Randn(rng, 1)
+	checkGradients(t, net3, x3, []int{2, 0, 1}, SoftmaxCrossEntropy{}, 1e-6, 1e-4)
 }
 
 func TestConv2DGradients(t *testing.T) {

@@ -26,8 +26,8 @@ type Backend interface {
 
 // float64Split is the default backend: typed ops execute directly on the
 // spectral engine (circulant.TransMulBatch*Into — the one product of a
-// power-of-two block-circulant matrix at every batch size, batch 1
-// included) and the dense MatMulInto path. Every kernel is row-independent,
+// block-circulant matrix at every block and batch size, batch 1 included)
+// and the dense MatMulInto path. Every kernel is row-independent,
 // so a sample's scores are the same bits alone and inside any batch
 // (TestRunBatchInvariantBits); the interpreted Network.ForwardWS runs the
 // same engine and is the oracle compiled programs are held within 1e-12
