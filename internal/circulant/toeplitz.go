@@ -3,7 +3,6 @@ package circulant
 import (
 	"fmt"
 
-	"repro/internal/fft"
 	"repro/internal/ops"
 	"repro/internal/tensor"
 )
@@ -12,11 +11,12 @@ import (
 // work (Sindhwani et al. [18]): an n×n Toeplitz matrix T[i][j] = d[i−j]
 // defined by 2n−1 diagonal values. It stores ~2× the parameters of a
 // same-size circulant matrix (the comparison the paper draws in §II) and
-// multiplies in O(n log n) by embedding into a 2n-point circulant product.
+// multiplies in O(n log n) by embedding into a 2n-point circulant, whose
+// products run the one spectral engine.
 type Toeplitz struct {
 	n    int
-	diag []float64    // diag[k] = d[k−(n−1)], k ∈ [0, 2n−1): lowest to highest diagonal
-	spec []complex128 // cached FFT of the 2n-point circulant embedding
+	diag []float64  // diag[k] = d[k−(n−1)], k ∈ [0, 2n−1): lowest to highest diagonal
+	c    *Circulant // the 2n-point circulant embedding
 }
 
 // NewToeplitz builds an n×n Toeplitz matrix from its 2n−1 diagonal values,
@@ -26,14 +26,14 @@ func NewToeplitz(diag []float64) (*Toeplitz, error) {
 		return nil, fmt.Errorf("circulant: Toeplitz needs 2n−1 diagonal values, got %d", len(diag))
 	}
 	t := &Toeplitz{n: (len(diag) + 1) / 2, diag: append([]float64(nil), diag...)}
-	t.refresh()
+	t.embed()
 	return t, nil
 }
 
-// refresh rebuilds the cached spectrum of the circulant embedding: the
-// length-2n defining vector c with c[k] = d[k] for k ∈ [0, n) (main and
-// lower diagonals) and c[2n−k] = d[−k] for k ∈ [1, n) (upper diagonals).
-func (t *Toeplitz) refresh() {
+// embed builds the circulant embedding from its length-2n defining vector c:
+// c[k] = d[k] for k ∈ [0, n) (main and lower diagonals) and c[2n−k] = d[−k]
+// for k ∈ [1, n) (upper diagonals).
+func (t *Toeplitz) embed() {
 	n := t.n
 	m := 2 * n
 	c := make([]float64, m)
@@ -43,7 +43,7 @@ func (t *Toeplitz) refresh() {
 	for k := 1; k < n; k++ {
 		c[m-k] = t.d(-k)
 	}
-	t.spec = fft.FFTReal(c)
+	t.c = NewCirculant(c)
 }
 
 // d returns the diagonal value d[k], k ∈ (−n, n).
@@ -56,25 +56,15 @@ func (t *Toeplitz) Size() int { return t.n }
 // matrix needs only n).
 func (t *Toeplitz) NumParams() int { return 2*t.n - 1 }
 
-// MulVec returns T·x in O(n log n): the embedded 2n-circulant product of the
-// zero-padded input, truncated to the first n outputs.
+// MulVec returns T·x in O(n log n): the first n entries of C·[x; 0], C the
+// 2n-point circulant embedding.
 func (t *Toeplitz) MulVec(x []float64) []float64 {
 	if len(x) != t.n {
 		panic(fmt.Sprintf("circulant: Toeplitz.MulVec length %d, want %d", len(x), t.n))
 	}
-	m := 2 * t.n
-	xp := make([]float64, m)
+	xp := make([]float64, 2*t.n)
 	copy(xp, x)
-	xf := fft.FFTReal(xp)
-	for i := range xf {
-		xf[i] *= t.spec[i]
-	}
-	y := fft.IFFT(xf)
-	out := make([]float64, t.n)
-	for i := range out {
-		out[i] = real(y[i])
-	}
-	return out
+	return t.c.MulVec(xp)[:t.n]
 }
 
 // MulVecDirect returns T·x by the O(n²) definition (validation baseline).

@@ -81,17 +81,16 @@ func TestTinyTransforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{1.5, -0.25}
-	spec := make([]complex128, rp.SpecLen())
-	z := make([]complex128, rp.Size()/2)
-	rp.ForwardInto(spec, x, z)
+	spec, z := NewSplit(rp.SpecLen()), NewSplit(rp.Size()/2)
+	rp.ForwardSplit(spec, x, z)
 	want := RFFT(x)
 	for k := range want {
-		if cmplxAbs(spec[k]-want[k]) > 1e-15 {
-			t.Fatalf("real 2-point bin %d: %v, want %v", k, spec[k], want[k])
+		if got := complex(spec.Re[k], spec.Im[k]); cmplxAbs(got-want[k]) > 1e-15 {
+			t.Fatalf("real 2-point bin %d: %v, want %v", k, got, want[k])
 		}
 	}
 	back := make([]float64, 2)
-	rp.InverseInto(back, spec, z)
+	rp.InverseSplit(back, spec, z)
 	for k := range x {
 		if d := back[k] - x[k]; d > 1e-15 || d < -1e-15 {
 			t.Fatalf("real 2-point round trip: %v, want %v", back, x)
@@ -118,17 +117,16 @@ func TestRealPlanMatchesRFFT(t *testing.T) {
 			copy(padded, x)
 			want := RFFT(padded)
 
-			spec := make([]complex128, rp.SpecLen())
-			z := make([]complex128, n/2)
-			rp.ForwardInto(spec, x, z) // short x: implicit zero pad
+			spec, z := NewSplit(rp.SpecLen()), NewSplit(n/2)
+			rp.ForwardSplit(spec, x, z) // short x: implicit zero pad
 			for k := range want {
-				if d := cmplxAbs(spec[k] - want[k]); d > 1e-12 {
-					t.Fatalf("n=%d m=%d bin %d: planned %v, RFFT %v", n, m, k, spec[k], want[k])
+				if got := complex(spec.Re[k], spec.Im[k]); cmplxAbs(got-want[k]) > 1e-12 {
+					t.Fatalf("n=%d m=%d bin %d: planned %v, RFFT %v", n, m, k, got, want[k])
 				}
 			}
 
 			back := make([]float64, m) // truncated recovery
-			rp.InverseInto(back, spec, z)
+			rp.InverseSplit(back, spec, z)
 			for j := range back {
 				if d := back[j] - x[j]; d > 1e-12 || d < -1e-12 {
 					t.Fatalf("n=%d m=%d sample %d: inverse %g, want %g", n, m, j, back[j], x[j])
@@ -166,8 +164,7 @@ func TestPlanSharedAcrossGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			out := make([]complex128, n)
-			spec := make([]complex128, rp.SpecLen())
-			z := make([]complex128, n/2)
+			spec, z := NewSplit(rp.SpecLen()), NewSplit(n/2)
 			out2 := make([]complex128, 8*16)
 			col := make([]complex128, 8)
 			for it := 0; it < iters; it++ {
@@ -178,10 +175,10 @@ func TestPlanSharedAcrossGoroutines(t *testing.T) {
 						return
 					}
 				}
-				rp.ForwardInto(spec, xr, z)
+				rp.ForwardSplit(spec, xr, z)
 				for k := range wantR {
-					if cmplxAbs(spec[k]-wantR[k]) > 1e-9 {
-						errs <- fmt.Errorf("real bin %d: %v, want %v", k, spec[k], wantR[k])
+					if got := complex(spec.Re[k], spec.Im[k]); cmplxAbs(got-wantR[k]) > 1e-9 {
+						errs <- fmt.Errorf("real bin %d: %v, want %v", k, got, wantR[k])
 						return
 					}
 				}

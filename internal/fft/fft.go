@@ -10,8 +10,10 @@
 //   - Bluestein's chirp-z algorithm for arbitrary (non power-of-two) sizes;
 //   - real-input forward/inverse transforms exploiting conjugate symmetry,
 //     which halve the spectral storage of network weights;
-//   - split-complex (planar) forms of the planned transforms, including the
-//     bin-major many-transform kernels the block-circulant engine runs;
+//   - one family of split-complex (planar) kernels: the bin-major
+//     many-transform kernels the block-circulant engine runs, of which
+//     RealPlan's single-vector ForwardSplit/InverseSplit are the count-1
+//     case;
 //   - 2-D transforms and circular convolution, the primitive behind the
 //     paper's "FFT → component-wise multiplication → IFFT" procedure
 //     (Fig. 2);
@@ -40,7 +42,7 @@ type Plan struct {
 	tw    []complex128 // tw[k] = e^{-2πi·k/n}, k ∈ [0, n/2)
 	twInv []complex128 // conj(tw), so the butterfly loop never branches
 
-	// Split (SoA) twiddle tables for the planar butterflies (split.go):
+	// Split (SoA) twiddle tables for the planar butterflies (splitmany.go):
 	// stageTw[s] holds stage s's factors (butterfly width 4·2^s)
 	// contiguously per plane, so the split inner loop reads its twiddles
 	// at unit stride instead of the strided tw[k·step] gather.
@@ -71,7 +73,7 @@ func NewPlan(n int) (*Plan, error) {
 	// Pin the cardinal twiddle to its exact value: cmplx.Exp leaves
 	// e^{-iπ/2} with a ~6e-17 real part, which both costs accuracy and
 	// would break bit-identity with the split kernels' multiply-free
-	// −i rotation (split.go's fused head stage).
+	// −i rotation (splitmany.go's fused head stages).
 	if n%4 == 0 {
 		p.tw[n/4] = complex(0, -1)
 		p.twInv[n/4] = complex(0, 1)

@@ -3,7 +3,6 @@ package fft
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"sync"
 )
 
@@ -18,19 +17,18 @@ import (
 // Like Plan, a RealPlan is immutable after creation and safe for concurrent
 // use; per-call scratch is owned by the caller.
 //
-// The transform is split into phases (Pack → half-size Forward → Unpack, and
-// PreInverse → half-size Inverse → PostInverse) so the circulant engine can
-// run the middle phase as one bin-major pass over many packed vectors
-// (splitmany.go). ForwardInto/InverseInto compose the phases for the
-// single-vector case.
+// The transform runs in phases (pack → half-size ForwardSplitManyRev →
+// UnpackSplitMany, and PreInverseSplitManyRev → half-size
+// InverseSplitManyRev → interleave) so the circulant engine can run each
+// phase as one bin-major pass over many packed vectors (splitmany.go).
+// ForwardSplit/InverseSplit are the same phases at count 1.
 type RealPlan struct {
 	n    int
 	half int
-	cplx *Plan        // half-size complex plan
-	w    []complex128 // w[k] = e^{-2πi·k/n}, k ∈ [0, n/2]
-	wi   []complex128 // wi[k] = e^{+2πi·k/n}, k ∈ [0, n/2)
+	cplx *Plan // half-size complex plan
 
-	// Split (SoA) copies of w and wi for the planar phases (split.go).
+	// Untangling twiddles in split form: w = e^{-2πi·k/n}, k ∈ [0, n/2],
+	// and wi = e^{+2πi·k/n}, k ∈ [0, n/2).
 	wRe, wIm   []float64
 	wiRe, wiIm []float64
 }
@@ -43,16 +41,15 @@ func NewRealPlan(n int) (*RealPlan, error) {
 	}
 	rp := &RealPlan{n: n, half: n / 2}
 	rp.cplx, _ = NewPlan(rp.half)
-	rp.w = make([]complex128, rp.half+1)
-	rp.wi = make([]complex128, rp.half)
-	for k := range rp.w {
+	rp.wRe, rp.wIm = make([]float64, rp.half+1), make([]float64, rp.half+1)
+	rp.wiRe, rp.wiIm = make([]float64, rp.half), make([]float64, rp.half)
+	for k := range rp.wRe {
 		ang := 2 * math.Pi * float64(k) / float64(n)
-		rp.w[k] = cmplx.Exp(complex(0, -ang))
+		rp.wIm[k], rp.wRe[k] = math.Sincos(-ang)
 		if k < rp.half {
-			rp.wi[k] = cmplx.Exp(complex(0, ang))
+			rp.wiIm[k], rp.wiRe[k] = math.Sincos(ang)
 		}
 	}
-	rp.splitTables()
 	return rp, nil
 }
 
@@ -69,120 +66,58 @@ func (rp *RealPlan) SpecLen() int { return rp.half + 1 }
 //repro:noalloc
 func (rp *RealPlan) Complex() *Plan { return rp.cplx }
 
-// Pack folds the real sequence x into the length-n/2 complex sequence
-// z[j] = x[2j] + i·x[2j+1]. x may be shorter than n; missing entries are
-// treated as zero (the block-circulant layers zero-pad their tail blocks).
-func (rp *RealPlan) Pack(z []complex128, x []float64) {
-	if len(z) != rp.half || len(x) > rp.n {
-		panic(fmt.Sprintf("fft: RealPlan(%d).Pack z %d, x %d", rp.n, len(z), len(x)))
+// ForwardSplit computes the half spectrum (length n/2+1) of the real
+// sequence x into spec, using z (length n/2) as scratch. x may be shorter
+// than n; missing entries are treated as zero (the block-circulant layers
+// zero-pad their tail blocks). It runs the Many kernels at count 1 and
+// applies the 0.5 they leave out, an exact factor.
+//
+//repro:noalloc
+func (rp *RealPlan) ForwardSplit(spec SplitSlice, x []float64, z SplitSlice) {
+	if spec.Len() != rp.half+1 || z.Len() != rp.half || len(x) > rp.n {
+		panic(fmt.Sprintf("fft: RealPlan(%d).ForwardSplit spec %d, x %d, z %d", rp.n, spec.Len(), len(x), z.Len()))
 	}
-	if len(x) == rp.n { // full block: branch-free interleave
-		for j := range z {
-			z[j] = complex(x[2*j], x[2*j+1])
-		}
-		return
-	}
-	j := 0
-	for ; 2*j+1 < len(x); j++ {
-		z[j] = complex(x[2*j], x[2*j+1])
-	}
-	if 2*j < len(x) {
-		z[j] = complex(x[2*j], 0)
-		j++
-	}
-	for ; j < rp.half; j++ {
-		z[j] = 0
-	}
-}
-
-// Unpack untangles the transformed packed sequence zf (length n/2) into the
-// half spectrum spec (length n/2+1) of the original real sequence. The
-// twiddle pass is written in explicit real arithmetic: the obvious complex
-// divisions by 2 and 2i lower to runtime complex-division calls, which
-// would eat most of the half-size transform's saving on this hot path.
-func (rp *RealPlan) Unpack(spec, zf []complex128) {
-	h := rp.half
-	if len(spec) != h+1 || len(zf) != h {
-		panic(fmt.Sprintf("fft: RealPlan(%d).Unpack spec %d, zf %d", rp.n, len(spec), len(zf)))
-	}
-	// k = 0 and k = h reduce to zf[0] against itself (w[0] = 1, w[h] = −1):
-	// spec[0] = Re+Im parts summed, spec[h] their difference — handled
-	// outside the loop so the interior needs no index reduction.
-	z0 := zf[0]
-	spec[0] = complex(real(z0)+imag(z0), 0)
-	spec[h] = complex(real(z0)-imag(z0), 0)
-	for k := 1; k < h; k++ {
-		zk := zf[k]
-		zr := zf[h-k] // conjugated component-wise below
-		// fe = (zk + conj(zr))/2, fo = (zk − conj(zr))/(2i).
-		feRe := 0.5 * (real(zk) + real(zr))
-		feIm := 0.5 * (imag(zk) - imag(zr))
-		foRe := 0.5 * (imag(zk) + imag(zr))
-		foIm := 0.5 * (real(zr) - real(zk))
-		wRe, wIm := real(rp.w[k]), imag(rp.w[k])
-		spec[k] = complex(feRe+wRe*foRe-wIm*foIm, feIm+wRe*foIm+wIm*foRe)
-	}
-}
-
-// ForwardInto computes the half spectrum (length n/2+1) of the real sequence
-// x into spec, using z (length n/2) as scratch. spec must not alias z.
-func (rp *RealPlan) ForwardInto(spec []complex128, x []float64, z []complex128) {
-	rp.Pack(z, x)
-	rp.cplx.Forward(z, z)
-	rp.Unpack(spec, z)
-}
-
-// PreInverse converts the half spectrum spec (length n/2+1, conjugate-
-// symmetric by construction) into the packed sequence z (length n/2) whose
-// half-size inverse transform interleaves the real output.
-func (rp *RealPlan) PreInverse(z, spec []complex128) {
-	h := rp.half
-	if len(z) != h || len(spec) != h+1 {
-		panic(fmt.Sprintf("fft: RealPlan(%d).PreInverse z %d, spec %d", rp.n, len(z), len(spec)))
-	}
-	// Real-arithmetic form of xe = (spec[k] + conj(spec[h−k]))/2,
-	// xo = (spec[k] − conj(spec[h−k]))/2 · wi[k], z[k] = xe + i·xo; see
-	// Unpack for why the complex divisions are avoided.
-	for k := 0; k < h; k++ {
-		sk, sr := spec[k], spec[h-k]
-		xeRe := 0.5 * (real(sk) + real(sr))
-		xeIm := 0.5 * (imag(sk) - imag(sr))
-		dRe := 0.5 * (real(sk) - real(sr))
-		dIm := 0.5 * (imag(sk) + imag(sr))
-		wRe, wIm := real(rp.wi[k]), imag(rp.wi[k])
-		xoRe := dRe*wRe - dIm*wIm
-		xoIm := dRe*wIm + dIm*wRe
-		z[k] = complex(xeRe-xoIm, xeIm+xoRe)
-	}
-}
-
-// PostInverse de-interleaves the inverse-transformed packed sequence zt into
-// the real output x, which may be shorter than n (truncated tail block).
-func (rp *RealPlan) PostInverse(x []float64, zt []complex128) {
-	if len(zt) != rp.half || len(x) > rp.n {
-		panic(fmt.Sprintf("fft: RealPlan(%d).PostInverse x %d, zt %d", rp.n, len(x), len(zt)))
-	}
-	if len(x) == rp.n { // full block: branch-free de-interleave
-		for j, v := range zt {
-			x[2*j] = real(v)
-			x[2*j+1] = imag(v)
-		}
-		return
-	}
-	for j := 0; 2*j < len(x); j++ {
-		x[2*j] = real(zt[j])
+	// Pack z[j] = x[2j] + i·x[2j+1] straight into bit-reversed rows.
+	zr, zi := z.Re, z.Im
+	for j, row := range rp.cplx.perm {
+		var re, im float64
 		if 2*j+1 < len(x) {
-			x[2*j+1] = imag(zt[j])
+			re, im = x[2*j], x[2*j+1]
+		} else if 2*j < len(x) {
+			re = x[2*j]
 		}
+		zr[row], zi[row] = re, im
+	}
+	rp.cplx.ForwardSplitManyRev(z, 1, 0, 1)
+	rp.UnpackSplitMany(spec, z, 1, 0, 1)
+	for k := range spec.Re {
+		spec.Re[k] *= 0.5
+	}
+	for k := range spec.Im {
+		spec.Im[k] *= 0.5
 	}
 }
 
-// InverseInto recovers the real sequence x (length n) from its half spectrum
-// spec, using z (length n/2) as scratch. spec is not modified.
-func (rp *RealPlan) InverseInto(x []float64, spec, z []complex128) {
-	rp.PreInverse(z, spec)
-	rp.cplx.Inverse(z, z)
-	rp.PostInverse(x, z)
+// InverseSplit recovers the real sequence x (length ≤ n; a shorter x
+// receives the leading samples) from its half spectrum spec, using z
+// (length n/2) as scratch. spec is not modified. It runs the Many kernels at
+// count 1 and applies the 1/n they leave out, an exact factor.
+//
+//repro:noalloc
+func (rp *RealPlan) InverseSplit(x []float64, spec, z SplitSlice) {
+	if spec.Len() != rp.half+1 || z.Len() != rp.half || len(x) > rp.n {
+		panic(fmt.Sprintf("fft: RealPlan(%d).InverseSplit x %d, spec %d, z %d", rp.n, len(x), spec.Len(), z.Len()))
+	}
+	rp.PreInverseSplitManyRev(z, spec, 1, 0, 1)
+	rp.cplx.InverseSplitManyRev(z, 1, 0, 1)
+	inv := 1 / float64(rp.n)
+	zr, zi := z.Re, z.Im
+	for j := 0; 2*j < len(x); j++ {
+		x[2*j] = zr[j] * inv
+		if 2*j+1 < len(x) {
+			x[2*j+1] = zi[j] * inv
+		}
+	}
 }
 
 // realPlanCache memoises real plans by size, mirroring planCache.

@@ -4,15 +4,17 @@ import "fmt"
 
 // Transposed (bin-major) batched split transforms: `count` same-size
 // transforms stored with bin k of transform m at index k·stride+m, m < count
-// ≤ stride. Where the contiguous transformSplit walks one tiny transform at
-// a time — inner loops of length size/2, twiddle reloads per butterfly — the
-// Many kernels run every butterfly across all transforms at once: the
-// twiddle pair is hoisted out of the inner loop, which becomes a straight
+// ≤ stride. Where a contiguous kernel walks one tiny transform at a time —
+// inner loops of length size/2, twiddle reloads per butterfly — the Many
+// kernels run every butterfly across all transforms at once: the twiddle
+// pair is hoisted out of the inner loop, which becomes a straight
 // multiply-add sweep over contiguous count-long rows. For the block sizes
 // the circulant engine cares about (dozens of bins, one to hundreds of
 // transforms per pass) this is the difference between loop overhead
-// dominating and the FP pipes being the limit. They are the only transform
-// kernels on the serving path.
+// dominating and the FP pipes being the limit. They are the package's only
+// split butterflies and real-transform phases: the serving path runs
+// nothing else, and RealPlan.ForwardSplit/InverseSplit are these kernels at
+// count 1.
 //
 // The stride is the caller's row pitch: padding it away from high powers of
 // two (see circulant's rowPitch) avoids cache-set aliasing between rows.
@@ -256,10 +258,11 @@ func (p *Plan) transformSplitMany(d SplitSlice, stride, m0, m1 int, inverse bool
 }
 
 // UnpackSplitMany untangles count packed transforms (bin-major, rows of
-// length stride, natural order) into twice their half spectra: the Many form
-// of UnpackSplit without its 0.5 factors. zf holds n/2 rows, spec n/2+1
-// rows; both share the stride and column range semantics of
-// ForwardSplitManyRev.
+// length stride, natural order) into twice their half spectra: spec[k] =
+// fe + w[k]·fo with fe = zf[k] + conj(zf[h−k]) and fo = (zf[k] −
+// conj(zf[h−k]))/i, the textbook untangling without its 0.5 factors. zf
+// holds n/2 rows, spec n/2+1 rows; both share the stride and column range
+// semantics of ForwardSplitManyRev.
 //
 //repro:noalloc
 func (rp *RealPlan) UnpackSplitMany(spec, zf SplitSlice, stride, m0, m1 int) {
@@ -299,9 +302,10 @@ func (rp *RealPlan) UnpackSplitMany(spec, zf SplitSlice, stride, m0, m1 int) {
 }
 
 // PreInverseSplitManyRev converts count half spectra (bin-major) into twice
-// their packed inverse-transform inputs — the Many form of PreInverseSplit
-// without its 0.5 factors — writing z's rows in bit-reversed order for
-// InverseSplitManyRev.
+// their packed inverse-transform inputs — z[k] = xe + i·xo with xe =
+// spec[k] + conj(spec[h−k]) and xo = (spec[k] − conj(spec[h−k]))·wi[k], the
+// textbook pre-inverse pass without its 0.5 factors — writing z's rows in
+// bit-reversed order for InverseSplitManyRev.
 //
 //repro:noalloc
 func (rp *RealPlan) PreInverseSplitManyRev(z, spec SplitSlice, stride, m0, m1 int) {
