@@ -57,7 +57,8 @@ chaos:
 
 # Coverage-guided fuzzing of the decoders, one target per decoder: the
 # wire row codec (RPI1/RQE1/RSE1), the RPO1 results codec, RPS2 stream
-# frames, the artifact-store index — and of the Goldilocks field multiply
+# frames, the artifact-store index, the one-pass JSON request reader
+# against encoding/json — and of the Goldilocks field multiply
 # under the fixed-point build's transform, against math/big. `go test`
 # accepts one -fuzz pattern per invocation, so each target gets its own run.
 # CI runs the same loop as a short smoke; raise the budget locally, e.g.
@@ -69,4 +70,5 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzParseWireResults$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeStreamFrame$$' -fuzztime $(FUZZTIME) ./internal/serve/stream/
 	$(GO) test -run xxx -fuzz 'FuzzParseStoreIndex$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run xxx -fuzz 'FuzzJSONRequest$$' -fuzztime $(FUZZTIME) ./cmd/serve/
 	$(GO) test -run xxx -fuzz 'FuzzNTTMul$$' -fuzztime $(FUZZTIME) ./internal/fft/

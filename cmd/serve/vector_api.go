@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"repro/internal/metrics"
@@ -40,6 +39,16 @@ type upsertRequest struct {
 	Vectors [][]float32 `json:"vectors"`
 }
 
+// DecodeMember implements httpapi.JSONObject.
+func (req *upsertRequest) DecodeMember(d *httpapi.JSONDecoder) {
+	switch d.Field("ids", "vectors") {
+	case 0:
+		req.IDs = d.Strings(req.IDs)
+	case 1:
+		req.Vectors = d.Float32Rows(req.Vectors)
+	}
+}
+
 // searchRequest is the JSON body of POST /v1/vectors/{collection}/search.
 type searchRequest struct {
 	Vector    []float32 `json:"vector"`
@@ -49,10 +58,36 @@ type searchRequest struct {
 	NProbe    int       `json:"nprobe,omitempty"`    // >0 selects the ANN index
 }
 
+// DecodeMember implements httpapi.JSONObject.
+func (req *searchRequest) DecodeMember(d *httpapi.JSONDecoder) {
+	switch d.Field("vector", "k", "metric", "quantized", "nprobe") {
+	case 0:
+		req.Vector = d.Float32s(req.Vector)
+	case 1:
+		req.K = d.Int(req.K)
+	case 2:
+		req.Metric = d.String(req.Metric)
+	case 3:
+		req.Quantized = d.Bool(req.Quantized)
+	case 4:
+		req.NProbe = d.Int(req.NProbe)
+	}
+}
+
 // trainRequest is the JSON body of POST /v1/vectors/{collection}/train.
 type trainRequest struct {
 	K    int   `json:"k"`
 	Seed int64 `json:"seed,omitempty"`
+}
+
+// DecodeMember implements httpapi.JSONObject.
+func (req *trainRequest) DecodeMember(d *httpapi.JSONDecoder) {
+	switch d.Field("k", "seed") {
+	case 0:
+		req.K = d.Int(req.K)
+	case 1:
+		req.Seed = d.Int64(req.Seed)
+	}
 }
 
 // collectionInfo is one row of the GET /v1/vectors listing.
@@ -89,7 +124,7 @@ func registerVectorAPI(mux *http.ServeMux, vs *vector.Store) {
 
 	mux.HandleFunc("PUT /v1/vectors/{collection}", func(w http.ResponseWriter, r *http.Request) {
 		var req upsertRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes)).Decode(&req); err != nil {
+		if err := httpapi.ReadJSON(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes), &req); err != nil {
 			httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 			return
 		}
@@ -117,7 +152,7 @@ func registerVectorAPI(mux *http.ServeMux, vs *vector.Store) {
 			return
 		}
 		var req searchRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes)).Decode(&req); err != nil {
+		if err := httpapi.ReadJSON(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes), &req); err != nil {
 			httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 			return
 		}
@@ -145,7 +180,7 @@ func registerVectorAPI(mux *http.ServeMux, vs *vector.Store) {
 			return
 		}
 		var req trainRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes)).Decode(&req); err != nil {
+		if err := httpapi.ReadJSON(http.MaxBytesReader(w, r.Body, httpapi.MaxBodyBytes), &req); err != nil {
 			httpapi.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 			return
 		}

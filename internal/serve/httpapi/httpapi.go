@@ -3,9 +3,10 @@
 // fan-out, encode, and the error write. cmd/serve mounts it for /infer
 // and /embed over a *serve.Registry, internal/router mounts it for /infer
 // over the fleet — both are a stream.Backend, so a client cannot tell a
-// router from a single process by its responses. It lives beside
-// internal/serve rather than in it so the serving core stays free of
-// net/http.
+// router from a single process by its responses. Its one-pass JSON reader
+// (ReadJSON) decodes every request body cmd/serve accepts, the vector
+// API's too. It lives beside internal/serve rather than in it so the
+// serving core stays free of net/http.
 package httpapi
 
 import (
@@ -96,17 +97,43 @@ func vectors(results []serve.Result) [][]float64 {
 	return vecs
 }
 
-// request is the JSON body: either a single input vector or a list of
-// them.
-type request struct {
+// Request is the JSON body of an /infer or /embed post: either a single
+// input vector or a list of them.
+type Request struct {
 	Input  []float64   `json:"input,omitempty"`
 	Inputs [][]float64 `json:"inputs,omitempty"`
 }
 
-// bufPool recycles the codec buffer of a wire post: the body is read into
-// it, and once parsed (the decoder copies out) the same storage carries
-// the encoded response.
+// DecodeMember implements JSONObject.
+func (req *Request) DecodeMember(d *JSONDecoder) {
+	switch d.Field("input", "inputs") {
+	case 0:
+		req.Input = d.Float64s(req.Input)
+	case 1:
+		req.Inputs = d.Float64Rows(req.Inputs)
+	}
+}
+
+// bufPool recycles the body buffer of a post: the body is read into it, and
+// once parsed (both decoders copy out) a wire post's encoded response
+// reuses the same storage. Buffers above maxPooledBuf (a batch post, a bulk
+// upsert) are left to the collector: pooled, every such body would stay
+// resident for the life of the process.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuf = 64 << 10
+
+func getBuf() *bytes.Buffer {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		bufPool.Put(buf)
+	}
+}
 
 // Handler answers single- and multi-input posts to one "{id}" mount in
 // JSON or the format's binary codec (selected by Content-Type; the
@@ -141,8 +168,8 @@ func Handler(b stream.Backend, f *Format, ctrl *admission.Controller, admitted *
 			return
 		}
 
-		var req request
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var req Request
+		if err := ReadJSON(body, &req); err != nil {
 			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
 			return
 		}
@@ -180,9 +207,8 @@ func Handler(b stream.Backend, f *Format, ctrl *admission.Controller, admitted *
 
 // serveWire answers a post in the format's binary codec.
 func (f *Format) serveWire(w http.ResponseWriter, r *http.Request, body io.Reader, b stream.Backend, name, version string) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer bufPool.Put(buf)
-	buf.Reset()
+	buf := getBuf()
+	defer putBuf(buf)
 	if _, err := buf.ReadFrom(body); err != nil {
 		WriteJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("reading wire request: %w", err)))
 		return

@@ -8,9 +8,10 @@
 //
 // The tier exists because the serving stack now produces embeddings
 // (internal/embed): a model's penultimate activation goes in, nearest
-// stored vectors come out. The kernels below are deliberately shaped like
-// the spectral MAC loops — four independent accumulator lanes over
-// contiguous float32 — so the same future SIMD dispatch work covers both.
+// stored vectors come out. The kernels below are shaped like the spectral
+// MAC loops — four independent accumulator lanes over contiguous float32.
+// The exact scan runs Dot's lanes four rows at a time in SSE2 on amd64
+// (dot_amd64.s), with Dot's bits; no CPU-feature dispatch is needed.
 package vector
 
 import (

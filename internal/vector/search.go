@@ -118,7 +118,16 @@ func (sn *snapshot) score(q []float32, q8 []int8, qnorm, qscale float32, row int
 	} else {
 		s = Dot(q, sn.flat[int(row)*dim:(int(row)+1)*dim])
 	}
-	if opt.Metric == MetricCosine {
+	return sn.finish(s, qnorm, row, opt.Metric)
+}
+
+// finish turns a row's inner product s into its score: unchanged for
+// MetricDot, divided by the norm product for cosine (0 when either norm
+// is 0).
+//
+//repro:noalloc
+func (sn *snapshot) finish(s, qnorm float32, row int32, m Metric) float32 {
+	if m == MetricCosine {
 		d := qnorm * sn.norms[row]
 		if d == 0 {
 			return 0
@@ -129,10 +138,11 @@ func (sn *snapshot) score(q []float32, q8 []int8, qnorm, qscale float32, row int
 }
 
 // SearchInto runs one top-k query against the current snapshot, filling
-// dst (reused when capacity suffices) with results ordered best-first.
-// With a warm Searcher and a dst of capacity ≥ k the exact brute-force
-// path performs zero allocations — this is the serving hot path the alloc
-// gate pins. sc may be nil (allocates fresh scratch).
+// dst (reused when capacity suffices) with results ordered best-first; a k
+// above the row count returns every row. With a warm Searcher and a dst of
+// capacity ≥ min(k, rows) the exact brute-force path performs zero
+// allocations — this is the serving hot path the alloc gate pins. sc may
+// be nil (allocates fresh scratch).
 //
 //repro:noalloc
 func (c *Collection) SearchInto(dst []Result, sc *Searcher, q []float32, k int, opt SearchOptions) ([]Result, error) {
@@ -149,6 +159,7 @@ func (c *Collection) SearchInto(dst []Result, sc *Searcher, q []float32, k int, 
 	if sc == nil {
 		sc = &Searcher{}
 	}
+	k = min(k, sn.n()) // the heap never holds more than every row
 	cents := 0
 	if opt.NProbe > 0 {
 		cents = sn.ivf.k
@@ -186,9 +197,27 @@ func (c *Collection) SearchInto(dst []Result, sc *Searcher, q []float32, k int, 
 				sc.push(k, row, sn.score(q, sc.q8, qnorm, qscale, row, c.dim, &opt))
 			}
 		}
-	} else {
+	} else if opt.Quantized {
 		for row := int32(0); int(row) < sn.n(); row++ {
 			sc.push(k, row, sn.score(q, sc.q8, qnorm, qscale, row, c.dim, &opt))
+		}
+	} else {
+		// The exact float scan: four rows per kernel call, a last partial
+		// block through Dot — the same bits either way.
+		var dots [4]float32
+		for row := 0; row < sn.n(); row += 4 {
+			block := min(4, sn.n()-row)
+			if block == 4 {
+				dot4(q, sn.flat[row*c.dim:], c.dim, &dots)
+			} else {
+				for j := range block {
+					dots[j] = Dot(q, sn.flat[(row+j)*c.dim:(row+j+1)*c.dim])
+				}
+			}
+			for j := range block {
+				r := int32(row + j)
+				sc.push(k, r, sn.finish(dots[j], qnorm, r, opt.Metric))
+			}
 		}
 	}
 	c.queries.Add(1)

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -186,7 +187,8 @@ func (c *Collection) Trained() (k, n int, ok bool) {
 
 // Upsert inserts or overwrites vectors by id, copy-on-write: readers keep
 // scoring the previous snapshot until the new one is published. Vectors
-// are copied in; the caller keeps ownership of vecs. If an ANN index is
+// are copied in; the caller keeps ownership of vecs. A batch that adds no
+// id shares the previous snapshot's id table. If an ANN index is
 // trained, its inverted lists are rebuilt against the existing centroids
 // (the centroids themselves only move on TrainANN — retrain after bulk
 // loads that shift the distribution).
@@ -212,31 +214,37 @@ func (c *Collection) Upsert(ids []string, vecs [][]float32) (added, updated int,
 	defer c.writer.Unlock()
 	cur := c.snap.Load()
 
-	next := &snapshot{
-		ids:     append([]string(nil), cur.ids...),
-		rows:    make(map[string]int32, len(cur.rows)+len(ids)),
-		flat:    append([]float32(nil), cur.flat...),
-		norms:   append([]float32(nil), cur.norms...),
-		q8:      append([]int8(nil), cur.q8...),
-		qscales: append([]float32(nil), cur.qscales...),
-	}
-	for id, row := range cur.rows {
-		next.rows[id] = row
-	}
+	// Resolve every id to its row first. Published arrays and maps are
+	// immutable, so an update-only batch shares the id table; the first new
+	// id copies it.
+	next := &snapshot{ids: cur.ids, rows: cur.rows}
+	at := make([]int32, len(ids))
 	for i, id := range ids {
 		row, exists := next.rows[id]
 		if !exists {
+			if added == 0 {
+				next.ids = append(make([]string, 0, len(cur.ids)+len(ids)), cur.ids...)
+				next.rows = maps.Clone(cur.rows)
+			}
 			row = int32(len(next.ids))
 			next.ids = append(next.ids, id)
 			next.rows[id] = row
-			next.flat = append(next.flat, make([]float32, c.dim)...)
-			next.norms = append(next.norms, 0)
-			next.q8 = append(next.q8, make([]int8, c.dim)...)
-			next.qscales = append(next.qscales, 0)
 			added++
 		} else {
 			updated++
 		}
+		at[i] = row
+	}
+	n := next.n()
+	next.flat = make([]float32, n*c.dim)
+	copy(next.flat, cur.flat)
+	next.norms = make([]float32, n)
+	copy(next.norms, cur.norms)
+	next.q8 = make([]int8, n*c.dim)
+	copy(next.q8, cur.q8)
+	next.qscales = make([]float32, n)
+	copy(next.qscales, cur.qscales)
+	for i, row := range at {
 		dst := next.flat[int(row)*c.dim : (int(row)+1)*c.dim]
 		copy(dst, vecs[i])
 		next.norms[row] = Norm(dst)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -383,5 +384,186 @@ func TestConcurrentUpsertSearch(t *testing.T) {
 	_, vectors, queries, upserts := s.Totals()
 	if vectors != 140 || queries == 0 || upserts == 0 {
 		t.Errorf("Totals = %d vectors, %d queries, %d upserts", vectors, queries, upserts)
+	}
+}
+
+// scaledVec draws values spread over many binades so that the order and
+// rounding of every multiply and add shows in the result bits.
+func scaledVec(rng *rand.Rand, dim int) []float32 {
+	v := make([]float32, dim)
+	for i := range v {
+		v[i] = float32(math.Ldexp(rng.NormFloat64(), rng.Intn(41)-20))
+	}
+	return v
+}
+
+// TestDot4MatchesDot: the four-row kernel is bit-identical to Dot for every
+// width 1–130 (every tail length), from every element offset of the rows'
+// backing array.
+func TestDot4MatchesDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for dim := 1; dim <= 130; dim++ {
+		q := scaledVec(rng, dim)
+		buf := scaledVec(rng, 4*dim+3)
+		for off := 0; off < 4; off++ {
+			var got [4]float32
+			dot4(q, buf[off:], dim, &got)
+			for j, g := range got {
+				want := Dot(q, buf[off+j*dim:off+(j+1)*dim])
+				if math.Float32bits(g) != math.Float32bits(want) {
+					t.Fatalf("dim %d offset %d row %d: dot4 %v (%#x), Dot %v (%#x)",
+						dim, off, j, g, math.Float32bits(g), want, math.Float32bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestSearchMatchesPerRowDot: the exact float scan returns the top k of
+// the per-row Dot scores, each id with its own row's score bits, for row
+// counts around the four-row block (and one past 4096), widths not a
+// multiple of four, both metrics, and zero-norm rows (cosine 0).
+func TestSearchMatchesPerRowDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 4097} {
+		for _, dim := range []int{1, 3, 13, 130} {
+			if n > 9 && dim < 13 {
+				continue
+			}
+			c, _ := NewStore().Ensure("ref", dim)
+			ids := make([]string, n)
+			vecs := make([][]float32, n)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("r%05d", i)
+				vecs[i] = scaledVec(rng, dim)
+				if i%5 == 2 {
+					vecs[i] = make([]float32, dim)
+				}
+			}
+			for lo := 0; lo < n; lo += MaxUpsertBatch {
+				hi := min(lo+MaxUpsertBatch, n)
+				if _, _, err := c.Upsert(ids[lo:hi], vecs[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			q := scaledVec(rng, dim)
+			for _, m := range []Metric{MetricCosine, MetricDot} {
+				ref := make([]Result, n)
+				byID := map[string]float32{}
+				for i, v := range vecs {
+					s := Dot(q, v)
+					if m == MetricCosine {
+						if d := Norm(q) * Norm(v); d == 0 {
+							s = 0
+						} else {
+							s /= d
+						}
+					}
+					ref[i] = Result{ID: ids[i], Score: s}
+					byID[ids[i]] = s
+				}
+				sort.SliceStable(ref, func(a, b int) bool { return ref[a].Score > ref[b].Score })
+				for _, k := range []int{1, 5, n} {
+					got, err := c.Search(q, k, SearchOptions{Metric: m})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := ref[:min(k, n)]
+					if len(got) != len(want) {
+						t.Fatalf("n %d dim %d %v k %d: %d results, want %d", n, dim, m, k, len(got), len(want))
+					}
+					// Which of several equal scores the heap keeps, and the
+					// order they drain in, is the heap's: hold every result to
+					// its own row's score bits, and the scores to the top k.
+					for i, r := range got {
+						if b := math.Float32bits(byID[r.ID]); b != math.Float32bits(r.Score) {
+							t.Fatalf("n %d dim %d %v k %d: result %d = %s %v, per-row Dot %v", n, dim, m, k, i, r.ID, r.Score, byID[r.ID])
+						}
+						if math.Float32bits(r.Score) != math.Float32bits(want[i].Score) {
+							t.Fatalf("n %d dim %d %v k %d: scores %v, want the top k %v", n, dim, m, k, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchHugeK: a k far above the row count returns every row on the
+// exact and ANN paths — the heap is sized by the rows, not by k — and a
+// warm search still does not allocate.
+func TestSearchHugeK(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	c, _ := NewStore().Ensure("huge", 8)
+	const n = 40
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("h%02d", i)
+	}
+	if _, _, err := c.Upsert(ids, clusteredData(rng, n, 8, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.TrainANN(4, 1); err != nil {
+		t.Fatal(err)
+	}
+	q := randVec(rng, 8)
+	for _, opt := range []SearchOptions{{}, {Quantized: true}, {NProbe: 4}} {
+		for _, k := range []int{n + 1, 1 << 30, math.MaxInt / 2, math.MaxInt} {
+			got, err := c.Search(q, k, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("%+v k %d: %d results, want %d", opt, k, len(got), n)
+			}
+		}
+		sc, dst := &Searcher{}, make([]Result, 0, n)
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if dst, err = c.SearchInto(dst, sc, q, math.MaxInt, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%+v: warm SearchInto with a huge k allocates %.0f/op; want 0", opt, allocs)
+		}
+	}
+}
+
+// TestUpsertCopyOnWrite: a snapshot loaded before an update-only upsert
+// keeps reading the old rows while sharing its id table with the next
+// one, and a later upsert that adds an id copies that table instead of
+// writing into it, and indexes the new id.
+func TestUpsertCopyOnWrite(t *testing.T) {
+	c, _ := NewStore().Ensure("cow", 2)
+	if _, _, err := c.Upsert([]string{"a", "b"}, [][]float32{{1, 0}, {0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	old := c.snap.Load()
+	if added, updated, err := c.Upsert([]string{"b"}, [][]float32{{3, 4}}); err != nil || added != 0 || updated != 1 {
+		t.Fatalf("update-only upsert: added %d updated %d err %v", added, updated, err)
+	}
+	upd := c.snap.Load()
+	if &upd.ids[0] != &old.ids[0] {
+		t.Error("update-only upsert copied the id table")
+	}
+	if old.flat[2] != 0 || old.flat[3] != 1 || old.norms[1] != 1 {
+		t.Errorf("old snapshot sees the update: row b = %v norm %v", old.flat[2:4], old.norms[1])
+	}
+	if upd.flat[2] != 3 || upd.flat[3] != 4 || upd.norms[1] != 5 {
+		t.Errorf("new snapshot row b = %v norm %v; want [3 4] norm 5", upd.flat[2:4], upd.norms[1])
+	}
+	if added, _, err := c.Upsert([]string{"c", "a"}, [][]float32{{-1, 0}, {2, 0}}); err != nil || added != 1 {
+		t.Fatalf("adding upsert: added %d err %v", added, err)
+	}
+	if _, ok := old.rows["c"]; ok || len(old.ids) != 2 || len(upd.rows) != 2 {
+		t.Error("adding upsert wrote into the shared id table")
+	}
+	got, err := c.Search([]float32{-1, 0}, 1, SearchOptions{})
+	if err != nil || len(got) != 1 || got[0].ID != "c" {
+		t.Fatalf("search for the added id: %v %v", got, err)
+	}
+	if c.Len() != 3 {
+		t.Fatalf("Len %d; want 3", c.Len())
 	}
 }
