@@ -15,7 +15,7 @@ import (
 // vector, which is a batch of one — is pushed through the matrix in a
 // single planned spectral pass.
 //
-// Four things make the pass fast:
+// Five things make the pass fast:
 //
 //   - Real-input half-spectrum transforms (fft.RealPlan): every block FFT
 //     and IFFT runs at half size by conjugate symmetry, and the spectral
@@ -36,6 +36,14 @@ import (
 //     column ranges are cut into sub-ranges fanned out over a bounded
 //     process-wide worker pool. Work is never split within one
 //     accumulation, so results do not depend on the worker count.
+//   - Two columns per instruction on amd64: bin-major rows keep adjacent
+//     columns in adjacent float64s, so fft's row sweeps and the bin product
+//     of bins 1 … half−1 over whole vectors (binpairs_amd64.s, two output
+//     blocks of one vector per SSE2 register) run in assembly, each lane
+//     with the Go loop's expression tree and so its bits. The DC and
+//     Nyquist rows, a vector's odd last output block, the partial vectors
+//     at the edges of a worker's column range, gradColumns, pack and store
+//     stay in Go.
 //
 // The transforms sweep all columns of a pass at once — batch·inBlks on the
 // way in, batch·outBlks on the way out — which is what keeps a batch of one
@@ -440,29 +448,36 @@ func (m *BlockCirculant) outputColumns(ws *BatchWorkspace, dst []float64, inBlks
 	}
 	v0 := c0 / outBlks
 	o0 := c0 - v0*outBlks
-	for t := 0; t <= half; t++ {
+	for _, t := range [2]int{0, half} {
+		// DC and Nyquist bins of a real signal's spectrum are purely real —
+		// in both the weights and the inputs — so these two rows reduce to
+		// a real dot product (the imaginary accumulator is exactly zero
+		// either way).
+		wr := m.wspec.Re[t*kl : (t+1)*kl]
+		xr := ws.specs.Re[t*pitch : (t+1)*pitch]
+		ar, ai := ws.acc.Re[t*opitch:t*opitch+c1], ws.acc.Im[t*opitch:t*opitch+c1]
+		for c, v, o := c0, v0, o0; c < c1; c++ {
+			var a float64
+			w := o * wo
+			for _, x := range xr[v*inBlks : (v+1)*inBlks] {
+				a += wr[w] * x
+				w += wi
+			}
+			ar[c], ai[c] = a, 0
+			if o++; o == outBlks {
+				v, o = v+1, 0
+			}
+		}
+	}
+	// The other bins: the whole vectors [va, vb) of the range run their
+	// output-block pairs on the bin-product kernel where there is one, and
+	// the loops below compute what is left, if anything.
+	va, vb := (c0+outBlks-1)/outBlks, c1/outBlks
+	pairs := m.pairBins(ws, inBlks, outBlks, pitch, opitch, trans, va, vb)
+	for t := 1; t < half && 2*pairs*(vb-va) < c1-c0; t++ {
 		wr, wm := m.wspec.Re[t*kl:(t+1)*kl], m.wspec.Im[t*kl:(t+1)*kl]
 		xr, xi := ws.specs.Re[t*pitch:(t+1)*pitch], ws.specs.Im[t*pitch:(t+1)*pitch]
 		ar, ai := ws.acc.Re[t*opitch:t*opitch+c1], ws.acc.Im[t*opitch:t*opitch+c1]
-		if t == 0 || t == half {
-			// DC and Nyquist bins of a real signal's spectrum are purely
-			// real — in both the weights and the inputs — so these two rows
-			// reduce to a real dot product (the imaginary accumulator is
-			// exactly zero either way).
-			for c, v, o := c0, v0, o0; c < c1; c++ {
-				var a float64
-				w := o * wo
-				for _, x := range xr[v*inBlks : (v+1)*inBlks] {
-					a += wr[w] * x
-					w += wi
-				}
-				ar[c], ai[c] = a, 0
-				if o++; o == outBlks {
-					v, o = v+1, 0
-				}
-			}
-			continue
-		}
 		// Two output blocks of one vector per pass: they share each load of
 		// the input bin and interleave four independent addition chains
 		// instead of two serialised on add latency. A last column without a
@@ -473,6 +488,9 @@ func (m *BlockCirculant) outputColumns(ws *BatchWorkspace, dst []float64, inBlks
 		for c, v := c0, v0; c < c1; v++ {
 			first := v * outBlks
 			end := min(c1, first+outBlks)
+			if v >= va && v < vb {
+				c = first + 2*pairs // the kernel's
+			}
 			x0r, x0i := xr[v*inBlks:(v+1)*inBlks], xi[v*inBlks:(v+1)*inBlks]
 			for ; c < end; c += 2 {
 				d := min(1, end-1-c)

@@ -159,16 +159,22 @@ func TestOutputColumnsAnyPartition(t *testing.T) {
 		}
 	}
 
-	// The stage called directly: ragged 100×60 at batch 3, both products,
-	// every split [0,c) ∪ [c,n) against the single sweep, on a power-of-two
-	// block and on a folded one.
+	// The stage called directly at batch 3, both products, every split
+	// [0,c) ∪ [c,n) against the single sweep — splits at odd columns and in
+	// the middle of a vector included: ragged 100×60 on a power-of-two block
+	// and on a folded one (odd output-block counts in the plain product), and
+	// two shapes whose output-block counts are even in both forms, so that
+	// whole vectors run as column pairs while a split's partial vectors do not.
 	const sentinel = -12345.678
 	const batch = 3
 	for _, tc := range []struct {
-		block int
-		trans bool
-	}{{16, true}, {16, false}, {6, true}, {6, false}} {
-		m, trans := MustNewBlockCirculant(100, 60, tc.block).InitRandom(rng), tc.trans
+		rows, cols, block int
+		trans             bool
+	}{
+		{100, 60, 16, true}, {100, 60, 16, false}, {100, 60, 6, true}, {100, 60, 6, false},
+		{128, 256, 64, true}, {128, 256, 64, false}, {96, 64, 16, true}, {96, 64, 16, false},
+	} {
+		m, trans := MustNewBlockCirculant(tc.rows, tc.cols, tc.block).InitRandom(rng), tc.trans
 		inBlks, outBlks, inLen, outLen := m.l, m.k, m.cols, m.rows
 		if trans {
 			inBlks, outBlks, inLen, outLen = m.k, m.l, m.rows, m.cols
@@ -199,7 +205,7 @@ func TestOutputColumnsAnyPartition(t *testing.T) {
 		want := sweep([2]int{0, n})
 		for c := 0; c <= n; c++ {
 			if got := sweep([2]int{c, n}, [2]int{0, c}); !sameBits(got, want) {
-				t.Errorf("b=%d trans=%v: split at column %d of %d differs in bits from the single sweep", tc.block, trans, c, n)
+				t.Errorf("%dx%d b=%d trans=%v: split at column %d of %d differs in bits from the single sweep", tc.rows, tc.cols, tc.block, trans, c, n)
 			}
 			// A lone [0,c) sweep must leave columns c… alone: in the
 			// scratch rows and in the output segments those columns own.
@@ -208,14 +214,14 @@ func TestOutputColumnsAnyPartition(t *testing.T) {
 				for _, buf := range [][]float64{ws.acc.Re, ws.acc.Im, ws.z.Re, ws.z.Im} {
 					for r := 0; r*opitch+col < len(buf); r++ {
 						if buf[r*opitch+col] != sentinel {
-							t.Fatalf("b=%d trans=%v: sweep of [0,%d) wrote scratch column %d", tc.block, trans, c, col)
+							t.Fatalf("%dx%d b=%d trans=%v: sweep of [0,%d) wrote scratch column %d", tc.rows, tc.cols, tc.block, trans, c, col)
 						}
 					}
 				}
 				v, o := col/outBlks, col%outBlks
 				for j := v*outLen + o*m.block; j < v*outLen+min((o+1)*m.block, outLen); j++ {
 					if got[j] != sentinel {
-						t.Fatalf("b=%d trans=%v: sweep of [0,%d) wrote output %d of column %d", tc.block, trans, c, j, col)
+						t.Fatalf("%dx%d b=%d trans=%v: sweep of [0,%d) wrote output %d of column %d", tc.rows, tc.cols, tc.block, trans, c, j, col)
 					}
 				}
 			}

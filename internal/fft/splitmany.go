@@ -8,13 +8,21 @@ import "fmt"
 // inner loops of length size/2, twiddle reloads per butterfly — the Many
 // kernels run every butterfly across all transforms at once: the twiddle
 // pair is hoisted out of the inner loop, which becomes a straight
-// multiply-add sweep over contiguous count-long rows. For the block sizes
-// the circulant engine cares about (dozens of bins, one to hundreds of
-// transforms per pass) this is the difference between loop overhead
-// dominating and the FP pipes being the limit. They are the package's only
-// split butterflies and real-transform phases: the serving path runs
-// nothing else, and RealPlan.ForwardSplit/InverseSplit are these kernels at
-// count 1.
+// multiply-add sweep over contiguous count-long rows. They are the
+// package's only split butterflies and real-transform phases: the serving
+// path runs nothing else, and RealPlan.ForwardSplit/InverseSplit are these
+// kernels at count 1.
+//
+// A row of a batch-1 pass holds only 2–4 columns, so in Go the per-row
+// slicing and bounds checks, not the FP pipes, set the pace. Adjacent
+// columns are adjacent float64s, which is what one SSE2 register holds: on
+// amd64 the column pairs of a span run on column-pair kernels
+// (splitmany_amd64.s) — the radix-8 head, the fused stage pairs, the
+// trailing radix-2 stage, UnpackSplitMany's rows 1 … h−1 and
+// PreInverseSplitManyRev — with each lane performing its column's Go
+// expression tree, so every column gets the Go loops' bits. The Go loops
+// are the reference and the path elsewhere, and run what a pair cannot: n
+// ≤ 4, a span's odd last column and UnpackSplitMany's DC and Nyquist rows.
 //
 // The stride is the caller's row pitch: padding it away from high powers of
 // two (see circulant's rowPitch) avoids cache-set aliasing between rows.
@@ -88,6 +96,11 @@ func (p *Plan) transformSplitMany(d SplitSlice, stride, m0, m1 int, inverse bool
 	stages := p.stageTw
 	if inverse {
 		stages = p.stageTwInv
+	}
+	// Where there are column-pair kernels they run the column pairs, and
+	// the loops below only what is left: n ≤ 4, or a lone last column.
+	if m0 = p.transformPairs(re, im, stride, m0, m1, stages, sign); m0 == m1 {
+		return
 	}
 	s := 1 // first unprocessed stage-table index after the head pass
 	switch {
@@ -280,6 +293,9 @@ func (rp *RealPlan) UnpackSplitMany(spec, zf SplitSlice, stride, m0, m1 int) {
 		s0r[m], s0i[m] = s+s, 0
 		shr[m], shi[m] = d+d, 0
 	}
+	if m0 = rp.unpackPairs(spec, zf, stride, m0, m1); m0 == m1 {
+		return
+	}
 	for k := 1; k < h; k++ {
 		wr, wi := rp.wRe[k], rp.wIm[k]
 		zkr := zf.Re[k*stride : k*stride+m1]
@@ -313,6 +329,9 @@ func (rp *RealPlan) PreInverseSplitManyRev(z, spec SplitSlice, stride, m0, m1 in
 	if z.Len() != h*stride || spec.Len() != (h+1)*stride || m0 < 0 || m1 > stride || m0 > m1 {
 		panic(fmt.Sprintf("fft: RealPlan(%d).PreInverseSplitManyRev z %d, spec %d, stride %d, columns [%d,%d)",
 			rp.n, z.Len(), spec.Len(), stride, m0, m1))
+	}
+	if m0 = rp.preInversePairs(z, spec, stride, m0, m1); m0 == m1 {
+		return
 	}
 	perm := rp.cplx.perm
 	for k := 0; k < h; k++ {

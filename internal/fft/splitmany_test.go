@@ -21,7 +21,10 @@ type manyCase struct{ count, stride, m0, m1 int }
 func manyCases() []manyCase {
 	return []manyCase{
 		{1, 1, 0, 1},    // batch of one, no padding: rowPitch(1)
+		{2, 2, 0, 2},    // batch 1 through a two-block layer: one column pair
+		{4, 4, 0, 4},    // batch 1 through a four-block layer: two pairs
 		{3, 3, 0, 3},    // odd count
+		{6, 8, 1, 6},    // range from an odd column: two pairs and a lone last column
 		{5, 9, 0, 5},    // padded stride
 		{32, 40, 0, 32}, // rowPitch(32)
 		{7, 8, 2, 5},    // interior column range (a worker's share)
@@ -35,12 +38,14 @@ func manyCases() []manyCase {
 // ForwardSplitManyRev/InverseSplitManyRev compute, for every column, exactly
 // the bits Plan.Forward/Inverse compute for that column's vector — the
 // inverse times n, an exact power of two, since the Many kernel leaves the
-// 1/n sweep to its caller — at sizes 1 to 256, with rows written through
+// 1/n sweep to its caller — at sizes 1 to 1024, with rows written through
 // BitReversal(), at padded strides and on column sub-ranges, which must
-// leave every other column untouched.
+// leave every other column untouched. The sizes cover every stage schedule:
+// the radix-8 head alone (8), followed by one fused stage pair (32) or two
+// (512), or by pairs and a trailing radix-2 stage (16, 64, 256, 1024).
 func TestSplitManyRevMatchesPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	for n := 1; n <= 256; n <<= 1 {
+	for n := 1; n <= 1024; n <<= 1 {
 		p := PlanFor(n)
 		perm := p.BitReversal()
 		for _, tc := range manyCases() {
@@ -176,6 +181,80 @@ func TestSplitManyRevRealPhases(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSplitManyRealPhasesMatchCountOne holds every column of a multi-column
+// pass to the bits of the same column transformed alone, at count 1 and
+// stride 1, through both real-transform legs: ForwardSplitManyRev +
+// UnpackSplitMany, and PreInverseSplitManyRev + InverseSplitManyRev, at unit
+// scale and towards the bottom of the exponent range. A lone column never
+// has a partner, so on amd64 this compares the column-pair kernels with the
+// Go loops they stand in for.
+func TestSplitManyRealPhasesMatchCountOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for n := 2; n <= 1024; n <<= 1 {
+		rp := RealPlanFor(n)
+		p, h := rp.Complex(), n/2
+		for _, tc := range manyCases() {
+			for _, scale := range []float64{1, 1e-300} {
+				z := randSplit(rng, h*tc.stride)
+				spec := randSplit(rng, (h+1)*tc.stride)
+				for i := range z.Re {
+					z.Re[i], z.Im[i] = z.Re[i]*scale, z.Im[i]*scale
+				}
+				for i := range spec.Re {
+					spec.Re[i], spec.Im[i] = spec.Re[i]*scale, spec.Im[i]*scale
+				}
+				fwdIn, invIn := column(z, tc.stride), column(spec, tc.stride)
+				fwd := NewSplit((h + 1) * tc.stride)
+				p.ForwardSplitManyRev(z, tc.stride, tc.m0, tc.m1)
+				rp.UnpackSplitMany(fwd, z, tc.stride, tc.m0, tc.m1)
+				inv := NewSplit(h * tc.stride)
+				rp.PreInverseSplitManyRev(inv, spec, tc.stride, tc.m0, tc.m1)
+				p.InverseSplitManyRev(inv, tc.stride, tc.m0, tc.m1)
+				for m := tc.m0; m < tc.m1; m++ {
+					zm, out := fwdIn(m), NewSplit(h+1)
+					p.ForwardSplitManyRev(zm, 1, 0, 1)
+					rp.UnpackSplitMany(out, zm, 1, 0, 1)
+					if k, ok := sameColumn(fwd, out, tc.stride, m); !ok {
+						t.Fatalf("n=%d %+v scale %g column %d: forward phases differ from count 1 at bin %d", n, tc, scale, m, k)
+					}
+					out = NewSplit(h)
+					rp.PreInverseSplitManyRev(out, invIn(m), 1, 0, 1)
+					p.InverseSplitManyRev(out, 1, 0, 1)
+					if k, ok := sameColumn(inv, out, tc.stride, m); !ok {
+						t.Fatalf("n=%d %+v scale %g column %d: inverse phases differ from count 1 at row %d", n, tc, scale, m, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// column returns a function copying column m of a bin-major buffer out as a
+// count-1 buffer, captured before the buffer is transformed.
+func column(d SplitSlice, stride int) func(m int) SplitSlice {
+	keep := SplitSlice{Re: append([]float64(nil), d.Re...), Im: append([]float64(nil), d.Im...)}
+	return func(m int) SplitSlice {
+		c := NewSplit(d.Len() / stride)
+		for k := range c.Re {
+			c.Re[k], c.Im[k] = keep.Re[k*stride+m], keep.Im[k*stride+m]
+		}
+		return c
+	}
+}
+
+// sameColumn reports whether column m of the bin-major d holds the bits of
+// the count-1 buffer c, and the first row where it does not.
+func sameColumn(d, c SplitSlice, stride, m int) (int, bool) {
+	for k := range c.Re {
+		i := k*stride + m
+		if math.Float64bits(d.Re[i]) != math.Float64bits(c.Re[k]) ||
+			math.Float64bits(d.Im[i]) != math.Float64bits(c.Im[k]) {
+			return k, false
+		}
+	}
+	return 0, true
 }
 
 // TestSplitManyRevRejectsBadLayouts pins the panic contract: a buffer whose

@@ -220,14 +220,18 @@ func scoreChecksum(scores *tensor.Tensor) uint64 {
 }
 
 // TestFloatGoldenScores pins the float build's scores across commits the
-// way TestInt16GoldenScores pins the fixed-point build's: a batch-64 Run
-// (the parallel arm included) of Arch-1 and Arch-2, at unit input scale and
-// with the inputs scaled towards the bottom of the exponent range, where a
-// factor that is not an exact power of two anywhere between the weight
-// table and the store would show. The values were recorded at the last
-// commit whose engine inverse-transformed one output block at a time over
-// an [i][j][t] weight table with the 0.5 and 1/n factors inside the
-// transforms. amd64 only: other targets may fuse multiply-adds.
+// way TestInt16GoldenScores pins the fixed-point build's: a Run of Arch-1
+// and Arch-2 at unit input scale and with the inputs scaled towards the
+// bottom of the exponent range, where a factor that is not an exact power
+// of two anywhere between the weight table and the store would show. Batch
+// 64 takes the parallel arm. Batch 1 compiled with BatchHint 1 is the edge
+// deployment's schedule: the serial arm, at 4 input and 2 output columns in
+// the first layer and 2 and 2 in the second. Batch 3 runs three times as
+// many. The batch-64 values were recorded at the last commit whose engine
+// inverse-transformed one output block at a time over an [i][j][t] weight
+// table with the 0.5 and 1/n factors inside the transforms; the batch-1 and
+// batch-3 values at the last commit whose engine ran its row sweeps in Go
+// alone. amd64 only: other targets may fuse multiply-adds.
 func TestFloatGoldenScores(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("score bits are pinned on amd64 only; the batch-invariance and homogeneity tests run everywhere")
@@ -236,17 +240,22 @@ func TestFloatGoldenScores(t *testing.T) {
 		name  string
 		build func(*rand.Rand) *nn.Network
 		in    int
+		batch int
 		want  [3]uint64 // inputs × 1, × 1e-150, × 1e-300
 	}{
-		{"arch1", nn.Arch1, 256, [3]uint64{0xcaf78a11c3034443, 0xd46dceb4fd9dcb25, 0xc1378ac52cfc20e6}},
-		{"arch2", nn.Arch2, 121, [3]uint64{0x58a1093caf3fd601, 0x34b48ffcd9c6be85, 0x631c853e3df90942}},
+		{"arch1", nn.Arch1, 256, 64, [3]uint64{0xcaf78a11c3034443, 0xd46dceb4fd9dcb25, 0xc1378ac52cfc20e6}},
+		{"arch2", nn.Arch2, 121, 64, [3]uint64{0x58a1093caf3fd601, 0x34b48ffcd9c6be85, 0x631c853e3df90942}},
+		{"arch1 b1", nn.Arch1, 256, 1, [3]uint64{0xc7966ad99d483895, 0x4792aacb94bd992e, 0xa19a047c2dc43d93}},
+		{"arch2 b1", nn.Arch2, 121, 1, [3]uint64{0x2e1689f6320e73fb, 0x67bc6a5182c2638c, 0xff300da5e95ae7b0}},
+		{"arch1 b3", nn.Arch1, 256, 3, [3]uint64{0x5a0269622bbcb87f, 0x04a788224b7dac1f, 0x9b6e391380117e73}},
+		{"arch2 b3", nn.Arch2, 121, 3, [3]uint64{0x8edb2222c59e2d44, 0x86171424acf54cb5, 0x6c3e4a7bb39d71ae}},
 	} {
 		rng := rand.New(rand.NewSource(7))
-		prog, err := Compile(tc.build(rng), CompileOptions{InShape: []int{tc.in}, BatchHint: 64})
+		prog, err := Compile(tc.build(rng), CompileOptions{InShape: []int{tc.in}, BatchHint: tc.batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := tensor.New(64, tc.in).Randn(rng, 1)
+		x := tensor.New(tc.batch, tc.in).Randn(rng, 1)
 		for i, scale := range []float64{1, 1e-150, 1e-300} {
 			xs := x.Clone()
 			for j := range xs.Data {
