@@ -57,7 +57,7 @@ chaos:
 
 # Coverage-guided fuzzing of the decoders, one target per decoder: the
 # wire row codec (RPI1/RQE1/RSE1), the RPO1 results codec, RPS2 stream
-# frames, the artifact-store index, the one-pass JSON request reader
+# frames, the engine's parameter file, the one-pass JSON request reader
 # against encoding/json — and of the Goldilocks field multiply
 # under the fixed-point build's transform, against math/big. `go test`
 # accepts one -fuzz pattern per invocation, so each target gets its own run.
@@ -69,6 +69,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzParseWireRows$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzParseWireResults$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeStreamFrame$$' -fuzztime $(FUZZTIME) ./internal/serve/stream/
-	$(GO) test -run xxx -fuzz 'FuzzParseStoreIndex$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run xxx -fuzz 'FuzzLoadParameters$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run xxx -fuzz 'FuzzJSONRequest$$' -fuzztime $(FUZZTIME) ./cmd/serve/
 	$(GO) test -run xxx -fuzz 'FuzzNTTMul$$' -fuzztime $(FUZZTIME) ./internal/fft/

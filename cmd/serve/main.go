@@ -20,15 +20,21 @@
 // (e.g. mnist@v1 → mnist@v1-q12) — the paper's embedded int16 deployment
 // served side by side with the float build, ready for a -weights A/B
 // split; -embed name[@version] registers the same network with its
-// classifier head cut off as "<name>.embed"; -store dir registers every
-// model of an mmap-backed artifact directory (-pack dir writes one). The
-// exact-input LRU (-cache) is the one result cache.
+// classifier head cut off as "<name>.embed". The exact-input LRU (-cache)
+// is the one result cache.
+//
+// -model maps the bundle's params.bin read-only (engine.MapParameters):
+// the network's weights are the file's pages, shared by every replica of
+// a typed-op program and by every process serving the same file, and
+// unmapped only after the registry has drained. Replace a served
+// params.bin by writing a new file and renaming it over the old one, as
+// cmd/train does; truncating it in place faults the server.
 //
 // Flags: [-addr :8080] [-workers N] [-batch 16] [-deadline 2ms] [-cache 1024]
 // [-pprof] [-listen-tcp :9090] [-max-inflight N] [-fair-share N] [-quota name=N]
 // [-slo 5ms] [-retry-after 50ms] [-canary name@base:name@cand]
 // [-canary-interval 15s] [-canary-schedule 0.05,0.25,0.5]
-// [-embed name[@version]] [-store dir] [-pack dir]
+// [-embed name[@version]]
 //
 // -canary starts the rollout autopilot (internal/canary) over an A/B
 // pair: the candidate ramps through the -canary-schedule weight steps,
@@ -101,11 +107,11 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/platform"
 	"repro/internal/program"
 	"repro/internal/serve"
 	"repro/internal/serve/admission"
 	"repro/internal/serve/stream"
-	"repro/internal/store"
 	"repro/internal/vector"
 )
 
@@ -142,20 +148,11 @@ func main() {
 	canarySchedule := flag.String("canary-schedule", "0.05,0.25,0.5", "canary weight ramp, ascending shares in (0,1)")
 	var embeds modelFlag
 	flag.Var(&embeds, "embed", "also serve a loaded model's penultimate-layer embedding under \"<name>.embed\": name[@version] (repeatable)")
-	storeDir := flag.String("store", "", "mmap-backed artifact store directory: register every indexed model at boot, weights resident via mmap only")
-	packDir := flag.String("pack", "", "pack every loaded model into an artifact-store directory and exit")
 	flag.Parse()
 
-	loaded, err := loadModels(models.specs, demos.specs, *storeDir != "")
+	loaded, err := loadModels(models.specs, demos.specs)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *packDir != "" {
-		if err := packModels(*packDir, loaded); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("packed %d model(s) into %s", len(loaded), *packDir)
-		return
 	}
 	quantized, err := quantizeModels(loaded, quantize.specs)
 	if err != nil {
@@ -198,25 +195,6 @@ func main() {
 			log.Fatal(err)
 		}
 		names = append(names, serve.ModelID(m))
-	}
-	var artifacts *store.Store
-	if *storeDir != "" {
-		artifacts, err = store.Open(*storeDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, e := range artifacts.Entries() {
-			m, err := artifacts.Load(e.Name, e.Version)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := reg.Register(m); err != nil {
-				log.Fatal(err)
-			}
-			names = append(names, serve.ModelID(m))
-		}
-		n, all := artifacts.Mapped()
-		log.Printf("artifact store %s: %d model(s) loaded, %d mapping(s), mmap=%v", *storeDir, len(artifacts.Entries()), n, all)
 	}
 	for _, spec := range weights.specs {
 		name, split, err := parseWeights(spec)
@@ -295,12 +273,10 @@ func main() {
 		log.Printf("http shutdown: %v", err)
 	}
 	reg.Close()
-	if artifacts != nil {
-		// Unmap only after the registry has drained: serving replicas read
-		// the mapped weights until their last request completes.
-		if err := artifacts.Close(); err != nil {
-			log.Printf("artifact store close: %v", err)
-		}
+	// Unmap only after the registry has drained: serving replicas read
+	// the mapped weights until their last request completes.
+	if err := closeWeights(loaded); err != nil {
+		log.Printf("unmapping weights: %v", err)
 	}
 }
 
@@ -317,7 +293,7 @@ func embedModel(loaded []loadedModel, spec string) (model.Model, error) {
 			return embed.NewModel(name, version, loaded[i].net, loaded[i].inShape)
 		}
 	}
-	return nil, fmt.Errorf("-embed %s: no loaded model %s (artifact-store models cannot be tapped from flags yet)", spec, model.ID(name, version))
+	return nil, fmt.Errorf("-embed %s: no loaded model %s", spec, model.ID(name, version))
 }
 
 // parseEmbedSpec parses an "-embed name[@version]" spec into its id parts,
@@ -334,18 +310,6 @@ func parseEmbedSpec(spec string) (name, version string, err error) {
 		version = "v1"
 	}
 	return name, version, nil
-}
-
-// packModels writes every loaded model into an artifact-store directory.
-func packModels(dir string, loaded []loadedModel) error {
-	if len(loaded) == 0 {
-		return errors.New("-pack: no models loaded")
-	}
-	pms := make([]store.PackModel, len(loaded))
-	for i, l := range loaded {
-		pms[i] = store.PackModel{Name: l.Name(), Version: l.Version(), Net: l.net, InShape: l.inShape}
-	}
-	return store.Pack(dir, pms)
 }
 
 // startCanaries launches one canary controller per -canary spec
@@ -464,16 +428,19 @@ func newAdmission(maxInflight, fairShare int, quotaSpecs []string, retryAfter ti
 }
 
 // loadedModel is a registered executor together with the network it was
-// compiled from, retained so -quantize can build fixed-point siblings.
+// compiled from, retained so -quantize and -embed can build siblings, and
+// the mapping a -model bundle's weights live in (nil for -demo).
 type loadedModel struct {
 	model.Model
 	net     *nn.Network
 	inShape []int
+	weights *platform.Mapping
 }
 
-// loadModels resolves every model flag into an adapter. allowEmpty admits
-// a -store-only invocation, whose models come from the artifact index.
-func loadModels(modelSpecs, demoSpecs []string, allowEmpty bool) ([]loadedModel, error) {
+// loadModels resolves every model flag into an adapter. It runs at boot,
+// where an error ends the process, so a failed call leaves the mappings
+// it made to the exit.
+func loadModels(modelSpecs, demoSpecs []string) ([]loadedModel, error) {
 	var out []loadedModel
 	for _, spec := range modelSpecs {
 		name, version, dir, err := splitSpec(spec)
@@ -497,10 +464,25 @@ func loadModels(modelSpecs, demoSpecs []string, allowEmpty bool) ([]loadedModel,
 		}
 		out = append(out, m)
 	}
-	if len(out) == 0 && !allowEmpty {
-		return nil, errors.New("need at least one of -model, -demo or -store")
+	if len(out) == 0 {
+		return nil, errors.New("need at least one of -model or -demo")
 	}
 	return out, nil
+}
+
+// closeWeights unmaps every loaded bundle's weights; none of the models
+// may run afterwards.
+func closeWeights(loaded []loadedModel) error {
+	var first error
+	for _, l := range loaded {
+		if l.weights == nil {
+			continue
+		}
+		if err := l.weights.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // splitSpec parses "name[@version]=value". The bare legacy form "value"
@@ -547,7 +529,8 @@ func parseWeights(spec string) (string, map[string]float64, error) {
 }
 
 // loadBundleModel loads a trained network through the engine (modules 1+2
-// of Fig. 4) and adapts it for serving.
+// of Fig. 4), its weights bound to the mapped parameter file, and adapts
+// it for serving.
 func loadBundleModel(name, version, archPath, paramsPath string) (loadedModel, error) {
 	af, err := os.Open(archPath)
 	if err != nil {
@@ -558,20 +541,16 @@ func loadBundleModel(name, version, archPath, paramsPath string) (loadedModel, e
 	if err != nil {
 		return loadedModel{}, err
 	}
-	pf, err := os.Open(paramsPath)
-	if err != nil {
-		return loadedModel{}, err
-	}
-	err = e.LoadParameters(pf)
-	pf.Close()
+	mp, err := e.MapParameters(paramsPath)
 	if err != nil {
 		return loadedModel{}, err
 	}
 	m, err := e.Model(name, version)
 	if err != nil {
+		_ = mp.Close()
 		return loadedModel{}, err
 	}
-	return loadedModel{Model: m, net: e.Net, inShape: e.InShape}, nil
+	return loadedModel{Model: m, net: e.Net, inShape: e.InShape, weights: mp}, nil
 }
 
 // demoModel builds a randomly-initialised built-in architecture.

@@ -449,7 +449,7 @@ func TestFlagParsing(t *testing.T) {
 	}
 
 	// loadModels: demo specs build registrable models; no specs is an error.
-	ms, err := loadModels(nil, []string{"fc=arch1", "conv@v2=arch3"}, false)
+	ms, err := loadModels(nil, []string{"fc=arch1", "conv@v2=arch3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,10 +460,10 @@ func TestFlagParsing(t *testing.T) {
 		}
 		t.Errorf("loadModels demo ids = %v", ids)
 	}
-	if _, err := loadModels(nil, nil, false); err == nil {
+	if _, err := loadModels(nil, nil); err == nil {
 		t.Error("no model sources accepted")
 	}
-	if _, err := loadModels(nil, []string{"x=arch9"}, false); err == nil ||
+	if _, err := loadModels(nil, []string{"x=arch9"}); err == nil ||
 		!strings.Contains(err.Error(), "arch9") {
 		t.Errorf("unknown demo arch error = %v", err)
 	}
@@ -507,7 +507,7 @@ func TestModelFlagLoadsBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms, err := loadModels([]string{"mnist@v2=" + dir}, nil, false)
+	ms, err := loadModels([]string{"mnist@v2=" + dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,17 +71,24 @@ func main() {
 		log.Fatalf("unknown architecture %d (want 1, 2 or 3)", *arch)
 	}
 
+	// Each file is written beside its target and renamed over it, so a
+	// server that maps the old params.bin keeps the old file's pages
+	// instead of seeing it truncated under it.
 	writeFile := func(name string, fn func(f *os.File) error) {
 		path := filepath.Join(*out, name)
-		f, err := os.Create(path)
+		f, err := os.Create(path + ".tmp")
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := fn(f); err != nil {
 			f.Close()
+			os.Remove(f.Name())
 			log.Fatalf("writing %s: %v", path, err)
 		}
 		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		if err := os.Rename(f.Name(), path); err != nil {
 			log.Fatal(err)
 		}
 	}

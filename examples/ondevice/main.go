@@ -32,9 +32,11 @@ func main() {
 	res := experiments.TrainMNISTArch(2, cfg)
 	fmt.Printf("offline: trained Arch-2 to %.1f%% on synthetic digits\n", res.Accuracy*100)
 
+	// Write beside the target, then rename over it: a reader that mapped
+	// the previous file keeps its pages.
 	write := func(name string, fn func(f *os.File) error) string {
 		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
+		f, err := os.Create(path + ".tmp")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,6 +44,9 @@ func main() {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		if err := os.Rename(f.Name(), path); err != nil {
 			log.Fatal(err)
 		}
 		return path

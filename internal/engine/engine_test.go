@@ -145,6 +145,23 @@ func TestLoadParametersValidation(t *testing.T) {
 	if err := e.LoadParameters(bytes.NewReader(make([]byte, 64))); err == nil {
 		t.Error("expected error on bad magic")
 	}
+	var own bytes.Buffer
+	if err := SaveParameters(&own, e.Net); err != nil {
+		t.Fatal(err)
+	}
+	// Header fields: a v1 version number and a non-zero reserved word are
+	// rejected before the body is read.
+	for _, patch := range []struct {
+		name string
+		off  int
+		v    byte
+	}{{"version 1", 4, 1}, {"reserved", 28, 1}} {
+		data := append([]byte(nil), own.Bytes()...)
+		data[patch.off] = patch.v
+		if err := e.LoadParameters(bytes.NewReader(data)); err == nil {
+			t.Errorf("expected error on %s header", patch.name)
+		}
+	}
 	// Parameter count mismatch: save Arch-1 params, load into Arch-2.
 	other := nn.Arch1(rand.New(rand.NewSource(7)))
 	var buf bytes.Buffer
@@ -153,6 +170,18 @@ func TestLoadParametersValidation(t *testing.T) {
 	}
 	if err := e.LoadParameters(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("expected error on architecture/parameter shape mismatch")
+	}
+	// A failed load leaves the network's weights untouched: the file
+	// still loads, and re-saves to the same bytes.
+	if err := e.LoadParameters(bytes.NewReader(own.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := SaveParameters(&again, e.Net); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), own.Bytes()) {
+		t.Error("weights changed across rejected loads")
 	}
 }
 

@@ -123,7 +123,7 @@ func (m *netModel) Forward(batch *tensor.Tensor) *tensor.Tensor { return m.prog.
 // integer scratch, FFT workspace — from the same options. Typed ops only
 // read the network's parameters and spectra, so a program made of them
 // shares the receiver's network: replicas hold no extra copy of the
-// weights, and mmap-backed parameters (internal/store) stay file-resident.
+// weights, and parameters mapped by engine.MapParameters stay file-resident.
 // A KindLayer fallback runs an opaque layer.Forward, which writes receiver
 // fields (cached shapes, pooling argmax) even at inference, so a program
 // containing one gets a deep copy of the network instead.

@@ -56,6 +56,11 @@ func (b *BatchNorm) Name() string { return fmt.Sprintf("batchnorm(%d)", b.Featur
 // Params implements Layer.
 func (b *BatchNorm) Params() []*Param { return []*Param{b.gamma, b.beta} }
 
+// RunningStats returns the slice headers holding the inference statistics,
+// so a parameter file can carry them next to γ and β and a loader can
+// overwrite or rebind them.
+func (b *BatchNorm) RunningStats() (mean, variance *[]float64) { return &b.runMean, &b.runVar }
+
 // Forward implements Layer. The trailing dimension must equal Features;
 // all leading dimensions (batch, and spatial for images) are reduced over.
 func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

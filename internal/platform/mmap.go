@@ -1,8 +1,8 @@
 package platform
 
-// Memory-mapped file support for the model artifact store. The paper's
+// Memory-mapped file support for the engine's parameter files. The paper's
 // deployment story (§V) targets devices where RSS is the binding
-// constraint; mapping weight blobs read-only lets one process host many
+// constraint; mapping parameter files read-only lets one process host many
 // models while the OS pages weights in on demand and shares clean pages
 // across processes. The syscall shim lives behind build tags so the rest
 // of the repo stays portable: on non-Unix platforms MapFile degrades to a
