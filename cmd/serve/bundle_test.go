@@ -139,6 +139,37 @@ func TestMappedBundleBits(t *testing.T) {
 	}
 }
 
+// TestQuantizeKeepsLatestOnLoadedBuild: with -model mnist=… -quantize
+// mnist=12, registered the way main does, the bare name still routes to
+// the loaded float build, bit for bit, and /v1/models marks it latest.
+func TestQuantizeKeepsLatestOnLoadedBuild(t *testing.T) {
+	net := nn.Arch1(rand.New(rand.NewSource(64)))
+	loaded := loadMapped(t, "mnist="+writeBundle(t, net, []int{256}))
+	quantized, err := quantizeModels(loaded, []string{"mnist=12"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := newTestRegistry(t, 4)
+	if _, err := registerModels(reg, loaded, quantized, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range reg.Models() {
+		if info.Latest != (info.Version == "v1") {
+			t.Errorf("%s@%s latest=%v, want latest on the loaded build v1", info.Name, info.Version, info.Latest)
+		}
+	}
+	ref, err := model.New("mnist", "v1", net, program.CompileOptions{InShape: []int{256}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(1, 256).Randn(rand.New(rand.NewSource(65)), 1)
+	got := tensor.New(1, ref.OutDim())
+	if _, err := reg.InferInto(context.Background(), "mnist", "", x.Data, got.Data); err != nil {
+		t.Fatal(err)
+	}
+	sameScores(t, "unversioned mnist", got, ref.Forward(x))
+}
+
 // TestWeightsAliasMapping proves the zero-copy claim for -model: every
 // value of the parameter file — each parameter tensor and each BatchNorm
 // statistic — lies inside the mapped params.bin, nothing weight-sized was

@@ -173,28 +173,9 @@ func main() {
 		Metrics:   mx,
 	})
 
-	var names []string
-	for _, l := range loaded {
-		if err := reg.Register(l.Model); err != nil {
-			log.Fatal(err)
-		}
-		names = append(names, serve.ModelID(l.Model))
-	}
-	for _, m := range quantized {
-		if err := reg.Register(m); err != nil {
-			log.Fatal(err)
-		}
-		names = append(names, serve.ModelID(m))
-	}
-	for _, spec := range embeds.specs {
-		m, err := embedModel(loaded, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := reg.Register(m); err != nil {
-			log.Fatal(err)
-		}
-		names = append(names, serve.ModelID(m))
+	names, err := registerModels(reg, loaded, quantized, embeds.specs)
+	if err != nil {
+		log.Fatal(err)
 	}
 	for _, spec := range weights.specs {
 		name, split, err := parseWeights(spec)
@@ -278,6 +259,33 @@ func main() {
 	if err := closeWeights(loaded); err != nil {
 		log.Printf("unmapping weights: %v", err)
 	}
+}
+
+// registerModels registers every served build and returns their ids in
+// registration order. The -quantize siblings go first: the registry points
+// a name's "latest" alias at its newest registration, and the bare name
+// must keep routing to the build that was loaded, not to its fixed-point
+// sibling.
+func registerModels(reg *serve.Registry, loaded []loadedModel, quantized []model.Model, embedSpecs []string) ([]string, error) {
+	builds := append([]model.Model(nil), quantized...)
+	for _, l := range loaded {
+		builds = append(builds, l.Model)
+	}
+	for _, spec := range embedSpecs {
+		m, err := embedModel(loaded, spec)
+		if err != nil {
+			return nil, err
+		}
+		builds = append(builds, m)
+	}
+	var names []string
+	for _, m := range builds {
+		if err := reg.Register(m); err != nil {
+			return nil, err
+		}
+		names = append(names, serve.ModelID(m))
+	}
+	return names, nil
 }
 
 // embedModel resolves an -embed spec against the loaded models and builds

@@ -10,7 +10,7 @@ import (
 // ExportArchitecture renders a network back into the textual architecture
 // format ParseArchitecture consumes, given the per-sample input shape. It is
 // the inverse of module 1 of Fig. 4, used by the trainer to ship a matching
-// arch.txt for any network it produces. Every serialisable layer type is
+// arch.txt for any network it produces. Every layer type of internal/nn is
 // supported; an unknown layer type is an error.
 func ExportArchitecture(net *nn.Network, inShape []int) (string, error) {
 	var b strings.Builder

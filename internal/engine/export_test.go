@@ -11,17 +11,58 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestExportArchitectureRoundTrip(t *testing.T) {
-	// Export every exportable layer type, re-parse, and require the parsed
-	// network to accept the original's parameter file and produce identical
-	// predictions.
-	rng := rand.New(rand.NewSource(1))
-	fconv, err := nn.NewFFTConv2D(tensor.Conv2DGeom{H: 10, W: 10, C: 2, R: 3, P: 4, Stride: 1}, rng)
+func mustFFTConv(t *testing.T, g tensor.Conv2DGeom, rng *rand.Rand) *nn.FFTConv2D {
+	t.Helper()
+	l, err := nn.NewFFTConv2D(g, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return l
+}
+
+// roundTrip exports net's architecture, re-parses it, warms BatchNorm
+// running statistics on net, moves the parameters across through the
+// parameter file, and requires the re-parsed network's eval outputs to be
+// net's, bit for bit: the Fig. 4 pair (arch.txt + params.bin) is a
+// network's one serialised form, and the parameter file carries BatchNorm's
+// running statistics.
+func roundTrip(t *testing.T, net *nn.Network, inShape []int, rng *rand.Rand) {
+	t.Helper()
+	text, err := ExportArchitecture(net, inShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := ParseArchitecture(strings.NewReader(text), rand.New(rand.NewSource(99)))
+	if err != nil {
+		t.Fatalf("re-parse failed: %v\narchitecture:\n%s", err, text)
+	}
+	x := tensor.New(append([]int{4}, inShape...)...).Randn(rng, 1)
+	net.Forward(x, true)
+	var params bytes.Buffer
+	if err := SaveParameters(&params, net); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadParameters(bytes.NewReader(params.Bytes())); err != nil {
+		t.Fatalf("parameter transfer failed: %v\narchitecture:\n%s", err, text)
+	}
+	want := net.Forward(x, false)
+	got := e.Net.Forward(x, false)
+	if !got.SameShape(want) {
+		t.Fatalf("round-tripped output shape %v, want %v", got.Shape(), want.Shape())
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("output %d after the round trip: %v, source %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+func TestExportArchitectureRoundTrip(t *testing.T) {
+	// A network of every exportable layer kind survives export, re-parse
+	// and the parameter file.
+	rng := rand.New(rand.NewSource(1))
 	net := nn.NewNetwork(
-		fconv,
+		mustFFTConv(t, tensor.Conv2DGeom{H: 10, W: 10, C: 2, R: 3, P: 4, Stride: 1}, rng),
 		nn.NewBatchNorm(4),
 		nn.NewReLU(),
 		nn.NewMaxPool(2),
@@ -35,38 +76,20 @@ func TestExportArchitectureRoundTrip(t *testing.T) {
 		nn.NewDense(16, 5, rng),
 		nn.NewSoftmax(),
 	)
-	inShape := []int{10, 10, 2}
-	text, err := ExportArchitecture(net, inShape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := ParseArchitecture(strings.NewReader(text), rand.New(rand.NewSource(99)))
-	if err != nil {
-		t.Fatalf("re-parse failed: %v\narchitecture:\n%s", err, text)
-	}
-	// Warm BatchNorm running stats on the source net, then move parameters
-	// across via the parameter-file path.
-	x := tensor.New(4, 10, 10, 2).Randn(rng, 1)
-	net.Forward(x, true)
-	var params bytes.Buffer
-	if err := SaveParameters(&params, net); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.LoadParameters(bytes.NewReader(params.Bytes())); err != nil {
-		t.Fatalf("parameter transfer failed: %v\narchitecture:\n%s", err, text)
-	}
-	// The parameter file carries BatchNorm's running statistics, so the
-	// re-parsed network's eval forward is the source's, bit for bit.
-	want := net.Forward(x, false)
-	got := e.Net.Forward(x, false)
-	if !got.SameShape(want) {
-		t.Fatalf("round-tripped output shape %v, want %v", got.Shape(), want.Shape())
-	}
-	for i := range want.Data {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("output %d after the round trip: %v, source %v", i, got.Data[i], want.Data[i])
-		}
-	}
+	roundTrip(t, net, []int{10, 10, 2}, rng)
+}
+
+func TestSaveLoadNetworkWithNewLayers(t *testing.T) {
+	// An FFTConv2D + BatchNorm network, saved after training-mode forwards
+	// have moved its running statistics, loads back to the same outputs.
+	rng := rand.New(rand.NewSource(2))
+	net := nn.NewNetwork(
+		mustFFTConv(t, tensor.Conv2DGeom{H: 6, W: 6, C: 1, R: 3, P: 2, Stride: 1}, rng),
+		nn.NewBatchNorm(2),
+		nn.NewFlatten(),
+		nn.NewDense(4*4*2, 3, rng),
+	)
+	roundTrip(t, net, []int{6, 6, 1}, rng)
 }
 
 func TestExportMatchesShippedArchTexts(t *testing.T) {

@@ -47,30 +47,3 @@ func TestParseBatchNormNeedsPredecessor(t *testing.T) {
 		t.Error("expected error for batchnorm before input")
 	}
 }
-
-func TestSaveLoadNetworkWithNewLayers(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	fc, err := nn.NewFFTConv2D(tensor.Conv2DGeom{H: 6, W: 6, C: 1, R: 3, P: 2, Stride: 1}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bn := nn.NewBatchNorm(2)
-	net := nn.NewNetwork(fc, bn, nn.NewFlatten(), nn.NewDense(4*4*2, 3, rng))
-	// Push some data through training mode so BatchNorm has running stats.
-	x := tensor.New(4, 6, 6, 1).Randn(rng, 1)
-	net.Forward(x, true)
-
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := nn.Load(&buf, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := net.Forward(x, false)
-	got := loaded.Forward(x, false)
-	if !got.AllClose(want, 1e-9) {
-		t.Error("round-tripped network (FFTConv2D + BatchNorm) differs")
-	}
-}

@@ -126,7 +126,9 @@ func (m *netModel) Forward(batch *tensor.Tensor) *tensor.Tensor { return m.prog.
 // weights, and parameters mapped by engine.MapParameters stay file-resident.
 // A KindLayer fallback runs an opaque layer.Forward, which writes receiver
 // fields (cached shapes, pooling argmax) even at inference, so a program
-// containing one gets a deep copy of the network instead.
+// containing one gets its own network instead: Network.Clone rebuilds each
+// layer from its configuration and copies the parameters and BatchNorm
+// statistics into it.
 func (m *netModel) Replicate() (Model, error) {
 	net := m.net
 	if hasFallback(m.prog) {

@@ -250,80 +250,6 @@ func TestSGDMomentumUpdatesMatchHandComputation(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTripPreservesPredictions(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	net := Arch2(rng)
-	x := tensor.New(5, 121).Randn(rng, 1)
-	want := net.Forward(x, false)
-
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, rand.New(rand.NewSource(99)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := loaded.Forward(x, false)
-	if !got.AllClose(want, 1e-9) {
-		t.Error("loaded network produces different outputs")
-	}
-}
-
-func TestSaveLoadArch3Structure(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	net := Arch3(rng)
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Layers) != len(net.Layers) {
-		t.Fatalf("layer count %d, want %d", len(loaded.Layers), len(net.Layers))
-	}
-	if loaded.NumParams() != net.NumParams() {
-		t.Errorf("param count %d, want %d", loaded.NumParams(), net.NumParams())
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	net := Arch2(rng)
-	clone, err := net.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.New(3, 121).Randn(rng, 1)
-	want := net.Forward(x, false)
-	got := clone.Forward(x, false)
-	if !got.AllClose(want, 1e-12) {
-		t.Fatal("clone computes different outputs")
-	}
-	// Mutating the clone must not touch the original.
-	clone.Params()[0].Value.Data[0] += 1
-	for _, p := range clone.Params() {
-		if p.OnUpdate != nil {
-			p.OnUpdate()
-		}
-	}
-	after := net.Forward(x, false)
-	if !after.AllClose(want, 0) {
-		t.Error("mutating the clone changed the original network")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte{1, 2, 3}), rand.New(rand.NewSource(1))); err == nil {
-		t.Error("expected error on truncated model")
-	}
-	if _, err := Load(bytes.NewReader(make([]byte, 32)), rand.New(rand.NewSource(1))); err == nil {
-		t.Error("expected error on bad magic")
-	}
-}
-
 func TestArchParameterCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a1 := Arch1(rng)

@@ -166,18 +166,28 @@ func qcircLane1(o *op, x []int16) int64 {
 	return lane
 }
 
+// skipWhereFused skips a bit pin on the targets where the compiler may fuse
+// x*y+z into one rounding: arm64, ppc64, ppc64le, riscv64, s390x and
+// loong64. Elsewhere (amd64, with or without FMA hardware, and 386) every
+// product and sum is rounded on its own, so the pinned bits hold; the
+// batch-invariance, homogeneity and TestQCircExact tests run everywhere.
+func skipWhereFused(t *testing.T) {
+	switch runtime.GOARCH {
+	case "arm64", "ppc64", "ppc64le", "riscv64", "s390x", "loong64":
+		t.Skip("score bits are not pinned where multiply-adds may fuse")
+	}
+}
+
 // TestInt16GoldenScores pins the fixed-point build's scores across commits:
 // FNV-64a over the little-endian Float64bits of a batch-64 Run, recorded at
 // the last commit whose integer circulant product was the time-domain MAC.
 // The integer accumulators are exact on every architecture (TestQCircExact);
-// the float64 epilogue is only pinned on amd64, since other targets may fuse
-// the dequantise multiply-add. Each build also pins the grouping its
+// the float64 epilogue is pinned wherever the compiler keeps the dequantise
+// multiply-add unfused (skipWhereFused). Each build also pins the grouping its
 // circulant products list: at 8 and 12 bits every layer packs two input
 // segments per field word, at 16 bits none does.
 func TestInt16GoldenScores(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("score bits are pinned on amd64 only; TestQCircExact covers the integer kernel everywhere")
-	}
+	skipWhereFused(t)
 	for _, tc := range []struct {
 		name  string
 		build func(*rand.Rand) *nn.Network
@@ -231,11 +241,9 @@ func scoreChecksum(scores *tensor.Tensor) uint64 {
 // inverse-transformed one output block at a time over an [i][j][t] weight
 // table with the 0.5 and 1/n factors inside the transforms; the batch-1 and
 // batch-3 values at the last commit whose engine ran its row sweeps in Go
-// alone. amd64 only: other targets may fuse multiply-adds.
+// alone. Skipped where multiply-adds may fuse (skipWhereFused).
 func TestFloatGoldenScores(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("score bits are pinned on amd64 only; the batch-invariance and homogeneity tests run everywhere")
-	}
+	skipWhereFused(t)
 	for _, tc := range []struct {
 		name  string
 		build func(*rand.Rand) *nn.Network

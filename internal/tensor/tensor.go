@@ -1,8 +1,7 @@
 // Package tensor provides the dense multi-dimensional array substrate used by
 // the DNN framework. It plays the role OpenCV's Mat plays in the paper's
 // software stack (Fig. 4): storage, element access, matrix products, the
-// im2col/col2im reshaping of Fig. 3, element-wise arithmetic and binary
-// serialisation.
+// im2col/col2im reshaping of Fig. 3 and element-wise arithmetic.
 //
 // Tensors are row-major float64 arrays with explicit shapes. The hot numeric
 // paths (MatMul, im2col) operate on the flat backing slice for speed.

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -231,33 +230,6 @@ func TestConvGeomValidate(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error for %+v", i, g)
 		}
-	}
-}
-
-func TestSerializeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, shape := range [][]int{{4}, {2, 3}, {2, 3, 4}, {1, 1, 1, 5}} {
-		a := New(shape...).Randn(rng, 2)
-		var buf bytes.Buffer
-		if _, err := a.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		b, err := ReadFrom(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !b.AllClose(a, 0) || !b.SameShape(a) {
-			t.Errorf("round trip mismatch for shape %v", shape)
-		}
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Error("expected error on truncated input")
-	}
-	if _, err := ReadFrom(bytes.NewReader(make([]byte, 64))); err == nil {
-		t.Error("expected error on zero magic")
 	}
 }
 
