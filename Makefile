@@ -58,7 +58,8 @@ chaos:
 # Coverage-guided fuzzing of the decoders, one target per decoder: the
 # wire row codec (RPI1/RQE1/RSE1), the RPO1 results codec, RPS2 stream
 # frames, the engine's parameter file, the one-pass JSON request reader
-# against encoding/json — and of the Goldilocks field multiply
+# against encoding/json, the architecture parser against its own export —
+# and of the Goldilocks field multiply
 # under the fixed-point build's transform, against math/big. `go test`
 # accepts one -fuzz pattern per invocation, so each target gets its own run.
 # CI runs the same loop as a short smoke; raise the budget locally, e.g.
@@ -70,5 +71,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzParseWireResults$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeStreamFrame$$' -fuzztime $(FUZZTIME) ./internal/serve/stream/
 	$(GO) test -run xxx -fuzz 'FuzzLoadParameters$$' -fuzztime $(FUZZTIME) ./internal/engine/
+	$(GO) test -run xxx -fuzz 'FuzzParseArchitecture$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run xxx -fuzz 'FuzzJSONRequest$$' -fuzztime $(FUZZTIME) ./cmd/serve/
 	$(GO) test -run xxx -fuzz 'FuzzNTTMul$$' -fuzztime $(FUZZTIME) ./internal/fft/

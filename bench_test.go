@@ -632,8 +632,12 @@ func BenchmarkBatchedSpectralForward(b *testing.B) {
 
 // BenchmarkCompiledForward measures compiled Float64Split programs on the
 // two FC evaluation architectures at batch 1 and a serving batch — the
-// executor model.New hands every serving replica. Warm runs
-// are allocation-free (pinned by TestCompiledForwardZeroAlloc).
+// executor model.New hands every serving replica. Each run takes the next
+// of a pool of distinct inputs, as the edge workloads of `go run ./bench`
+// do, so a cost that follows the data (the dense layer's skip of zero
+// activations) is paid as it is in service rather than learned by the
+// branch predictor on one repeated input. Warm runs are allocation-free
+// (pinned by TestCompiledForwardZeroAlloc).
 func BenchmarkCompiledForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	archs := []struct {
@@ -651,11 +655,14 @@ func BenchmarkCompiledForward(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				x := tensor.New(append([]int{batch}, a.inShape...)...).Randn(rng, 1)
+				xs := make([]*tensor.Tensor, 512/batch)
+				for i := range xs {
+					xs[i] = tensor.New(append([]int{batch}, a.inShape...)...).Randn(rng, 1)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					prog.Run(x)
+					prog.Run(xs[i%len(xs)])
 				}
 				b.ReportMetric(float64(b.N)*float64(batch)/b.Elapsed().Seconds(), "vec/s")
 			})

@@ -37,13 +37,15 @@ import (
 //     process-wide worker pool. Work is never split within one
 //     accumulation, so results do not depend on the worker count.
 //   - Two columns per instruction on amd64: bin-major rows keep adjacent
-//     columns in adjacent float64s, so fft's row sweeps and the bin product
+//     columns in adjacent float64s, so fft's row sweeps, the bin product
 //     of bins 1 … half−1 over whole vectors (binpairs_amd64.s, two output
-//     blocks of one vector per SSE2 register) run in assembly, each lane
-//     with the Go loop's expression tree and so its bits. The DC and
-//     Nyquist rows, a vector's odd last output block, the partial vectors
-//     at the edges of a worker's column range, gradColumns, pack and store
-//     stay in Go.
+//     blocks of one vector per SSE2 register), and the pack and store
+//     (packpairs_amd64.s, two blocks of one vector per register, the
+//     store with its bias and ReLU) run in assembly, each lane with the Go
+//     loop's expression tree and so its bits. The DC and Nyquist rows, a
+//     vector's odd last block, the partial vectors at the edges of a
+//     worker's column range, gradColumns' bin product, the ragged pack
+//     and foldColumn stay in Go.
 //
 // The transforms sweep all columns of a pass at once — batch·inBlks on the
 // way in, batch·outBlks on the way out — which is what keeps a batch of one
@@ -385,12 +387,15 @@ func (m *BlockCirculant) packColumns(ws *BatchWorkspace, xv []float64, inBlks, p
 	if inBlks*b == inLen && m.n == b {
 		// Exact tiling (every serving architecture's FC layers): walk
 		// row-major so each packed row gets one inBlks-long sequential
-		// write run instead of a pitch-strided single-element scatter.
-		for j := 0; j < half; j++ {
+		// write run instead of a pitch-strided single-element scatter. The
+		// pack kernel takes the block pairs where there is one, and the
+		// loop below an odd last block, if any.
+		done := m.packPairs(ws.zAll, xv, inBlks, pitch, col0)
+		for j := 0; j < half && done < inBlks; j++ {
 			r := int(perm[j])*pitch + col0
 			rowR := zr[r : r+inBlks]
 			rowI := zi[r : r+inBlks]
-			for i := 0; i < inBlks; i++ {
+			for i := done; i < inBlks; i++ {
 				rowR[i] = xv[i*b+2*j]
 				rowI[i] = xv[i*b+2*j+1]
 			}
@@ -532,18 +537,26 @@ func (m *BlockCirculant) outputColumns(ws *BatchWorkspace, dst []float64, inBlks
 	if trans {
 		fold = m.n - b
 	}
-	for c, v, o := c0, v0, o0; c < c1; c++ {
+	// Two whole output blocks of one vector are stored at once: their
+	// columns are adjacent, and so are their runs of dst and of the bias.
+	for c, v, o := c0, v0, o0; c < c1; {
 		lo := o * b
 		hi := min(lo+b, outLen)
+		cols := 1
+		if c+1 < c1 && o+1 < outBlks && hi+b <= outLen {
+			cols, hi = 2, hi+b
+		}
 		if m.n != b {
-			foldColumn(ws.z, opitch, c, hi-lo, fold)
+			for i := 0; i < cols; i++ {
+				foldColumn(ws.z, opitch, c+i, min(b, hi-lo-i*b), fold)
+			}
 		}
 		var blockBias []float64
 		if bias != nil {
 			blockBias = bias[lo:hi]
 		}
-		storeColumn(dst[v*outLen+lo:v*outLen+hi], ws.z.Re, ws.z.Im, opitch, c, blockBias, relu)
-		if o++; o == outBlks {
+		storeColumns(dst[v*outLen+lo:v*outLen+hi], ws.z.Re, ws.z.Im, opitch, c, cols, blockBias, relu)
+		if c, o = c+cols, o+cols; o == outBlks {
 			v, o = v+1, 0
 		}
 	}
@@ -579,12 +592,15 @@ func (m *BlockCirculant) gradColumns(ws *BatchWorkspace, dw []float64, batch, pi
 	}
 	rp.PreInverseSplitManyRev(ws.z, ws.acc, opitch, 0, kl)
 	rp.Complex().InverseSplitManyRev(ws.z, opitch, 0, kl)
-	for c := 0; c < kl; c++ {
+	for c := 0; c < kl; c += 2 {
+		cols := min(2, kl-c)
 		if m.n != b {
-			foldColumn(ws.z, opitch, c, b, m.n-b)
+			for i := 0; i < cols; i++ {
+				foldColumn(ws.z, opitch, c+i, b, m.n-b)
+			}
 		}
-		seg := dw[c*b : (c+1)*b]
-		storeColumn(seg, ws.z.Re, ws.z.Im, opitch, c, seg, false) // seg as the bias: dw += the column
+		seg := dw[c*b : (c+cols)*b]
+		storeColumns(seg, ws.z.Re, ws.z.Im, opitch, c, cols, seg, false) // seg as the bias: dw += the columns
 	}
 }
 
@@ -600,6 +616,21 @@ func foldColumn(z fft.SplitSlice, pitch, col, cnt, f int) {
 	for t := 0; t < cnt; t++ {
 		s := t + f
 		planes[t&1][t/2*pitch+col] += planes[s&1][s/2*pitch+col]
+	}
+}
+
+// storeColumnsGo stores cols adjacent columns into seg, split into cols
+// equal runs, one storeColumn each — storeColumns' reference.
+//
+//repro:noalloc
+func storeColumnsGo(seg, zRe, zIm []float64, pitch, col, cols int, bias []float64, relu bool) {
+	l := len(seg) / cols
+	for i := 0; i < cols; i++ {
+		var colBias []float64
+		if bias != nil {
+			colBias = bias[i*l : (i+1)*l]
+		}
+		storeColumn(seg[i*l:(i+1)*l], zRe, zIm, pitch, col+i, colBias, relu)
 	}
 }
 

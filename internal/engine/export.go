@@ -11,7 +11,8 @@ import (
 // format ParseArchitecture consumes, given the per-sample input shape. It is
 // the inverse of module 1 of Fig. 4, used by the trainer to ship a matching
 // arch.txt for any network it produces. Every layer type of internal/nn is
-// supported; an unknown layer type is an error.
+// supported; an unknown layer type is an error, and so is a BatchNorm whose
+// momentum or epsilon is not NewBatchNorm's, which the format cannot hold.
 func ExportArchitecture(net *nn.Network, inShape []int) (string, error) {
 	var b strings.Builder
 	switch len(inShape) {
@@ -52,6 +53,14 @@ func ExportArchitecture(net *nn.Network, inShape []int) (string, error) {
 		case *nn.Dropout:
 			fmt.Fprintf(&b, "dropout %g\n", v.Rate)
 		case *nn.BatchNorm:
+			// The line carries no options: the parser rebuilds the layer
+			// with NewBatchNorm's momentum and epsilon, so a layer with
+			// other values cannot be written without changing what it
+			// computes.
+			if def := nn.NewBatchNorm(1); v.Epsilon != def.Epsilon || v.Momentum != def.Momentum {
+				return "", fmt.Errorf("engine: cannot export batchnorm with momentum %g and epsilon %g: the format holds only the defaults %g and %g",
+					v.Momentum, v.Epsilon, def.Momentum, def.Epsilon)
+			}
 			b.WriteString("batchnorm\n")
 		default:
 			return "", fmt.Errorf("engine: cannot export layer type %T", l)

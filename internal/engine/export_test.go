@@ -128,3 +128,28 @@ func TestExportArchitectureErrors(t *testing.T) {
 		t.Error("expected error for 2-dim input shape")
 	}
 }
+
+// TestExportRefusesNonDefaultBatchNorm: the batchnorm line has no options
+// and re-parses with NewBatchNorm's momentum and epsilon, so exporting a
+// layer with other values must fail instead of writing a network that
+// computes differently.
+func TestExportRefusesNonDefaultBatchNorm(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*nn.BatchNorm)
+	}{
+		{"epsilon", func(b *nn.BatchNorm) { b.Epsilon = 1e-3 }},
+		{"momentum", func(b *nn.BatchNorm) { b.Momentum = 0.99 }},
+	} {
+		bn := nn.NewBatchNorm(4)
+		tc.set(bn)
+		net := nn.NewNetwork(nn.NewDense(8, 4, rand.New(rand.NewSource(1))), bn)
+		if text, err := ExportArchitecture(net, []int{8}); err == nil {
+			t.Errorf("%s: exported a non-default batchnorm as:\n%s", tc.name, text)
+		}
+	}
+	net := nn.NewNetwork(nn.NewDense(8, 4, rand.New(rand.NewSource(1))), nn.NewBatchNorm(4))
+	if _, err := ExportArchitecture(net, []int{8}); err != nil {
+		t.Errorf("default batchnorm: %v", err)
+	}
+}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -180,4 +182,137 @@ func FuzzLoadParameters(f *testing.F) {
 			t.Fatalf("accepted %d bytes re-save as %d different bytes", len(data), out.Len())
 		}
 	})
+}
+
+// FuzzParseArchitecture holds Fig. 4's first parser to two properties: it
+// never panics, and any text it accepts survives export — the exported text
+// parses to a network that exports the same text again, layer for layer
+// with the same names and parameter shapes, on the same input shape. Texts
+// whose layers would hold more than parseBudget weights are skipped, so a
+// fuzzed "fc 1000000" cannot exhaust memory before the parser returns.
+func FuzzParseArchitecture(f *testing.F) {
+	for _, seed := range []string{
+		Arch1Text, Arch2Text, Arch3Text,
+		"fc 10\n", "input 4\ninput 4\n", "input 0\n", "input 4 4 1\nfc 10\n", "input 16\nconv 8 3\n",
+		"input 16\ncircfc 8\n", "input 16\ncircfc 8 block=x\n", "input 16\nfoo 3\n", "input 5 5 1\nmaxpool 2\n",
+		"input 2 2 1\nconv 4 5\n", "input 16\ndropout 1.5\n", "", "input 16\n", "input 16\nfc 10 act=step\n",
+		"input 8 8 2\nconv 4 3 stride=1 pad=1 act=tanh\navgpool 2\nflatten\ndropout 0.25\nfc 6 act=sigmoid\nfc 3\nsoftmax\n",
+		"input 8 8 2\nfftconv 4 3 act=relu\nbatchnorm\nmaxpool 2\nflatten\nfc 5 act=relu\nbatchnorm\nfc 3\nsoftmax\n",
+		"input 8 8 1\nfftconv 4 3 stride=2\n", "batchnorm\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		if parseWeights(text) > parseBudget {
+			t.Skip("over the weight budget")
+		}
+		e, err := ParseArchitecture(strings.NewReader(text), rand.New(rand.NewSource(1)))
+		if err != nil {
+			return
+		}
+		out, err := ExportArchitecture(e.Net, e.InShape)
+		if err != nil {
+			t.Fatalf("accepted text does not export: %v\ntext:\n%s", err, text)
+		}
+		e2, err := ParseArchitecture(strings.NewReader(out), rand.New(rand.NewSource(2)))
+		if err != nil {
+			t.Fatalf("exported text does not parse: %v\nexported:\n%s", err, out)
+		}
+		out2, err := ExportArchitecture(e2.Net, e2.InShape)
+		if err != nil || out2 != out {
+			t.Fatalf("export of the re-parsed network differs (%v):\n%s\nwant:\n%s", err, out2, out)
+		}
+		if a, b := layerShapes(e), layerShapes(e2); a != b {
+			t.Fatalf("re-parsed layers differ:\n%s\nwant:\n%s", b, a)
+		}
+	})
+}
+
+// parseBudget bounds the weights a fuzzed architecture may ask the parser
+// to allocate.
+const parseBudget = 1 << 23
+
+// parseWeights over-estimates how many weights ParseArchitecture allocates
+// for text: it follows the running per-sample size line by line, never
+// shrinking it for a convolution's border or stride, and charges each
+// layer its dense size. Unparseable numbers count as 0: the parser rejects
+// those lines before allocating.
+func parseWeights(text string) int {
+	const limit = 1 << 40
+	mul := func(a, b int) int {
+		if a > 0 && b > limit/a {
+			return limit
+		}
+		return a * b
+	}
+	h, w, c, total := 1, 1, 1, 0
+	for _, line := range strings.Split(text, "\n") {
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		var nums []int
+		pad := 0
+		for _, fld := range fields[1:] {
+			key, val, opt := strings.Cut(fld, "=")
+			if !opt {
+				val = key
+			}
+			v, err := strconv.Atoi(val)
+			if err != nil || v < 0 {
+				v = 0
+			}
+			if !opt {
+				nums = append(nums, v)
+			} else if key == "pad" {
+				pad = v
+			}
+		}
+		arg := func(i int) int {
+			if i < len(nums) {
+				return nums[i]
+			}
+			return 0
+		}
+		switch strings.ToLower(fields[0]) {
+		case "input":
+			h, w, c = max(arg(0), 1), max(arg(1), 1), max(arg(2), 1)
+			if len(nums) == 1 {
+				w, c = 1, 1
+			}
+		case "fc", "circfc":
+			total += mul(mul(mul(h, w), c), arg(0))
+			h, w, c = arg(0), 1, 1
+		case "conv", "circconv", "fftconv":
+			h, w = h+2*pad, w+2*pad
+			total += mul(mul(arg(0), mul(arg(1), arg(1))), c) + mul(mul(h, w), arg(0))
+			c = arg(0)
+		case "maxpool", "avgpool":
+			if s := arg(0); s > 0 {
+				h, w = h/s, w/s
+			}
+		case "batchnorm":
+			total += c
+		}
+		total = min(total, limit)
+	}
+	return total
+}
+
+// layerShapes lists an engine's input shape and each layer's name and
+// parameter shapes.
+func layerShapes(e *Engine) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "input %v\n", e.InShape)
+	for _, l := range e.Net.Layers {
+		b.WriteString(l.Name())
+		for _, p := range l.Params() {
+			fmt.Fprintf(&b, " %s%v", p.Name, p.Value.Shape())
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

@@ -241,29 +241,33 @@ func scoreChecksum(scores *tensor.Tensor) uint64 {
 // inverse-transformed one output block at a time over an [i][j][t] weight
 // table with the 0.5 and 1/n factors inside the transforms; the batch-1 and
 // batch-3 values at the last commit whose engine ran its row sweeps in Go
-// alone. Skipped where multiply-adds may fuse (skipWhereFused).
+// alone. Arch-3 at batch 1 adds the convolutions, whose im2col products run
+// tensor.MatMulInto; its values were recorded at the last commit whose
+// dense product, pack and store were Go loops. Skipped where multiply-adds
+// may fuse (skipWhereFused).
 func TestFloatGoldenScores(t *testing.T) {
 	skipWhereFused(t)
 	for _, tc := range []struct {
 		name  string
 		build func(*rand.Rand) *nn.Network
-		in    int
+		in    []int
 		batch int
 		want  [3]uint64 // inputs × 1, × 1e-150, × 1e-300
 	}{
-		{"arch1", nn.Arch1, 256, 64, [3]uint64{0xcaf78a11c3034443, 0xd46dceb4fd9dcb25, 0xc1378ac52cfc20e6}},
-		{"arch2", nn.Arch2, 121, 64, [3]uint64{0x58a1093caf3fd601, 0x34b48ffcd9c6be85, 0x631c853e3df90942}},
-		{"arch1 b1", nn.Arch1, 256, 1, [3]uint64{0xc7966ad99d483895, 0x4792aacb94bd992e, 0xa19a047c2dc43d93}},
-		{"arch2 b1", nn.Arch2, 121, 1, [3]uint64{0x2e1689f6320e73fb, 0x67bc6a5182c2638c, 0xff300da5e95ae7b0}},
-		{"arch1 b3", nn.Arch1, 256, 3, [3]uint64{0x5a0269622bbcb87f, 0x04a788224b7dac1f, 0x9b6e391380117e73}},
-		{"arch2 b3", nn.Arch2, 121, 3, [3]uint64{0x8edb2222c59e2d44, 0x86171424acf54cb5, 0x6c3e4a7bb39d71ae}},
+		{"arch1", nn.Arch1, []int{256}, 64, [3]uint64{0xcaf78a11c3034443, 0xd46dceb4fd9dcb25, 0xc1378ac52cfc20e6}},
+		{"arch2", nn.Arch2, []int{121}, 64, [3]uint64{0x58a1093caf3fd601, 0x34b48ffcd9c6be85, 0x631c853e3df90942}},
+		{"arch1 b1", nn.Arch1, []int{256}, 1, [3]uint64{0xc7966ad99d483895, 0x4792aacb94bd992e, 0xa19a047c2dc43d93}},
+		{"arch2 b1", nn.Arch2, []int{121}, 1, [3]uint64{0x2e1689f6320e73fb, 0x67bc6a5182c2638c, 0xff300da5e95ae7b0}},
+		{"arch1 b3", nn.Arch1, []int{256}, 3, [3]uint64{0x5a0269622bbcb87f, 0x04a788224b7dac1f, 0x9b6e391380117e73}},
+		{"arch2 b3", nn.Arch2, []int{121}, 3, [3]uint64{0x8edb2222c59e2d44, 0x86171424acf54cb5, 0x6c3e4a7bb39d71ae}},
+		{"arch3 b1", nn.Arch3, []int{32, 32, 3}, 1, [3]uint64{0x36ac604f28b71da3, 0x9d900ff5fb6b422d, 0x96ba3c0c614c3623}},
 	} {
 		rng := rand.New(rand.NewSource(7))
-		prog, err := Compile(tc.build(rng), CompileOptions{InShape: []int{tc.in}, BatchHint: tc.batch})
+		prog, err := Compile(tc.build(rng), CompileOptions{InShape: tc.in, BatchHint: tc.batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := tensor.New(tc.batch, tc.in).Randn(rng, 1)
+		x := tensor.New(append([]int{tc.batch}, tc.in...)...).Randn(rng, 1)
 		for i, scale := range []float64{1, 1e-150, 1e-300} {
 			xs := x.Clone()
 			for j := range xs.Data {

@@ -160,9 +160,20 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	if dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %v, want [%d %d]", dst.shape, m, n))
 	}
+	matMul(dst.Data, a.Data, b.Data, m, k, n)
+	return dst
+}
+
+// matMulGo is MatMulInto's arithmetic as Go loops, the reference the amd64
+// kernel is held to and the path elsewhere: row by row, each output j is
+// one sequential sum over p in p order, from +0, skipping every p whose
+// input is ±0.
+//
+//repro:noalloc
+func matMulGo(o, a, b []float64, m, k, n int) {
 	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := dst.Data[i*n : (i+1)*n]
+		arow := a[i*k : (i+1)*k]
+		orow := o[i*n : (i+1)*n]
 		for j := range orow {
 			orow[j] = 0
 		}
@@ -171,13 +182,12 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[p*n : (p+1)*n]
+			brow := b[p*n : (p+1)*n]
 			for j := 0; j < n; j++ {
 				orow[j] += av * brow[j]
 			}
 		}
 	}
-	return dst
 }
 
 // MatVec returns the matrix–vector product a·x for a 2-D a (m×n) and a
